@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from losslab.experiments import separation_experiment
+from losslab.repr_analysis import SEPARATION_INDEXES
 
 # weakest collapse first; gaps are checked pairwise along this order
 ORDER = ("softmax", "label_smoothing", "cosine_softmax", "squared_error")
@@ -26,7 +27,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=5,
                         help="number of training seeds per loss")
     parser.add_argument("--index", default="cosine",
-                        choices=("cosine", "euclidean", "centroid"))
+                        choices=SEPARATION_INDEXES)
     parser.add_argument("--out", help="optional CSV of per-seed R2 values")
     args = parser.parse_args(argv)
 

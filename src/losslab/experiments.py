@@ -15,7 +15,6 @@ differently, easy enough that every run converges.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .agreement import agreement_matrix, linkage_dendrogram
 from .calibration import top1_predictions
 from .data import make_blob_split
-from .harness import transfer_accuracy
+from .harness import transfer_probe
 from .losses import LOSS_KINDS, LossSpec, eval_scores
 from .mlp import init_for_spec, penultimate_features
 from .probe import ProbeConfig
@@ -168,13 +167,11 @@ def temperature_experiment(
             feats = penultimate_features(model, train_batch.features)
             r2s.append(class_separation_r2(feats, train_batch.labels, index))
             moved = penultimate_features(model, transfer_batch.features)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                accs.append(
-                    transfer_accuracy(
-                        moved, transfer_batch.labels, merge, probe_cfg
-                    )
-                )
+            accs.append(
+                transfer_probe(
+                    moved, transfer_batch.labels, merge, probe_cfg
+                ).test_accuracy
+            )
         out[tau] = {"r2": np.asarray(r2s), "transfer": np.asarray(accs)}
     return out
 

@@ -18,7 +18,10 @@ timestamps, fixed float formatting).
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from .mlp import (
     init_for_spec,
     penultimate_features,
 )
-from .probe import ProbeConfig, sweep_and_retrain
+from .probe import ProbeConfig, ProbeResult, sweep_and_retrain
 from .repr_analysis import (
     SEPARATION_INDEXES,
     angular_visual_hardness,
@@ -185,15 +188,42 @@ def _run_single_job(args):
         raise RunFailure(loss_name, seed, exc) from exc
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """os.environ with every BLAS thread variable at 1, restored on exit."""
+    saved = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for v, old in saved.items():
+            if old is None:
+                os.environ.pop(v, None)
+            else:
+                os.environ[v] = old
+
+
 def run_all(config: ExperimentConfig, jobs: int = 1) -> list:
-    """Train the full (loss, seed) grid; returns run summaries in grid order."""
+    """Train the full (loss, seed) grid; returns run summaries in grid order.
+
+    With jobs > 1 the runs go to spawned workers. A spawned worker starts
+    with os.environ as it is then and imports numpy afresh, so each gets
+    one BLAS thread: jobs workers with BLAS's default of one thread per
+    core would oversubscribe the cores.
+    """
     pairs = [
         (config, name, spec, seed)
         for name, spec in config.losses
         for seed in config.seeds
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_env(), ProcessPoolExecutor(
+            max_workers=jobs, mp_context=spawn
+        ) as pool:
             return list(pool.map(_run_single_job, pairs))
     return [_run_single_job(p) for p in pairs]
 
@@ -406,9 +436,9 @@ def merge_labels(labels, merge: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64) % merge
 
 
-def transfer_accuracy(features, labels, merge: int, probe_config: ProbeConfig,
-                      split_seed: int = 0) -> float:
-    """Probe accuracy on coarse labels: per-class half train / half test."""
+def transfer_probe(features, labels, merge: int, probe_config: ProbeConfig,
+                   split_seed: int = 0) -> ProbeResult:
+    """Probe on coarse labels: per-class half train / half test."""
     y = merge_labels(labels, merge)
     rng = np.random.default_rng(split_seed)
     tr_idx, te_idx = [], []
@@ -420,11 +450,12 @@ def transfer_accuracy(features, labels, merge: int, probe_config: ProbeConfig,
     tr = np.sort(np.concatenate(tr_idx))
     te = np.sort(np.concatenate(te_idx))
     X = np.asarray(features, dtype=np.float64)
-    res = sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
-    return res.test_accuracy
+    return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
 
 
 def report_transfer(config) -> Path:
+    """Coarse-label probe accuracy per run, with whether every fit behind it
+    (the lambda path and the refit) converged and its largest gradient norm."""
     probe_cfg = ProbeConfig(
         val_fraction=config.probe_val_fraction,
         tolerance=config.probe_tolerance,
@@ -433,13 +464,18 @@ def report_transfer(config) -> Path:
     )
     path = reports_dir(config.output_dir) / "transfer.csv"
     with open(path, "w") as fh:
-        fh.write("loss,seed,merge,probe_acc\n")
+        fh.write("loss,seed,merge,probe_acc,converged,max_grad_norm\n")
         for name, _, seed in _runs(config):
             d = load_run_dump(config, name, seed, "penultimate.dump")
-            acc = transfer_accuracy(
+            res = transfer_probe(
                 d.data, d.labels, config.transfer_merge, probe_cfg
             )
-            fh.write(f"{name},{seed},{config.transfer_merge},{FMT % acc}\n")
+            converged = bool(res.converged.all()) and res.refit_converged
+            max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
+            fh.write(
+                f"{name},{seed},{config.transfer_merge},"
+                f"{FMT % res.test_accuracy},{int(converged)},{FMT % max_gn}\n"
+            )
     return path
 
 

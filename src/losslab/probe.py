@@ -4,10 +4,13 @@ Objective (sum form, bias unregularized):
 
     J(W, b) = sum_i CE(softmax(W x_i + b), y_i) + (lambda / 2) ||W||_F^2
 
-minimized by full-batch gradient descent with Armijo backtracking. The
-regularization path sweeps 45 log-spaced lambdas ascending with warm
-starts, picks the best validation accuracy (ties to the larger lambda),
-then refits on the full training set.
+minimized by damped Newton on (W, b) jointly. With augmented features
+x~ = [x, 1] the Hessian is sum_i (diag(p_i) - p_i p_i^T) kron x~_i x~_i^T
+plus lambda on the weight diagonal. It is factorized by Cholesky, and
+Armijo backtracking along the Newton direction keeps the objective from
+rising. The regularization path sweeps 45 log-spaced lambdas ascending
+with warm starts, picks the best validation accuracy (ties to the larger
+lambda), then refits on the full training set.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .losses import logsumexp_rows, softmax_rows
+from .losses import softmax_rows, xent_rows
 
 DEFAULT_GRID = tuple(np.logspace(-6.0, 5.0, 45))
 
@@ -64,20 +67,48 @@ class ProbeResult:
     test_accuracy: float
     weights: np.ndarray
     bias: np.ndarray
+    # solver outcome per grid point, then of the refit at best_lambda
+    converged: np.ndarray
+    n_iter: np.ndarray
+    grad_norm: np.ndarray
+    refit_converged: bool
+    refit_n_iter: int
+    refit_grad_norm: float
 
 
-def _objective_and_grads(W, b, X, y, lam):
-    Z = X @ W.T + b
-    n = X.shape[0]
-    rows = np.arange(n)
-    value = float(np.sum(logsumexp_rows(Z) - Z[rows, y])) + 0.5 * lam * float(
-        np.sum(W * W)
-    )
-    G = softmax_rows(Z)
-    G[rows, y] -= 1.0
-    gW = G.T @ X + lam * W
-    gb = G.sum(axis=0)
-    return value, gW, gb
+def _objective_and_grad(theta, Xa, y, lam):
+    """J, its gradient and the softmax rows at theta = [W, b], shape (K, d+1)."""
+    W = theta[:, :-1]
+    Z = Xa @ theta.T
+    value = float(np.sum(xent_rows(Z, y))) + 0.5 * lam * float(np.sum(W * W))
+    P = softmax_rows(Z)
+    R = P.copy()
+    R[np.arange(y.size), y] -= 1.0
+    G = R.T @ Xa
+    G[:, :-1] += lam * W
+    return value, G, P
+
+
+def _newton_direction(P, Xa, lam, G):
+    """-H^{-1} G by Cholesky; raises LinAlgError if H is not positive definite.
+
+    The bias is unpenalized, so H is singular along b -> b + c 1, where J
+    is flat. Adding e e^T, with e the unit all-ones direction on the bias
+    block, makes H definite without moving the step: G is orthogonal to e,
+    so the step is unchanged off e and zero along it.
+    """
+    n, K = P.shape
+    D = Xa.shape[1]
+    A = (P[:, :, None] * Xa[:, None, :]).reshape(n, K * D)
+    H = -(A.T @ A)
+    blocks = H.reshape(K, D, K, D)  # a view: writes land in H
+    ks = np.arange(K)
+    blocks[ks, :, ks, :] += A.reshape(n, K, D).transpose(1, 2, 0) @ Xa
+    blocks[ks, :-1, ks, :-1] += lam * np.eye(D - 1)
+    blocks[:, -1, :, -1] += 1.0 / K
+    L = np.linalg.cholesky(H)
+    u = np.linalg.solve(L, G.reshape(-1))
+    return -np.linalg.solve(L.T, u).reshape(K, D)
 
 
 def fit_logreg(
@@ -105,28 +136,33 @@ def fit_logreg(
     if W.shape != (K, d) or b.shape != (K,):
         raise ValueError(f"init shapes {W.shape}/{b.shape} do not match ({K},{d})")
 
-    value, gW, gb = _objective_and_grads(W, b, X, y, lam)
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    theta = np.hstack([W, b[:, None]])
+    value, G, P = _objective_and_grad(theta, Xa, y, lam)
     trace = [value]
-    step = 1.0
     it = 0
-    gn = float(np.sqrt(np.sum(gW * gW) + np.sum(gb * gb)))
+    gn = float(np.linalg.norm(G))
     while gn > tolerance and it < max_iterations:
-        # Armijo backtracking on f(theta - t g)
+        try:
+            direction = _newton_direction(P, Xa, lam, G)
+        except np.linalg.LinAlgError:
+            break  # Hessian not positive definite: reported as not converged
+        slope = float(np.sum(G * direction))
+        # Armijo backtracking on f(theta + t direction) from the full step
+        step = 1.0
         accepted = False
         while step > 1e-20:
-            W2 = W - step * gW
-            b2 = b - step * gb
-            v2, gW2, gb2 = _objective_and_grads(W2, b2, X, y, lam)
-            if v2 <= value - 1e-4 * step * gn * gn:
+            theta2 = theta + step * direction
+            v2, G2, P2 = _objective_and_grad(theta2, Xa, y, lam)
+            if v2 <= value + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break  # stalled at float precision
-        W, b, value, gW, gb = W2, b2, v2, gW2, gb2
-        gn = float(np.sqrt(np.sum(gW * gW) + np.sum(gb * gb)))
+        theta, value, G, P = theta2, v2, G2, P2
+        gn = float(np.linalg.norm(G))
         trace.append(value)
-        step *= 2.0  # regrow, next backtrack trims if needed
         it += 1
 
     converged = gn <= tolerance
@@ -136,6 +172,7 @@ def fit_logreg(
             f"(grad norm {gn:.3e} > {tolerance:g})",
             RuntimeWarning,
         )
+    W, b = theta[:, :-1].copy(), theta[:, -1].copy()
     return LogRegFit(W, b, converged, gn, value, it, trace)
 
 
@@ -220,4 +257,10 @@ def sweep_and_retrain(
         test_accuracy=probe_accuracy(final.weights, final.bias, Xt, yt),
         weights=final.weights,
         bias=final.bias,
+        converged=np.array([f.converged for f in fits]),
+        n_iter=np.array([f.n_iter for f in fits]),
+        grad_norm=np.array([f.grad_norm for f in fits]),
+        refit_converged=final.converged,
+        refit_n_iter=final.n_iter,
+        refit_grad_norm=final.grad_norm,
     )

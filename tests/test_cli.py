@@ -128,7 +128,7 @@ class TestAnalysisCommands:
         report = out / "reports" / "transfer.csv"
         assert str(report) in capsys.readouterr().out
         body = report.read_text().splitlines()
-        assert body[0] == "loss,seed,merge,probe_acc"
+        assert body[0] == "loss,seed,merge,probe_acc,converged,max_grad_norm"
         assert all(row.split(",")[2] == "2" for row in body[1:])
 
 

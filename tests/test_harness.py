@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from losslab.harness import (
     load_run_dump,
     merge_labels,
     read_predictions_csv,
+    run_all,
     run_dir,
     run_experiment,
     save_model,
@@ -175,6 +177,17 @@ class TestReports:
         }
         assert run["nll_scaled"] <= run["nll"] + 1e-12
 
+    def test_transfer_report_records_convergence(self, experiment):
+        config, _ = experiment
+        with open(Path(config.output_dir) / "reports" / "transfer.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["loss"], r["seed"]) for r in rows] == [
+            ("plain", "0"), ("plain", "1"), ("smooth", "0"), ("smooth", "1"),
+        ]
+        for r in rows:
+            assert r["converged"] == "1"
+            assert 0.0 <= float(r["max_grad_norm"]) <= config.probe_tolerance
+
     def test_metadata_lists_grid(self, experiment):
         config, _ = experiment
         path = Path(config.output_dir) / "reports" / "metadata.json"
@@ -192,6 +205,17 @@ class TestDeterminism:
         first = tree_digest(config.output_dir)
         second = tree_digest(other.output_dir)
         assert first == second
+
+
+    def test_pool_matches_serial(self, tmp_path):
+        # workers run with one BLAS thread, the parent with the default;
+        # the artifacts must not depend on it
+        serial = tiny_config(tmp_path / "serial")
+        pooled = tiny_config(tmp_path / "pooled")
+        assert run_all(pooled, jobs=2) == run_all(serial, jobs=1)
+        first = tree_digest(serial.output_dir)
+        assert len(first) == 4 * len(RUN_FILES)
+        assert tree_digest(pooled.output_dir) == first
 
 
 class TestFailurePropagation:
@@ -260,6 +284,16 @@ class TestSmallHelpers:
         assert mean == pytest.approx(0.5)
         # sample std of {0.4, 0.6} is 0.1414..., over sqrt(2)
         assert se == pytest.approx(0.1)
+
+    def test_one_blas_thread_env_is_restored(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with harness._one_blas_thread_env():
+            assert [os.environ[v] for v in harness.BLAS_THREAD_VARS] == ["1"] * 3
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
 
     def test_run_failure_message(self):
         err = RunFailure("plain", 3, ValueError("exploded"))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import logsumexp, softmax
 
 from losslab.probe import (
     ProbeConfig,
@@ -12,6 +14,30 @@ from losslab.probe import (
     stratified_split,
     sweep_and_retrain,
 )
+
+
+def acceptance_blobs():
+    """The three-class data of test_09_probe_mechanics: (X, y, Xt, yt)."""
+    rng = np.random.default_rng(0)
+    k, d, per = 3, 5, 30
+    means = 2.5 * rng.standard_normal((k, d))
+    X = np.concatenate([means[c] + rng.standard_normal((per, d)) for c in range(k)])
+    y = np.repeat(np.arange(k), per)
+    Xt = np.concatenate([means[c] + rng.standard_normal((10, d)) for c in range(k)])
+    yt = np.repeat(np.arange(k), 10)
+    return X, y, Xt, yt
+
+
+def reference_objective(theta, X, y, lam, k):
+    """J(W, b) and its gradient written with scipy, theta = [vec W, b]."""
+    n, d = X.shape
+    W, b = theta[: k * d].reshape(k, d), theta[k * d:]
+    Z = X @ W.T + b
+    value = np.sum(logsumexp(Z, axis=1) - Z[np.arange(n), y])
+    R = softmax(Z, axis=1)
+    R[np.arange(n), y] -= 1.0
+    grad = np.concatenate([(R.T @ X + lam * W).ravel(), R.sum(axis=0)])
+    return value + 0.5 * lam * np.sum(W * W), grad
 
 
 def two_blob_features(rng, n_per=40, gap=6.0):
@@ -76,6 +102,54 @@ class TestFitLogreg:
         y = rng.integers(0, 3, 50)
         with pytest.warns(RuntimeWarning, match="did not converge"):
             fit_logreg(X, y, 1e-8, 3, max_iterations=2, tolerance=1e-14)
+
+    def test_near_certain_rows_keep_their_loss(self):
+        # margins of 30-45 nats: logsumexp(z) - z_t rounds each row's loss
+        # away, while the true value is about exp(-margin)
+        rng = np.random.default_rng(6)
+        rows, y = np.arange(12), np.arange(12) % 3
+        S = rng.standard_normal((12, 3))
+        S[rows, y] = S.max(axis=1) + rng.uniform(30.0, 45.0, 12)
+        # one indicator feature per row, so row i scores S[i] exactly
+        fit = fit_logreg(np.eye(12), y, 0.0, 3,
+                         init_weights=S.T, init_bias=np.zeros(3))
+        others = S - S[rows, y][:, None]
+        others[rows, y] = -np.inf
+        expected = float(np.sum(np.log1p(np.sum(np.exp(others), axis=1))))
+        assert fit.n_iter == 0
+        assert fit.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_singular_hessian_stops_unconverged(self):
+        # lambda = 0 and a feature that is 0 on every row: the Hessian has
+        # a zero row, Cholesky fails, and the fit says so
+        rng = np.random.default_rng(7)
+        X = np.hstack([rng.standard_normal((40, 3)), np.zeros((40, 1))])
+        y = rng.integers(0, 3, 40)
+        with pytest.warns(RuntimeWarning, match="logreg did not converge"):
+            fit = fit_logreg(X, y, 0.0, 3)
+        assert not fit.converged and fit.n_iter == 0
+
+    @pytest.mark.parametrize("lam,k,d", [(1e-2, 2, 3), (0.3, 3, 5), (4.0, 5, 8)])
+    def test_matches_scipy_minimizer(self, lam, k, d):
+        rng = np.random.default_rng(100 + k)
+        n = 20 * k
+        y = np.arange(n) % k
+        X = 0.8 * rng.standard_normal((k, d))[y] + rng.standard_normal((n, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logreg(X, y, lam, k, tolerance=1e-10)
+        ref = minimize(
+            reference_objective, np.zeros(k * (d + 1)), args=(X, y, lam, k),
+            jac=True, method="L-BFGS-B",
+            options=dict(gtol=1e-11, ftol=0.0, maxiter=20000),
+        )
+        assert np.linalg.norm(ref.jac) < 1e-7
+        assert fit.objective == pytest.approx(ref.fun, rel=1e-12)
+        W_ref, b_ref = ref.x[: k * d].reshape(k, d), ref.x[k * d:]
+        np.testing.assert_allclose(fit.weights, W_ref, atol=1e-7)
+        # the bias is defined up to a shared shift; compare it centered
+        np.testing.assert_allclose(fit.bias - fit.bias.mean(),
+                                   b_ref - b_ref.mean(), atol=1e-7)
 
     def test_gradient_norm_reported_below_tolerance(self):
         rng = np.random.default_rng(5)
@@ -183,6 +257,17 @@ class TestSweep:
             plain = sweep_and_retrain(Xtr, ytr, Xte, yte, cfg)
             rot = sweep_and_retrain(Xtr @ Q, ytr, Xte @ Q, yte, cfg)
         assert abs(plain.test_accuracy - rot.test_accuracy) < 0.005
+
+    def test_every_fit_converges_on_acceptance_data(self):
+        X, y, Xt, yt = acceptance_blobs()
+        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sweep_and_retrain(X, y, Xt, yt, cfg)
+        assert res.converged.shape == res.n_iter.shape == (len(cfg.lambda_grid),)
+        assert res.converged.all() and res.refit_converged
+        assert np.all(res.grad_norm <= 1e-6) and res.refit_grad_norm <= 1e-6
+        assert np.all(res.n_iter >= 0) and res.refit_n_iter >= 0
 
     def test_missing_train_class_rejected(self):
         Xtr = np.random.default_rng(0).standard_normal((20, 3))

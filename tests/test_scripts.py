@@ -1,0 +1,76 @@
+"""The experiment scripts: their rank correlation and their arguments.
+
+The experiments themselves are stubbed out, so these run in milliseconds;
+the real experiments are the acceptance gate's business.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.stats import spearmanr
+
+from losslab.repr_analysis import SEPARATION_INDEXES
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_temperature_script_runs_without_scipy(monkeypatch):
+    # scipy is a test-only dependency: the script must import without it
+    for name in ("scipy", "scipy.stats"):
+        monkeypatch.setitem(sys.modules, name, None)
+    load_script("run_temperature_tradeoff")
+
+
+def test_spearman_matches_scipy_with_ties():
+    mod = load_script("run_temperature_tradeoff")
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        a = rng.integers(0, 4, n).astype(float)  # ties on purpose
+        b = np.round(rng.standard_normal(n), 1)
+        if np.ptp(a) == 0 or np.ptp(b) == 0:
+            continue
+        assert mod.spearman(a, b) == pytest.approx(spearmanr(a, b).statistic,
+                                                    abs=1e-12)
+
+
+def test_temperature_script_exit_code(monkeypatch, capsys):
+    mod = load_script("run_temperature_tradeoff")
+    taus = (0.01, 0.03, 0.05, 0.08)
+
+    def fake(seeds, merge):
+        return {t: {"r2": np.full(len(seeds), i + 1.0),
+                    "transfer": np.full(len(seeds), 10.0 - i)}
+                for i, t in enumerate(taus)}
+
+    monkeypatch.setattr(mod, "temperature_experiment", fake)
+    assert mod.main(["--seeds", "2"]) == 0
+    assert "spearman(tau, transfer) = -1.00" in capsys.readouterr().out
+
+
+def test_class_separation_offers_every_index(monkeypatch, capsys):
+    mod = load_script("run_class_separation")
+    seen = []
+
+    def fake(seeds, index):
+        seen.append(index)
+        return {name: np.array([0.1 * i, 0.1 * i + 0.01])
+                for i, name in enumerate(mod.ORDER)}
+
+    monkeypatch.setattr(mod, "separation_experiment", fake)
+    for index in SEPARATION_INDEXES:
+        assert mod.main(["--index", index, "--seeds", "2"]) == 0
+    assert seen == list(SEPARATION_INDEXES)
+    with pytest.raises(SystemExit):
+        mod.main(["--index", "centroid"])
+    capsys.readouterr()
