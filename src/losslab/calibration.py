@@ -70,20 +70,6 @@ def top1_predictions(scores) -> np.ndarray:
     return np.argmax(np.atleast_2d(scores), axis=1)
 
 
-def topk_accuracy(scores, labels, k: int) -> float:
-    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, K = S.shape
-    if y.shape != (n,):
-        raise ValueError(f"{y.shape[0]} labels for {n} rows")
-    if not 1 <= k <= K:
-        raise ValueError(f"k must be in [1, {K}], got {k}")
-    # stable sort on -scores: equal scores keep ascending class order
-    order = np.argsort(-S, axis=1, kind="stable")
-    hits = (order[:, :k] == y[:, None]).any(axis=1)
-    return float(np.mean(hits))
-
-
 def _as_probs(probs) -> np.ndarray:
     if isinstance(probs, ProbabilityBatch):
         return probs.probs

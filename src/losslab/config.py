@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 
 from .agreement import AGREEMENT_VARIANTS
-from .losses import LOSS_KINDS, PENALTY_KINDS, LossSpec, PenaltySpec
+from .losses import LOSS_KINDS, LOSS_PARAMS, PENALTY_KINDS, LossSpec, PenaltySpec
 from .training import SCHEDULE_KINDS
 
 ANALYSES = (
@@ -59,24 +59,13 @@ DATASET_KINDS = ("blobs", "csv", "idx")
 
 _RUN_NAME = re.compile(r"^[a-z0-9][a-z0-9_\-]*$")
 
-# loss-line parameter -> LossSpec field
-_LOSS_PARAMS = {
-    "alpha": "alpha",
-    "keep_prob": "keep_prob",
-    "lambda": "lambda_final",
-    "beta": "beta",
-    "temperature": "temperature",
-    "kappa": "kappa",
-    "target_magnitude": "target_magnitude",
-    "loss_scale": "loss_scale",
-}
-
 
 def parse_loss_line(text: str) -> LossSpec:
     """``kind [param=value ...] [+penalty=value ...]`` -> LossSpec.
 
     Penalty tokens start with ``+`` and append to extra_penalties in the
-    order written; plain tokens set the kind's own knobs.
+    order written; plain tokens set the kind's own knobs, and a knob its
+    kind does not read (``losses.LOSS_PARAMS``) is an error.
     """
     parts = text.split()
     if not parts:
@@ -84,6 +73,7 @@ def parse_loss_line(text: str) -> LossSpec:
     kind = parts[0]
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
+    fields = {name: field for name, field, _ in LOSS_PARAMS[kind]}
     params = {}
     penalties = []
     for tok in parts[1:]:
@@ -97,34 +87,30 @@ def parse_loss_line(text: str) -> LossSpec:
                 )
             penalties.append(PenaltySpec(name, float(val)))
         else:
-            if name not in _LOSS_PARAMS:
+            if name not in fields:
                 raise ValueError(
-                    f"unknown loss parameter {name!r}; "
-                    f"choose from {tuple(_LOSS_PARAMS)}"
+                    f"unknown loss parameter {name!r} for {kind}; "
+                    f"choose from {tuple(fields)}"
                 )
-            field_name = _LOSS_PARAMS[name]
-            if field_name in params:
+            if fields[name] in params:
                 raise ValueError(f"duplicate parameter {name!r} in {text!r}")
-            params[field_name] = float(val)
+            params[fields[name]] = float(val)
     return LossSpec(kind, extra_penalties=tuple(penalties), **params)
+
+
+def _number(x: float) -> str:
+    """x as ``:g`` when that reads back as x, else as its repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def format_loss_line(spec: LossSpec) -> str:
     """Inverse of parse_loss_line, canonical key order."""
-    relevant = {
-        "label_smoothing": ("alpha",),
-        "dropout": ("keep_prob",),
-        "extra_final_l2": ("lambda",),
-        "logit_penalty": ("beta",),
-        "logit_norm": ("temperature",),
-        "cosine_softmax": ("temperature",),
-        "squared_error": ("kappa", "target_magnitude", "loss_scale"),
-    }.get(spec.kind, ())
     toks = [spec.kind]
-    for name in relevant:
-        toks.append(f"{name}={getattr(spec, _LOSS_PARAMS[name]):g}")
+    for name, field, _ in LOSS_PARAMS[spec.kind]:
+        toks.append(f"{name}={_number(getattr(spec, field))}")
     for pen in spec.extra_penalties:
-        toks.append(f"+{pen.kind}={pen.value:g}")
+        toks.append(f"+{pen.kind}={_number(pen.value)}")
     return " ".join(toks)
 
 

@@ -208,12 +208,3 @@ def load_idx(images_path, labels_path=None, num_classes: int | None = None) -> B
     labs = labs.astype(np.int64)
     k = num_classes if num_classes is not None else int(labs.max()) + 1
     return Batch(feats, labs, k)
-
-
-def load_dataset(path, fmt: str = "csv", labels_path=None,
-                 num_classes: int | None = None) -> Batch:
-    if fmt == "csv":
-        return load_csv(path, num_classes)
-    if fmt == "idx":
-        return load_idx(path, labels_path, num_classes)
-    raise ValueError(f"unknown dataset format {fmt!r}")

@@ -68,6 +68,10 @@ class RunFailure(RuntimeError):
         self.seed = seed
         self.cause = cause
 
+    def __reduce__(self):
+        # rebuilt from its own arguments when it crosses a process pool
+        return type(self), (self.loss_name, self.seed, self.cause)
+
 
 def save_model(model: MlpModel, path) -> None:
     arrays = {}

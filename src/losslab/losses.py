@@ -1,19 +1,30 @@
 """Classification objectives with exact analytic gradients.
 
-Nine training objectives over a linear final layer: plain softmax
-cross-entropy, label smoothing, penultimate-layer dropout, an extra L2
-penalty on the final weight matrix, a logit magnitude penalty, logit
-normalization, cosine softmax, sigmoid cross-entropy, and squared error
-on logits. Each returns the batch-mean value together with the gradient
-of that value; everything is plain numpy and deterministic (dropout takes
-an explicit seed or Generator).
+Nine training objectives over the final layer, each built from three
+kinds of part, each written once:
+
+* **Heads** map features to scores and chain dL/dscores back to (dW, db,
+  dX): the linear head W x + b, the cosine head sim(W_k, x)/tau + b_k,
+  and the dropout head (the linear head on Bernoulli-masked features).
+* **Score losses** give per-row values and gradients wrt the scores:
+  softmax, smoothed, logit-norm and sigmoid cross-entropy (values in the
+  cancellation-free form of ``xent_rows``), and squared error.
+* **Penalties**: beta ||z||^2 on the head's clean scores, and
+  (lambda/2) ||W||^2. logit_penalty is softmax plus beta, extra_final_l2
+  softmax plus lambda.
+
+``LOSS_PARAMS`` lists each kind's parameters once; ``LossSpec``, the
+public objective functions and ``config``'s loss lines read it. Inputs
+are validated once, by the public functions; the kernels behind them
+trust their arguments. Everything is plain numpy and deterministic
+(dropout takes an explicit seed or Generator).
 
 Conventions used throughout:
 
 * ``logits`` is ``(K,)`` for a single example or ``(n, K)`` for a batch;
   ``target`` is an int or an ``(n,)`` int array of class indices.
 * ``value`` is the mean per-example loss. ``grad_logits`` is the gradient
-  of that mean with respect to the score matrix the objective consumes
+  of that mean with respect to the score matrix the score loss consumes
   (so batching divides per-example rows by n).
 * Objectives that do not factor through ``W x + b`` alone (cosine softmax,
   dropout, the extra final-layer L2) also return total gradients with
@@ -22,23 +33,40 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 NORM_EPS = 1e-12
 
-LOSS_KINDS = (
-    "softmax",
-    "label_smoothing",
-    "dropout",
-    "extra_final_l2",
-    "logit_penalty",
-    "logit_norm",
-    "cosine_softmax",
-    "sigmoid",
-    "squared_error",
-)
+_IN_RANGE = {
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
+    "finite and > 0": lambda v: 0.0 < v < math.inf,
+    "finite": math.isfinite,
+}
+
+# kind -> ((name in a loss line, LossSpec field, valid range), ...)
+LOSS_PARAMS = {
+    "softmax": (),
+    "label_smoothing": (("alpha", "alpha", "in [0, 1)"),),
+    "dropout": (("keep_prob", "keep_prob", "in (0, 1]"),),
+    "extra_final_l2": (("lambda", "lambda_final", "finite and >= 0"),),
+    "logit_penalty": (("beta", "beta", "finite and >= 0"),),
+    "logit_norm": (("temperature", "temperature", "finite and > 0"),),
+    "cosine_softmax": (("temperature", "temperature", "finite and > 0"),),
+    "sigmoid": (),
+    "squared_error": (
+        ("kappa", "kappa", "finite and > 0"),
+        ("target_magnitude", "target_magnitude", "finite"),
+        ("loss_scale", "loss_scale", "finite and > 0"),
+    ),
+}
+
+LOSS_KINDS = tuple(LOSS_PARAMS)
 
 PENALTY_KINDS = ("logit_penalty", "extra_final_l2")
 
@@ -95,9 +123,10 @@ class PenaltySpec:
 class LossSpec:
     """A base objective plus optional additive penalties.
 
-    Only the fields relevant to ``kind`` are read; constructing a spec with
-    out-of-range values for its own kind raises immediately so config typos
-    fail fast rather than training quietly with defaults.
+    Only the fields ``LOSS_PARAMS`` lists for ``kind`` are read;
+    constructing a spec with out-of-range values for its own kind raises
+    immediately so config typos fail fast rather than training quietly
+    with defaults.
     """
 
     kind: str
@@ -112,23 +141,12 @@ class LossSpec:
     extra_penalties: tuple[PenaltySpec, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
+        if self.kind not in LOSS_PARAMS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "label_smoothing" and not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.kind == "dropout" and not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if self.kind == "extra_final_l2" and self.lambda_final < 0:
-            raise ValueError(f"lambda_final must be >= 0, got {self.lambda_final}")
-        if self.kind == "logit_penalty" and self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.kind in ("logit_norm", "cosine_softmax") and self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.kind == "squared_error":
-            if self.kappa <= 0:
-                raise ValueError(f"kappa must be > 0, got {self.kappa}")
-            if self.loss_scale <= 0:
-                raise ValueError(f"loss_scale must be > 0, got {self.loss_scale}")
+        for _, name, valid in LOSS_PARAMS[self.kind]:
+            value = getattr(self, name)
+            if not _IN_RANGE[valid](value):
+                raise ValueError(f"{name} must be {valid}, got {value}")
         object.__setattr__(self, "extra_penalties", tuple(self.extra_penalties))
 
 
@@ -202,12 +220,8 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_bias_init(num_classes: int) -> float:
@@ -217,44 +231,260 @@ def sigmoid_bias_init(num_classes: int) -> float:
     return -float(np.log(num_classes))
 
 
-def _as_batch(logits, target):
-    """Normalize inputs to (n, K) float64 and (n,) int64; remember if 1d."""
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-        squeeze = True
-    elif arr.ndim == 2:
-        squeeze = False
-    else:
-        raise ValueError(f"logits must be 1d or 2d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("logits contain non-finite entries")
-    t = np.asarray(target, dtype=np.int64).reshape(-1)
-    if squeeze and t.shape != (1,):
-        raise ValueError("single logit row needs a single target")
-    if t.shape != (arr.shape[0],):
-        raise ValueError(
-            f"target shape {t.shape} does not match batch of {arr.shape[0]}"
-        )
-    K = arr.shape[1]
-    if np.any(t < 0) or np.any(t >= K):
-        raise ValueError(f"target out of range for {K} classes")
-    return arr, t, squeeze
-
-
 def _one_hot(t: np.ndarray, num_classes: int) -> np.ndarray:
-    y = np.zeros((t.shape[0], num_classes))
-    y[np.arange(t.shape[0]), t] = 1.0
-    return y
-
-
-def _pack(values: np.ndarray, grad_rows: np.ndarray, squeeze: bool, **extra) -> LossResult:
-    grad = grad_rows[0] if squeeze else grad_rows
-    return LossResult(value=float(np.mean(values)), grad_logits=grad, **extra)
+    return np.eye(num_classes)[t]
 
 
 # ---------------------------------------------------------------------------
-# logit-space objectives
+# input checks, made once by the public functions
+
+
+def _as_rows(a, what: str, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """``a`` as a finite (n, d) float64 batch; True when it was one (d,) row."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"{what} must be 1d or 2d, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise ValueError(f"{what} have dim {arr.shape[-1]}, layer expects {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contain non-finite entries")
+    return np.atleast_2d(arr), arr.ndim == 1
+
+
+def _as_target(target, n: int, num_classes: int) -> np.ndarray:
+    t = np.asarray(target, dtype=np.int64).reshape(-1)
+    if t.shape != (n,):
+        raise ValueError(f"target shape {t.shape} does not match batch of {n}")
+    if np.any(t < 0) or np.any(t >= num_classes):
+        raise ValueError(f"target out of range for {num_classes} classes")
+    return t
+
+
+# ---------------------------------------------------------------------------
+# heads: features -> scores, and dL/dscores -> (dW, db, dX)
+
+
+def linear_scores(layer: FinalLayer, X: np.ndarray) -> np.ndarray:
+    return X @ layer.weights.T + layer.bias
+
+
+def linear_backward(layer: FinalLayer, X: np.ndarray, G: np.ndarray) -> tuple:
+    """(dW, db, dX) of the linear head's scores X W^T + b, given dL/dscores G."""
+    return G.T @ X, G.sum(axis=0), G @ layer.weights
+
+
+def _cosine_head(layer: FinalLayer, X: np.ndarray, temperature: float):
+    """Scores z_k = sim(W_k, x)/tau + b_k, and their backward.
+
+    The backward chains through the cosine:
+      ds_k/dx   = W_k/(||W_k|| ||x||) - s_k x/||x||^2
+      ds_k/dW_k = x/(||W_k|| ||x||) - s_k W_k/||W_k||^2
+    """
+    W = layer.weights
+    xn = np.linalg.norm(X, axis=1, keepdims=True)  # (n, 1)
+    wn = np.linalg.norm(W, axis=1, keepdims=True)  # (K, 1)
+    if np.any(xn <= NORM_EPS):
+        raise DegenerateInputError("feature vector norm is ~0; cosine undefined")
+    if np.any(wn <= NORM_EPS):
+        raise DegenerateInputError("class weight vector norm is ~0; cosine undefined")
+    Xh = X / xn
+    Wh = W / wn
+    S = Xh @ Wh.T  # (n, K) cosines
+
+    def backward(G):
+        GS = G / temperature  # dL/dS
+        # dL/dx_i = sum_k GS_ik (Wh_k / ||x_i|| - S_ik x_i / ||x_i||^2)
+        dX = (GS @ Wh) / xn - (np.sum(GS * S, axis=1, keepdims=True) / (xn * xn)) * X
+        # dL/dW_k = sum_i GS_ik (Xh_i / ||W_k|| - S_ik W_k / ||W_k||^2)
+        col = np.sum(GS * S, axis=0)[:, None]  # (K, 1)
+        dW = (GS.T @ Xh) / wn - col * W / (wn * wn)
+        return dW, G.sum(axis=0), dX
+
+    return S / temperature + layer.bias, backward
+
+
+def _dropout_head(layer, X, keep_prob: float, s: int, rng: np.random.Generator):
+    """The linear head on s maskings x * mask / keep_prob of X, stacked as rows.
+
+    Its feature gradient chains through the masks back onto X.
+    """
+    n, M = X.shape
+    masks = rng.random((s, n, M)) < keep_prob
+    Xt = (X * masks / keep_prob).reshape(s * n, M)
+
+    def backward(G):
+        dW, db, dXt = linear_backward(layer, Xt, G)
+        return dW, db, np.sum(dXt.reshape(s, n, M) * masks, axis=0) / keep_prob
+
+    return linear_scores(layer, Xt), backward
+
+
+def _clean_head(spec: LossSpec, layer: FinalLayer, X: np.ndarray):
+    """The spec's mask-free head: cosine for cosine_softmax, else linear."""
+    if spec.kind == "cosine_softmax":
+        return _cosine_head(layer, X, spec.temperature)
+    return linear_scores(layer, X), partial(linear_backward, layer, X)
+
+
+# ---------------------------------------------------------------------------
+# score losses: per-row values and per-row gradients wrt the scores, read
+# off the spec; the callers average over rows, so they divide by n
+
+
+def _softmax_ce(Z, t, spec=None):
+    """-z_t + logsumexp(z); gradient softmax(z) - onehot."""
+    return xent_rows(Z, t), softmax_rows(Z) - _one_hot(t, Z.shape[1])
+
+
+def _smoothed_ce(Z, t, spec):
+    """Smoothed CE as (lse(z) - z_t) + alpha/(1-alpha) (lse(z) - mean(z)).
+
+    Both terms are >= 0, each split into max and log1p tail as in xent_rows.
+    """
+    K, alpha = Z.shape[1], spec.alpha
+    c = 1.0 / (1.0 - alpha)
+    m, tail = _lse_parts(Z)
+    values = xent_rows(Z, t) + alpha * c * ((m - Z.mean(axis=1)) + tail)
+    return values, c * softmax_rows(Z) - _one_hot(t, K) - alpha * c / K
+
+
+def _unit_logits(L, temperature: float):
+    """Direction-only logits l / (tau ||l||), and the norms r = ||l||."""
+    r = np.linalg.norm(L, axis=1, keepdims=True)
+    if np.any(r <= NORM_EPS):
+        raise DegenerateInputError("logit vector norm is ~0; cannot normalize")
+    return L / (temperature * r), r
+
+
+def _logit_norm_ce(L, t, spec):
+    """Softmax CE at u = l / (tau r), r = ||l||.
+
+    Chained back to l: (g - (l.g / r^2) l) / (tau r), g the CE gradient at u.
+    """
+    U, r = _unit_logits(L, spec.temperature)
+    values, g = _softmax_ce(U, t)
+    coef = np.sum(L * g, axis=1, keepdims=True) / (r * r)
+    return values, (g - coef * L) / (spec.temperature * r)
+
+
+def _sigmoid_ce(Z, t, spec=None):
+    """-z_t + sum_k softplus(z_k) as softplus(-z_t) + sum_{k != t} softplus(z_k)."""
+    rows = np.arange(Z.shape[0])
+    terms = softplus(Z)
+    terms[rows, t] = softplus(-Z[rows, t])
+    return terms.sum(axis=1), sigmoid(Z) - _one_hot(t, Z.shape[1])
+
+
+def _squared_error(Z, t, spec):
+    kappa, M, scale = spec.kappa, spec.target_magnitude, spec.loss_scale
+    n, K = Z.shape
+    rows = np.arange(n)
+    zt = Z[rows, t]
+    sq_off = np.sum(Z * Z, axis=1) - zt * zt
+    values = scale / K * (kappa * (zt - M) ** 2 + sq_off)
+    g = 2.0 * scale / K * Z
+    g[rows, t] = 2.0 * scale / K * kappa * (zt - M)
+    return values, g
+
+
+# any other kind is softmax cross-entropy, behind the head its kind names
+_SCORE_LOSSES = {
+    "label_smoothing": _smoothed_ce,
+    "logit_norm": _logit_norm_ce,
+    "sigmoid": _sigmoid_ce,
+    "squared_error": _squared_error,
+}
+
+
+# ---------------------------------------------------------------------------
+# penalties
+
+
+def _logit_penalty(Z, beta: float):
+    """beta * mean_i ||z_i||^2 over the rows of Z, and its gradient."""
+    return beta * float(np.mean(np.sum(Z * Z, axis=1))), 2.0 * beta * Z / Z.shape[0]
+
+
+def _weight_penalty(W, lambda_final: float):
+    """(lambda/2) ||W||_F^2, and its gradient; the bias is exempt."""
+    return 0.5 * lambda_final * float(np.sum(W * W)), lambda_final * W
+
+
+def _folded(spec: LossSpec) -> tuple[str, float, float]:
+    """(kind, beta, lambda); logit_penalty/extra_final_l2 become softmax + penalty."""
+    kind, beta, lam = spec.kind, 0.0, 0.0
+    if kind == "logit_penalty":
+        kind, beta = "softmax", spec.beta
+    elif kind == "extra_final_l2":
+        kind, lam = "softmax", spec.lambda_final
+    for p in spec.extra_penalties:
+        if p.kind == "logit_penalty":
+            beta += p.value
+        else:
+            lam += p.value
+    return kind, beta, lam
+
+
+def _mean_loss(kind: str, spec: LossSpec, beta: float, Z, t):
+    """Mean score loss plus the logit penalty at scores Z, and dL/dZ."""
+    values, g = _SCORE_LOSSES.get(kind, _softmax_ce)(Z, t, spec)
+    value, G = float(np.mean(values)), g / Z.shape[0]
+    if beta > 0.0:
+        penalty, grad = _logit_penalty(Z, beta)
+        value, G = value + penalty, G + grad
+    return value, G
+
+
+def _dropout_xent(layer, X, t, keep_prob: float, n_samples: int, rng):
+    """Softmax CE through the dropout head, averaged over n_samples mask draws."""
+    n, M = X.shape
+    value, g_logits, grads = 0.0, 0.0, (0.0, 0.0, 0.0)
+    # chunk the mask-sample axis so huge n_samples stays in modest memory
+    chunk = max(1, int(4_000_000 / max(1, n * M)))
+    for done in range(0, n_samples, chunk):
+        s = min(chunk, n_samples - done)
+        Z, backward = _dropout_head(layer, X, keep_prob, s, rng)
+        values, g = _softmax_ce(Z, np.tile(t, s))
+        G = g / n
+        value += float(np.sum(np.mean(values.reshape(s, n), axis=1)))
+        g_logits = g_logits + G.reshape(s, n, -1).sum(axis=0)
+        grads = tuple(a + b for a, b in zip(grads, backward(G)))
+    inv = 1.0 / n_samples
+    return value * inv, g_logits * inv, tuple(g * inv for g in grads)
+
+
+def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng):
+    kind, beta, lam = _folded(spec)
+    if kind == "dropout":
+        value, G, grads = _dropout_xent(layer, X, t, spec.keep_prob, n_samples, rng)
+        if beta > 0.0:
+            # penalty on the clean logits keeps the term deterministic
+            L, clean_backward = _clean_head(spec, layer, X)
+            penalty, q = _logit_penalty(L, beta)
+            value += penalty
+            grads = tuple(a + b for a, b in zip(grads, clean_backward(q)))
+    else:
+        Z, backward = _clean_head(spec, layer, X)
+        value, G = _mean_loss(kind, spec, beta, Z, t)
+        # a plain linear head leaves its chain to the caller
+        grads = backward(G) if kind == "cosine_softmax" or lam > 0.0 else ()
+    if lam > 0.0:
+        penalty, gw = _weight_penalty(layer.weights, lam)
+        value += penalty
+        grads = (grads[0] + gw,) + grads[1:]
+    return LossResult(value, G, *grads)
+
+
+# ---------------------------------------------------------------------------
+# public objectives: validate, then run the kernels above
+
+
+def _on_logits(spec: LossSpec, logits, target) -> LossResult:
+    L, squeeze = _as_rows(logits, "logits")
+    t = _as_target(target, *L.shape)
+    kind, beta, _ = _folded(spec)
+    value, G = _mean_loss(kind, spec, beta, L, t)
+    return LossResult(value=value, grad_logits=G[0] if squeeze else G)
 
 
 def softmax_xent(logits, target) -> LossResult:
@@ -262,86 +492,37 @@ def softmax_xent(logits, target) -> LossResult:
 
     The value is evaluated in the cancellation-free form of ``xent_rows``.
     """
-    L, t, squeeze = _as_batch(logits, target)
-    n, K = L.shape
-    values = xent_rows(L, t)
-    g = (softmax_rows(L) - _one_hot(t, K)) / n
-    return _pack(values, g, squeeze)
+    return _on_logits(LossSpec("softmax"), logits, target)
 
 
 def label_smoothing_xent(logits, target, alpha: float) -> LossResult:
     """Smoothed cross-entropy in the 1/(1-alpha) scaling.
 
-    Per example: -l_t + logsumexp(l)/(1-alpha) - alpha/((1-alpha) K) * sum(l).
-    The value is evaluated without cancellation as the sum of two
-    nonnegative terms, (logsumexp(l) - l_t) + alpha/(1-alpha) *
-    (logsumexp(l) - mean(l)), each split into max and log1p tail as in
-    ``xent_rows``.
-    alpha=0 reduces exactly to softmax_xent.
+    Per example: -l_t + logsumexp(l)/(1-alpha) - alpha/((1-alpha) K) * sum(l),
+    evaluated without cancellation. alpha=0 reduces exactly to
+    softmax_xent.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    L, t, squeeze = _as_batch(logits, target)
-    n, K = L.shape
-    c = 1.0 / (1.0 - alpha)
-    m, tail = _lse_parts(L)
-    values = xent_rows(L, t) + alpha * c * ((m - L.mean(axis=1)) + tail)
-    g = (c * softmax_rows(L) - _one_hot(t, K) - alpha * c / K) / n
-    return _pack(values, g, squeeze)
+    return _on_logits(LossSpec("label_smoothing", alpha=alpha), logits, target)
 
 
 def logit_penalty_xent(logits, target, beta: float) -> LossResult:
-    """Softmax cross-entropy plus beta * ||l||^2 per example.
-
-    The cross-entropy value is evaluated in the cancellation-free form of
-    ``xent_rows``.
-    """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    L, t, squeeze = _as_batch(logits, target)
-    n, K = L.shape
-    values = xent_rows(L, t) + beta * np.sum(L * L, axis=1)
-    g = (softmax_rows(L) - _one_hot(t, K) + 2.0 * beta * L) / n
-    return _pack(values, g, squeeze)
+    """Softmax cross-entropy plus beta * ||l||^2 per example."""
+    return _on_logits(LossSpec("logit_penalty", beta=beta), logits, target)
 
 
 def logit_norm_xent(logits, target, temperature: float) -> LossResult:
     """Cross-entropy on direction-only logits l / (tau * ||l||).
 
-    Gradient chains through the normalization:
-    dL/dl = (g - (l.g / r^2) l) / (tau r) with r = ||l|| and g the softmax
-    cross-entropy gradient at the normalized logits. The value is
-    evaluated in the cancellation-free form of ``xent_rows``.
+    grad_logits is with respect to the raw logits l.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    L, t, squeeze = _as_batch(logits, target)
-    n, K = L.shape
-    r = np.linalg.norm(L, axis=1, keepdims=True)
-    if np.any(r <= NORM_EPS):
-        raise DegenerateInputError("logit vector norm is ~0; cannot normalize")
-    U = L / (temperature * r)
-    values = xent_rows(U, t)
-    g = softmax_rows(U) - _one_hot(t, K)  # dL/dU per example
-    coef = np.sum(L * g, axis=1, keepdims=True) / (r * r)
-    grad = (g - coef * L) / (temperature * r) / n
-    return _pack(values, grad, squeeze)
+    return _on_logits(
+        LossSpec("logit_norm", temperature=temperature), logits, target
+    )
 
 
 def sigmoid_xent(logits, target) -> LossResult:
-    """One-vs-all sigmoid cross-entropy: -l_t + sum_k softplus(l_k).
-
-    The value is evaluated without cancellation as softplus(-l_t) +
-    sum_{k != t} softplus(l_k), a sum of nonnegative terms.
-    """
-    L, t, squeeze = _as_batch(logits, target)
-    n, K = L.shape
-    rows = np.arange(n)
-    terms = softplus(L)
-    terms[rows, t] = softplus(-L[rows, t])
-    values = terms.sum(axis=1)
-    g = (sigmoid(L) - _one_hot(t, K)) / n
-    return _pack(values, g, squeeze)
+    """One-vs-all sigmoid cross-entropy: -l_t + sum_k softplus(l_k)."""
+    return _on_logits(LossSpec("sigmoid"), logits, target)
 
 
 def squared_error_loss(
@@ -355,68 +536,17 @@ def squared_error_loss(
 
     Per example: loss_scale/K * (kappa*(l_t - M)^2 + sum_{k != t} l_k^2).
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if loss_scale <= 0:
-        raise ValueError(f"loss_scale must be > 0, got {loss_scale}")
-    L, t, squeeze = _as_batch(logits, target)
-    n, K = L.shape
-    rows = np.arange(n)
-    lt = L[rows, t]
-    sq_off = np.sum(L * L, axis=1) - lt * lt
-    values = loss_scale / K * (kappa * (lt - target_magnitude) ** 2 + sq_off)
-    g = 2.0 * loss_scale / K * L
-    g[rows, t] = 2.0 * loss_scale / K * kappa * (lt - target_magnitude)
-    return _pack(values, g / n, squeeze)
-
-
-# ---------------------------------------------------------------------------
-# objectives that see the final layer directly
+    spec = LossSpec("squared_error", kappa=kappa,
+                    target_magnitude=target_magnitude, loss_scale=loss_scale)
+    return _on_logits(spec, logits, target)
 
 
 def extra_final_l2_penalty(layer: FinalLayer, lambda_final: float) -> LossResult:
     """(lambda/2) ||W||_F^2 on the final weight matrix; bias exempt."""
-    if lambda_final < 0:
-        raise ValueError(f"lambda_final must be >= 0, got {lambda_final}")
-    w = layer.weights
-    value = 0.5 * lambda_final * float(np.sum(w * w))
-    return LossResult(
-        value=value,
-        grad_logits=np.zeros(layer.num_classes),
-        grad_weights=lambda_final * w,
-        grad_bias=np.zeros(layer.num_classes),
-    )
-
-
-def _check_features(layer: FinalLayer, features) -> tuple[np.ndarray, bool]:
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-        squeeze = True
-    elif X.ndim == 2:
-        squeeze = False
-    else:
-        raise ValueError(f"features must be 1d or 2d, got shape {X.shape}")
-    if X.shape[1] != layer.feature_dim:
-        raise ValueError(
-            f"features have dim {X.shape[1]}, layer expects {layer.feature_dim}"
-        )
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite entries")
-    return X, squeeze
-
-
-def cosine_scores(layer: FinalLayer, features) -> np.ndarray:
-    """sim(W_k, x)/tau is applied by the caller; this returns raw cosines."""
-    X, squeeze = _check_features(layer, features)
-    xn = np.linalg.norm(X, axis=1, keepdims=True)
-    wn = np.linalg.norm(layer.weights, axis=1, keepdims=True)
-    if np.any(xn <= NORM_EPS):
-        raise DegenerateInputError("feature vector norm is ~0; cosine undefined")
-    if np.any(wn <= NORM_EPS):
-        raise DegenerateInputError("class weight vector norm is ~0; cosine undefined")
-    S = (X / xn) @ (layer.weights / wn).T
-    return S[0] if squeeze else S
+    spec = LossSpec("extra_final_l2", lambda_final=lambda_final)
+    value, grad = _weight_penalty(layer.weights, spec.lambda_final)
+    zeros = np.zeros(layer.num_classes)
+    return LossResult(value, zeros, grad, zeros.copy())
 
 
 def cosine_softmax_xent(
@@ -424,53 +554,11 @@ def cosine_softmax_xent(
 ) -> LossResult:
     """Softmax cross-entropy on z_k = sim(W_k, x)/tau + b_k.
 
-    grad_logits is with respect to z. Weight and feature gradients chain
-    through the cosine:
-      ds_k/dx   = W_k/(||W_k|| ||x||) - s_k x/||x||^2
-      ds_k/dW_k = x/(||W_k|| ||x||) - s_k W_k/||W_k||^2
-    The cross-entropy value is evaluated in the cancellation-free form of
-    ``xent_rows``.
+    grad_logits is with respect to z; the weight, bias and feature
+    gradients chain through the cosine head.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    X, squeeze = _check_features(layer, features)
-    t = np.asarray(target, dtype=np.int64).reshape(-1)
-    n = X.shape[0]
-    K = layer.num_classes
-    if t.shape != (n,):
-        raise ValueError(f"target shape {t.shape} does not match batch of {n}")
-    if np.any(t < 0) or np.any(t >= K):
-        raise ValueError(f"target out of range for {K} classes")
-
-    xn = np.linalg.norm(X, axis=1, keepdims=True)  # (n, 1)
-    wn = np.linalg.norm(layer.weights, axis=1, keepdims=True)  # (K, 1)
-    if np.any(xn <= NORM_EPS):
-        raise DegenerateInputError("feature vector norm is ~0; cosine undefined")
-    if np.any(wn <= NORM_EPS):
-        raise DegenerateInputError("class weight vector norm is ~0; cosine undefined")
-    Xh = X / xn
-    Wh = layer.weights / wn
-    S = Xh @ Wh.T  # (n, K) cosines
-    Z = S / temperature + layer.bias
-
-    values = xent_rows(Z, t)
-    G = (softmax_rows(Z) - _one_hot(t, K)) / n  # dL/dZ
-
-    GS = G / temperature  # dL/dS
-    # dL/dx_i = sum_k GS_ik (Wh_k / ||x_i|| - S_ik x_i / ||x_i||^2)
-    grad_x = (GS @ Wh) / xn - (np.sum(GS * S, axis=1, keepdims=True) / (xn * xn)) * X
-    # dL/dW_k = sum_i GS_ik (Xh_i / ||W_k|| - S_ik W_k / ||W_k||^2)
-    col = np.sum(GS * S, axis=0)[:, None]  # (K, 1)
-    grad_w = (GS.T @ Xh) / wn - col * layer.weights / (wn * wn)
-    grad_b = G.sum(axis=0)
-
-    return LossResult(
-        value=float(np.mean(values)),
-        grad_logits=G[0] if squeeze else G,
-        grad_weights=grad_w,
-        grad_bias=grad_b,
-        grad_features=grad_x[0] if squeeze else grad_x,
-    )
+    spec = LossSpec("cosine_softmax", temperature=temperature)
+    return compose_loss(spec, layer, features, target)
 
 
 def dropout_xent(
@@ -488,71 +576,12 @@ def dropout_xent(
     Inverted scaling: x_tilde = x * mask / keep_prob, logits = W x_tilde + b.
     Gradients are pathwise through the sampled masks and averaged over
     ``n_samples`` independent mask draws. keep_prob=1 reduces to
-    softmax_xent on W x + b. Deterministic given seed or rng. The
-    cross-entropy value is evaluated in the cancellation-free form of
-    ``xent_rows``.
+    softmax_xent on W x + b. Deterministic given seed or rng.
     """
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if rng is None:
-        if seed is None:
-            raise ValueError("dropout needs an explicit seed or rng")
-        rng = np.random.default_rng(seed)
-
-    X, squeeze = _check_features(layer, features)
-    t = np.asarray(target, dtype=np.int64).reshape(-1)
-    n, M = X.shape
-    K = layer.num_classes
-    if t.shape != (n,):
-        raise ValueError(f"target shape {t.shape} does not match batch of {n}")
-    if np.any(t < 0) or np.any(t >= K):
-        raise ValueError(f"target out of range for {K} classes")
-
-    Y = _one_hot(t, K)
-    value_acc = 0.0
-    g_logits = np.zeros((n, K))
-    g_w = np.zeros_like(layer.weights)
-    g_b = np.zeros(K)
-    g_x = np.zeros_like(X)
-
-    # chunk the mask-sample axis so huge n_samples stays in modest memory
-    chunk = max(1, int(4_000_000 / max(1, n * M)))
-    done = 0
-    while done < n_samples:
-        s = min(chunk, n_samples - done)
-        masks = rng.random((s, n, M)) < keep_prob
-        Xt = X[None, :, :] * masks / keep_prob  # (s, n, M)
-        Z = Xt @ layer.weights.T + layer.bias  # (s, n, K)
-        value_acc += float(np.sum(np.mean(xent_rows(Z, t), axis=1)))
-        G = (softmax_rows(Z) - Y[None, :, :]) / n  # (s, n, K)
-        g_logits += G.sum(axis=0)
-        g_b += G.sum(axis=(0, 1))
-        g_w += np.einsum("snk,snm->km", G, Xt)
-        g_x += np.sum((G @ layer.weights) * masks, axis=0) / keep_prob
-        done += s
-
-    inv = 1.0 / n_samples
-    g_logits *= inv
-    g_w *= inv
-    g_b *= inv
-    g_x *= inv
-    return LossResult(
-        value=value_acc * inv,
-        grad_logits=g_logits[0] if squeeze else g_logits,
-        grad_weights=g_w,
-        grad_bias=g_b,
-        grad_features=g_x[0] if squeeze else g_x,
+    spec = LossSpec("dropout", keep_prob=keep_prob)
+    return compose_loss(
+        spec, layer, features, target, n_samples=n_samples, seed=seed, rng=rng
     )
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def _forward_logits(layer: FinalLayer, X: np.ndarray) -> np.ndarray:
-    return X @ layer.weights.T + layer.bias
 
 
 def compose_loss(
@@ -565,127 +594,30 @@ def compose_loss(
     seed: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> LossResult:
-    """Evaluate a LossSpec (base + extra penalties) at (layer, features).
+    """Evaluate a LossSpec (head, score loss, penalties) at (layer, features).
 
     The composed value is base + sum of penalty terms. A logit penalty
-    attaches to the score vector the base consumes (temperature-scaled
-    cosine scores for cosine_softmax, clean logits for a dropout base);
-    an extra final-layer L2 adds lambda*W to the weight gradient. Results
-    carry total weight/bias/feature gradients whenever the spec involves
-    cosine softmax, dropout, or an extra final-layer L2.
+    attaches to the head's clean scores (temperature-scaled cosine scores
+    for cosine_softmax, raw logits for logit_norm, clean logits for a
+    dropout base); an extra final-layer L2 adds lambda*W to the weight
+    gradient. Results carry total weight/bias/feature gradients whenever
+    the spec involves cosine softmax, dropout, or an extra final-layer L2.
     """
-    X, squeeze = _check_features(layer, features)
-    t = np.asarray(target, dtype=np.int64).reshape(-1)
-    n = X.shape[0]
-
-    base_kind = spec.kind
-    penalties = list(spec.extra_penalties)
-    if base_kind == "extra_final_l2":
-        # the "extra L2" objective is plain softmax plus its own penalty
-        base_kind = "softmax"
-        penalties.insert(0, PenaltySpec("extra_final_l2", spec.lambda_final))
-
-    beta = 0.0
-    lam = 0.0
-    for p in penalties:
-        if p.kind == "logit_penalty":
-            beta += p.value
-        else:
-            lam += p.value
-
-    if base_kind == "cosine_softmax":
-        if beta > 0.0:
-            # fold the penalty into dL/dZ, then chain once
-            xn = np.linalg.norm(X, axis=1, keepdims=True)
-            wn = np.linalg.norm(layer.weights, axis=1, keepdims=True)
-            if np.any(xn <= NORM_EPS) or np.any(wn <= NORM_EPS):
-                raise DegenerateInputError("zero-norm vector; cosine undefined")
-            Xh, Wh = X / xn, layer.weights / wn
-            S = Xh @ Wh.T
-            Z = S / spec.temperature + layer.bias
-            base_vals = xent_rows(Z, t)
-            G = (softmax_rows(Z) - _one_hot(t, layer.num_classes)) / n
-            G = G + 2.0 * beta * Z / n
-            GS = G / spec.temperature
-            grad_x = (GS @ Wh) / xn - (
-                np.sum(GS * S, axis=1, keepdims=True) / (xn * xn)
-            ) * X
-            col = np.sum(GS * S, axis=0)[:, None]
-            grad_w = (GS.T @ Xh) / wn - col * layer.weights / (wn * wn)
-            res = LossResult(
-                value=float(np.mean(base_vals))
-                + beta * float(np.mean(np.sum(Z * Z, axis=1))),
-                grad_logits=G,
-                grad_weights=grad_w,
-                grad_bias=G.sum(axis=0),
-                grad_features=grad_x,
-            )
-        else:
-            res = cosine_softmax_xent(layer, X, t, spec.temperature)
-        if lam > 0.0:
-            res.value += 0.5 * lam * float(np.sum(layer.weights**2))
-            res.grad_weights = res.grad_weights + lam * layer.weights
-        return _squeeze_result(res, squeeze)
-
-    if base_kind == "dropout":
-        res = dropout_xent(
-            layer, X, t, spec.keep_prob, n_samples=n_samples, seed=seed, rng=rng
-        )
-        if beta > 0.0:
-            # penalty on the clean logits keeps the term deterministic
-            L = _forward_logits(layer, X)
-            q = 2.0 * beta * L / n
-            res.value += beta * float(np.mean(np.sum(L * L, axis=1)))
-            res.grad_weights = res.grad_weights + q.T @ X
-            res.grad_bias = res.grad_bias + q.sum(axis=0)
-            res.grad_features = res.grad_features + q @ layer.weights
-        if lam > 0.0:
-            res.value += 0.5 * lam * float(np.sum(layer.weights**2))
-            res.grad_weights = res.grad_weights + lam * layer.weights
-        return _squeeze_result(res, squeeze)
-
-    # bases that factor through logits = W x + b
-    L = _forward_logits(layer, X)
-    if base_kind == "softmax":
-        res = softmax_xent(L, t)
-    elif base_kind == "label_smoothing":
-        res = label_smoothing_xent(L, t, spec.alpha)
-    elif base_kind == "logit_penalty":
-        res = logit_penalty_xent(L, t, spec.beta)
-    elif base_kind == "logit_norm":
-        res = logit_norm_xent(L, t, spec.temperature)
-    elif base_kind == "sigmoid":
-        res = sigmoid_xent(L, t)
-    elif base_kind == "squared_error":
-        res = squared_error_loss(
-            L, t, spec.kappa, spec.target_magnitude, spec.loss_scale
-        )
-    else:  # pragma: no cover
-        raise AssertionError(base_kind)
-
-    G = res.grad_logits
-    if beta > 0.0:
-        res.value += beta * float(np.mean(np.sum(L * L, axis=1)))
-        G = G + 2.0 * beta * L / n
-        res.grad_logits = G
-
-    if lam > 0.0:
-        # direct parameter gradients are needed once W is penalized
-        res.value += 0.5 * lam * float(np.sum(layer.weights**2))
-        res.grad_weights = G.T @ X + lam * layer.weights
-        res.grad_bias = G.sum(axis=0)
-        res.grad_features = G @ layer.weights
-    return _squeeze_result(res, squeeze)
-
-
-def _squeeze_result(res: LossResult, squeeze: bool) -> LossResult:
+    X, squeeze = _as_rows(features, "features", layer.feature_dim)
+    t = _as_target(target, X.shape[0], layer.num_classes)
+    if spec.kind == "dropout":
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        if rng is None:
+            if seed is None:
+                raise ValueError("dropout needs an explicit seed or rng")
+            rng = np.random.default_rng(seed)
+    res = _compose(spec, layer, X, t, n_samples, rng)
     if squeeze:
-        if res.grad_logits.ndim == 2:
-            res.grad_logits = res.grad_logits[0]
-        if res.grad_features is not None and res.grad_features.ndim == 2:
-            # weight/bias grads keep their natural shapes; only row grads drop
-            if res.grad_features.shape[0] == 1:
-                res.grad_features = res.grad_features[0]
+        # weight/bias grads keep their natural shapes; only row grads drop
+        res.grad_logits = res.grad_logits[0]
+        if res.grad_features is not None:
+            res.grad_features = res.grad_features[0]
     return res
 
 
@@ -696,19 +628,10 @@ def eval_scores(spec: LossSpec, layer: FinalLayer, features) -> np.ndarray:
     logits; cosine_softmax reports sim/tau + b; everything else reports the
     raw logits W x + b.
     """
-    X, squeeze = _check_features(layer, features)
-    base = "softmax" if spec.kind == "extra_final_l2" else spec.kind
-    if base == "cosine_softmax":
-        S = cosine_scores(layer, X)
-        Z = S / spec.temperature + layer.bias
-    elif base == "logit_norm":
-        L = _forward_logits(layer, X)
-        r = np.linalg.norm(L, axis=1, keepdims=True)
-        if np.any(r <= NORM_EPS):
-            raise DegenerateInputError("logit vector norm is ~0; cannot normalize")
-        Z = L / (spec.temperature * r)
-    else:
-        Z = _forward_logits(layer, X)
+    X, squeeze = _as_rows(features, "features", layer.feature_dim)
+    Z = _clean_head(spec, layer, X)[0]
+    if spec.kind == "logit_norm":
+        Z = _unit_logits(Z, spec.temperature)[0]
     return Z[0] if squeeze else Z
 
 

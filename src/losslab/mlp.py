@@ -117,11 +117,6 @@ def penultimate_features(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return forward_hidden(model, X)[-1]
 
 
-def logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    h = penultimate_features(model, X)
-    return h @ model.final.weights.T + model.final.bias
-
-
 def model_scores(model: MlpModel, spec: LossSpec, X: np.ndarray) -> np.ndarray:
     """Deterministic eval-time scores for a spec (see losses.eval_scores)."""
     return eval_scores(spec, model.final, penultimate_features(model, X))

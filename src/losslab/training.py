@@ -13,13 +13,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Batch
-from .losses import LossSpec, compose_loss, evaluation_loss
+from .losses import (
+    LossSpec,
+    compose_loss,
+    eval_scores,
+    evaluation_loss,
+    linear_backward,
+)
 from .mlp import (
     MlpModel,
     copy_model,
     forward_hidden,
     model_from_params,
     model_scores,
+    penultimate_features,
 )
 from .optim import (
     CosineSchedule,
@@ -120,10 +127,7 @@ def loss_and_grads(
     if res.grad_weights is not None:
         g_wf, g_bf, g_h = res.grad_weights, res.grad_bias, res.grad_features
     else:
-        G = res.grad_logits
-        g_wf = G.T @ H
-        g_bf = G.sum(axis=0)
-        g_h = G @ model.final.weights
+        g_wf, g_bf, g_h = linear_backward(model.final, H, res.grad_logits)
 
     nh = len(model.hidden_weights)
     g_hidden_w = [None] * nh
@@ -213,11 +217,9 @@ def train(
 
 
 def _epoch_record(model, spec, dataset, holdout, epoch, lr) -> EpochRecord:
-    from .mlp import penultimate_features
-
     h = penultimate_features(model, dataset.features)
     loss = evaluation_loss(spec, model.final, h, dataset.labels)
-    acc = _top1_acc(model_scores(model, spec, dataset.features), dataset.labels)
+    acc = _top1_acc(eval_scores(spec, model.final, h), dataset.labels)
     hold = None
     if holdout is not None:
         hold = _top1_acc(model_scores(model, spec, holdout.features), holdout.labels)

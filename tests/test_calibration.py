@@ -14,7 +14,6 @@ from losslab.calibration import (
     nll,
     probs_from_logits,
     top1_predictions,
-    topk_accuracy,
 )
 
 
@@ -48,33 +47,9 @@ class TestProbs:
 
 
 class TestTopk:
-    def test_perfect_and_full_k(self):
-        logits = np.eye(4) * 9.0
-        y = np.arange(4)
-        assert topk_accuracy(logits, y, 1) == 1.0
-        assert topk_accuracy(np.random.default_rng(1).standard_normal((10, 4)),
-                             np.zeros(10, dtype=int), 4) == 1.0
-
     def test_tie_goes_to_lower_index(self):
         logits = np.array([[5.0, 5.0, 0.0]])
-        assert topk_accuracy(logits, [1], 1) == 0.0  # tie resolved to class 0
-        assert topk_accuracy(logits, [0], 1) == 1.0
-        assert topk_accuracy(logits, [1], 2) == 1.0
         assert top1_predictions(logits)[0] == 0
-
-    def test_monotone_in_k(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((50, 6))
-        y = rng.integers(0, 6, 50)
-        accs = [topk_accuracy(logits, y, k) for k in range(1, 7)]
-        assert all(a <= b for a, b in zip(accs, accs[1:]))
-        assert accs[-1] == 1.0
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            topk_accuracy(np.zeros((2, 3)), [0, 1], 0)
-        with pytest.raises(ValueError):
-            topk_accuracy(np.zeros((2, 3)), [0, 1], 4)
 
 
 class TestNll:
@@ -230,4 +205,4 @@ def test_temperature_never_changes_accuracy(seed):
     L = 2 * rng.standard_normal((20, 4))
     y = rng.integers(0, 4, 20)
     T, _ = fit_temperature(L, y, "softmax")
-    assert topk_accuracy(L, y, 1) == topk_accuracy(L / T, y, 1)
+    np.testing.assert_array_equal(top1_predictions(L), top1_predictions(L / T))

@@ -10,7 +10,7 @@ from losslab.config import (
     load_config,
     parse_loss_line,
 )
-from losslab.losses import LossSpec, PenaltySpec
+from losslab.losses import LOSS_KINDS, LossSpec, PenaltySpec
 
 
 class TestLossLines:
@@ -73,6 +73,32 @@ class TestLossLines:
     def test_format_starts_with_kind(self):
         spec = LossSpec("cosine_softmax", temperature=0.05)
         assert format_loss_line(spec) == "cosine_softmax temperature=0.05"
+
+    @pytest.mark.parametrize("line", [
+        "softmax temperature=0.1",
+        "cosine_softmax alpha=0.5",
+        "sigmoid kappa=2",
+        "label_smoothing lambda=0.001",
+    ])
+    def test_param_of_another_kind_rejected(self, line):
+        with pytest.raises(ValueError, match="unknown loss parameter"):
+            parse_loss_line(line)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_every_kind_round_trips_at_defaults(self, kind):
+        spec = LossSpec(kind)
+        assert parse_loss_line(format_loss_line(spec)) == spec
+
+    def test_format_keeps_every_digit(self):
+        spec = LossSpec(
+            "label_smoothing", alpha=0.123456789,
+            extra_penalties=(PenaltySpec("logit_penalty", 1 / 3),),
+        )
+        line = format_loss_line(spec)
+        assert line == (
+            "label_smoothing alpha=0.123456789 +logit_penalty=0.3333333333333333"
+        )
+        assert parse_loss_line(line) == spec
 
 
 GOOD_INI = """\

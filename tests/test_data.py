@@ -9,7 +9,6 @@ from losslab.data import (
     Batch,
     derive_idx_labels_path,
     load_csv,
-    load_dataset,
     load_idx,
     make_blobs,
     save_csv,
@@ -167,12 +166,3 @@ class TestIdx:
         write_idx_labels(lp, [0, 1])
         with pytest.raises(ValueError, match="labels"):
             load_idx(ip, lp)
-
-
-def test_load_dataset_dispatch(tmp_path):
-    b = make_blobs(3, 2, 2, 0.1, seed=5)
-    p = tmp_path / "d.csv"
-    save_csv(b, p)
-    assert load_dataset(p, "csv").n == 6
-    with pytest.raises(ValueError, match="format"):
-        load_dataset(p, "parquet")

@@ -199,6 +199,11 @@ COMPOSED_SPECS = [
              extra_penalties=(PenaltySpec("logit_penalty", 2e-3),
                               PenaltySpec("extra_final_l2", 5e-4),)),
     LossSpec("extra_final_l2", lambda_final=8e-4),
+    LossSpec("logit_norm", temperature=0.05,
+             extra_penalties=(PenaltySpec("logit_penalty", 2e-3),)),
+    LossSpec("logit_norm", temperature=0.05,
+             extra_penalties=(PenaltySpec("logit_penalty", 2e-3),
+                              PenaltySpec("extra_final_l2", 5e-4),)),
 ]
 
 

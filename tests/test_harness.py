@@ -246,6 +246,8 @@ class TestFailurePropagation:
         )
         with pytest.raises(RunFailure, match="loss=lost seed=4"):
             run_experiment(bad)
+        with pytest.raises(RunFailure, match="loss=lost seed=4"):
+            run_all(bad, jobs=2)
 
 
 class TestSmallHelpers:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losslab.losses import (
+    LOSS_PARAMS,
     DegenerateInputError,
     FinalLayer,
     LossSpec,
@@ -392,6 +393,24 @@ class TestCompose:
         )
         assert abs(compose_loss(spec, layer, X, t).value - expect) < 1e-12
 
+    def test_logit_norm_penalty_on_raw_logits(self):
+        # beta*||l||^2 sits on the raw logits l = W x + b, not on the
+        # normalized l/(tau ||l||), whose squared norm is 1/tau^2 on every row
+        rng = np.random.default_rng(19)
+        layer = FinalLayer(rng.standard_normal((4, 6)), rng.standard_normal(4))
+        X = rng.standard_normal((5, 6))
+        t = rng.integers(0, 4, 5)
+        beta, tau = 1e-2, 0.05
+        spec = LossSpec(
+            "logit_norm", temperature=tau,
+            extra_penalties=(PenaltySpec("logit_penalty", beta),),
+        )
+        L = X @ layer.weights.T + layer.bias
+        expect = logit_norm_xent(L, t, tau).value + beta * float(
+            np.mean(np.sum(L * L, axis=1))
+        )
+        assert abs(compose_loss(spec, layer, X, t).value - expect) < 1e-12
+
     def test_direct_grads_present_exactly_when_needed(self):
         rng = np.random.default_rng(15)
         layer = FinalLayer(rng.standard_normal((3, 4)), np.zeros(3))
@@ -444,6 +463,23 @@ class TestEvalScores:
         X = rng.standard_normal((10, 6))
         Z = eval_scores(LossSpec("cosine_softmax", temperature=0.05), layer, X)
         assert np.all(np.abs(Z) <= 1.0 / 0.05 + 1e-9)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "kind,field",
+    [(kind, field) for kind, params in LOSS_PARAMS.items() for _, field, _ in params],
+)
+def test_nonfinite_parameter_rejected(kind, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        LossSpec(kind, **{field: value})
+
+
+def test_public_objectives_check_parameters_through_the_table():
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        logit_penalty_xent(np.zeros(3), 0, math.inf)
+    with pytest.raises(ValueError, match="target_magnitude must be finite"):
+        squared_error_loss(np.zeros(3), 0, target_magnitude=math.nan)
 
 
 @given(

@@ -9,7 +9,6 @@ from losslab.mlp import (
     forward_hidden,
     init_for_spec,
     init_mlp,
-    logits,
     model_scores,
     penultimate_features,
 )
@@ -66,7 +65,6 @@ class TestInit:
         X = np.zeros((7, 4))
         acts = forward_hidden(m, X)
         assert [a.shape for a in acts] == [(7, 4), (7, 16)]
-        assert logits(m, X).shape == (7, 3)
         assert penultimate_features(m, X).shape == (7, 16)
 
     def test_relu_nonnegative(self):
