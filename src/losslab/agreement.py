@@ -1,4 +1,4 @@
-"""Cross-model prediction agreement, average-linkage clustering, ensembling.
+"""Cross-model prediction agreement, average-linkage clustering.
 
 Agreement variants:
   same_top1                        equal predictions
@@ -110,19 +110,3 @@ def linkage_dendrogram(distance) -> np.ndarray:
         active.remove(j)
     return merges
 
-
-def ensemble_modal(predictions) -> np.ndarray:
-    """Per-example most frequent prediction; ties go to the lowest class."""
-    preds = [np.asarray(p, dtype=np.int64).reshape(-1) for p in predictions]
-    if not preds:
-        raise ValueError("need at least one prediction vector")
-    n = preds[0].shape[0]
-    for i, p in enumerate(preds):
-        if p.shape[0] != n:
-            raise ValueError(f"prediction {i} has length {p.shape[0]}, expected {n}")
-    stacked = np.stack(preds)  # (m, n)
-    hi = int(stacked.max()) + 1
-    out = np.empty(n, dtype=np.int64)
-    for col in range(n):
-        out[col] = np.argmax(np.bincount(stacked[:, col], minlength=hi))
-    return out

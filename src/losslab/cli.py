@@ -49,12 +49,8 @@ def _pick_loss(config, name):
 
 def cmd_train(args) -> int:
     config = _experiment(args)
-    name, spec = _pick_loss(config, args.loss)
-    for seed in config.seeds:
-        try:
-            summary = harness.run_single(config, name, spec, seed)
-        except Exception as exc:
-            raise harness.RunFailure(name, seed, exc) from exc
+    pair = _pick_loss(config, args.loss)
+    for summary in harness.run_all(replace(config, losses=(pair,))):
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)
         print()
     return 0

@@ -11,77 +11,71 @@ accuracy on separable blobs. The tuned constants (spread, learning rates)
 were picked empirically so the softmax baseline sits in the high-80s to
 low-90s eval accuracy: hard enough that the losses shape representations
 differently, easy enough that every run converges.
+
+Every recipe is one ExperimentConfig. An experiment trains all of its runs
+with one harness.train_runs call, one worker per CPU, into a temporary
+directory, then reads what it measures back from the run artifacts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import tempfile
 
 import numpy as np
 
 from .agreement import agreement_matrix, linkage_dendrogram
-from .calibration import top1_predictions
-from .data import make_blob_split
-from .harness import transfer_probe
-from .losses import LOSS_KINDS, LossSpec, eval_scores
-from .mlp import init_for_spec, penultimate_features
+from .config import DatasetConfig, ExperimentConfig
+from .harness import (
+    load_experiment_data,
+    load_model,
+    read_predictions_csv,
+    run_dir,
+    train_runs,
+    transfer_probe,
+)
+from .losses import LOSS_KINDS, LossSpec
+from .mlp import penultimate_features
 from .probe import ProbeConfig
 from .repr_analysis import class_separation_r2
-from .training import TrainConfig, train
-
-
-@dataclass(frozen=True)
-class BlobsTask:
-    classes: int = 10
-    features: int = 32
-    per_class: int = 500
-    eval_per_class: int = 100
-    spread: float = 2.0
-    seed: int = 0
-
-    def batches(self):
-        return make_blob_split(
-            self.per_class, self.eval_per_class, self.classes,
-            self.features, self.spread, self.seed,
-        )
-
 
 # ten classes, 500/class, means a couple spreads apart: moderate overlap.
 # data seed picked so squared-error training keeps every feature row alive
 # (ReLU nets under that loss go very sparse and can zero out an example)
-SEPARATION_TASK = BlobsTask(spread=1.75, seed=3)
+SEPARATION_TASK = DatasetConfig(spread=1.75, seed=3)
 
 # small and nearly noise-free: every kind should nail it
-CONVERGENCE_TASK = BlobsTask(
+CONVERGENCE_TASK = DatasetConfig(
     classes=5, features=16, per_class=60, eval_per_class=20, spread=0.15
 )
 
 
-def run_blobs(
-    spec: LossSpec,
-    seed: int,
-    task: BlobsTask = SEPARATION_TASK,
-    epochs: int = 40,
-    batch_size: int = 128,
-    peak_lr: float = 0.05,
-    hidden: tuple = (64, 64),
-    **knobs,
-):
-    """Train one MLP on the task; returns (model, eval features, eval batch, result)."""
-    train_batch, eval_batch = task.batches()
-    # same reservation as the harness: children 0/1 feed train(), 2 inits
-    init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-    model = init_for_spec(
-        train_batch.dim, hidden, train_batch.num_classes, spec, init_rng
-    )
-    config = TrainConfig(
-        loss=spec, epochs=epochs, batch_size=batch_size, peak_lr=peak_lr,
-        seed=seed, **knobs,
-    )
-    result = train(model, train_batch, config, holdout=eval_batch)
-    final = result.ema_model if result.ema_model is not None else result.model
-    feats = penultimate_features(final, eval_batch.features)
-    return final, feats, eval_batch, result
+def _train(recipes, seeds, task: DatasetConfig, output_dir) -> list:
+    """Train each (name, spec, train knobs) recipe at every seed into
+    output_dir; returns the run summaries, recipe by recipe."""
+    runs = []
+    for name, spec, knobs in recipes:
+        config = ExperimentConfig(
+            dataset=task,
+            hidden=(64, 64),
+            train={"epochs": 40, "batch_size": 128, "peak_lr": 0.05, **knobs},
+            seeds=tuple(seeds),
+            losses=((name, spec),),
+            analyses=(),
+            output_dir=output_dir,
+        )
+        runs.extend((config, name, spec, seed) for seed in config.seeds)
+    return train_runs(runs, jobs=min(len(runs), os.cpu_count() or 1))
+
+
+def _model(output_dir, name, seed):
+    return load_model(run_dir(output_dir, name, seed) / "model.npz")
+
+
+def _r2(model, batch, index: str) -> float:
+    """R2 of the model's penultimate features on a labeled batch."""
+    feats = penultimate_features(model, batch.features)
+    return class_separation_r2(feats, batch.labels, index)
 
 
 # (name, spec, train knobs): per-loss optimizer settings, tuned so every
@@ -100,26 +94,21 @@ SEPARATION_LOSSES = (
 )
 
 
-def separation_experiment(
-    seeds=(0, 1, 2, 3, 4),
-    task: BlobsTask = SEPARATION_TASK,
-    index: str = "cosine",
-) -> dict:
+def separation_experiment(seeds=(0, 1, 2, 3, 4), index: str = "cosine") -> dict:
     """{loss name: per-seed R2 of train-split penultimate features}.
 
     R2 is measured on the split the model trained on; that is where the
     collapse the four losses disagree about actually happens.
     """
-    train_batch, _ = task.batches()
-    out = {}
-    for name, spec, knobs in SEPARATION_LOSSES:
-        r2s = []
-        for seed in seeds:
-            model, _, _, _ = run_blobs(spec, seed, task=task, **knobs)
-            feats = penultimate_features(model, train_batch.features)
-            r2s.append(class_separation_r2(feats, train_batch.labels, index))
-        out[name] = np.asarray(r2s)
-    return out
+    train_batch, _ = load_experiment_data(SEPARATION_TASK)
+    with tempfile.TemporaryDirectory() as tmp:
+        _train(SEPARATION_LOSSES, seeds, SEPARATION_TASK, tmp)
+        return {
+            name: np.asarray(
+                [_r2(_model(tmp, name, seed), train_batch, index) for seed in seeds]
+            )
+            for name, _, _ in SEPARATION_LOSSES
+        }
 
 
 # per-tau budget: lr grows with tau (mirroring loss-scale stabilization
@@ -137,14 +126,12 @@ TEMPERATURE_RECIPES = {
 # relabeled coarsely. probing the training task's own eval split cannot
 # see collapse at all: its coarse labels are a function of the fine
 # labels, so maximally collapsed features still solve it.
-TRANSFER_TASK = BlobsTask(spread=1.75, seed=11)
+TRANSFER_TASK = DatasetConfig(spread=1.75, seed=11)
 
 
 def temperature_experiment(
     taus=(0.01, 0.03, 0.05, 0.08),
     seeds=(0, 1, 2),
-    task: BlobsTask = SEPARATION_TASK,
-    transfer_task: BlobsTask = TRANSFER_TASK,
     merge: int = 5,
     index: str = "cosine",
 ) -> dict:
@@ -154,25 +141,29 @@ def temperature_experiment(
     features of the transfer task's eval split with labels k -> k mod
     merge, half probe-train / half probe-test per coarse class.
     """
-    train_batch, _ = task.batches()
-    _, transfer_batch = transfer_task.batches()
+    train_batch, _ = load_experiment_data(SEPARATION_TASK)
+    _, transfer_batch = load_experiment_data(TRANSFER_TASK)
     probe_cfg = ProbeConfig(tolerance=1e-3, max_iterations=1000)
+    recipes = [
+        (f"tau{i}", LossSpec("cosine_softmax", temperature=tau),
+         TEMPERATURE_RECIPES.get(tau, dict(epochs=80, peak_lr=0.05)))
+        for i, tau in enumerate(taus)
+    ]
     out = {}
-    for tau in taus:
-        spec = LossSpec("cosine_softmax", temperature=tau)
-        knobs = TEMPERATURE_RECIPES.get(tau, dict(epochs=80, peak_lr=0.05))
-        r2s, accs = [], []
-        for seed in seeds:
-            model, _, _, _ = run_blobs(spec, seed, task=task, **knobs)
-            feats = penultimate_features(model, train_batch.features)
-            r2s.append(class_separation_r2(feats, train_batch.labels, index))
-            moved = penultimate_features(model, transfer_batch.features)
-            accs.append(
-                transfer_probe(
-                    moved, transfer_batch.labels, merge, probe_cfg
-                ).test_accuracy
-            )
-        out[tau] = {"r2": np.asarray(r2s), "transfer": np.asarray(accs)}
+    with tempfile.TemporaryDirectory() as tmp:
+        _train(recipes, seeds, SEPARATION_TASK, tmp)
+        for tau, (name, _, _) in zip(taus, recipes):
+            r2s, accs = [], []
+            for seed in seeds:
+                model = _model(tmp, name, seed)
+                r2s.append(_r2(model, train_batch, index))
+                moved = penultimate_features(model, transfer_batch.features)
+                accs.append(
+                    transfer_probe(
+                        moved, transfer_batch.labels, merge, probe_cfg
+                    ).test_accuracy
+                )
+            out[tau] = {"r2": np.asarray(r2s), "transfer": np.asarray(accs)}
     return out
 
 
@@ -182,7 +173,7 @@ def temperature_experiment(
 # top-1 predictions carry the loss identity; at full convergence every run
 # agrees with every other and the shared data seed couples same-seed pairs
 # across losses more tightly than loss family does.
-AGREEMENT_TASK = BlobsTask()
+AGREEMENT_TASK = DatasetConfig(spread=2.0)
 
 # two loss families whose error patterns differ most; identical budgets so
 # the clustering can only pick up the objective, not the schedule
@@ -194,29 +185,24 @@ AGREEMENT_LOSSES = (
 )
 
 
-def agreement_experiment(
-    seeds=(0, 1, 2, 3, 4),
-    task: BlobsTask = AGREEMENT_TASK,
-    variant: str = "same_top1",
-) -> dict:
+def agreement_experiment(seeds=(0, 1, 2, 3, 4), variant: str = "same_top1") -> dict:
     """Cluster per-seed predictions of two losses on the shared eval split.
 
     Returns names, per-run loss ids, the agreement matrix, the average
     linkage merge list on 1 - agreement, and the within/cross seed-means.
     """
-    preds, names, loss_of = [], [], []
-    labels = None
-    for name, spec, knobs in AGREEMENT_LOSSES:
-        for seed in seeds:
-            final, feats, eval_batch, _ = run_blobs(
-                spec, seed, task=task, **knobs
-            )
-            scores = eval_scores(spec, final.final, feats)
-            preds.append(top1_predictions(scores))
-            names.append(f"{name}:seed{seed}")
-            loss_of.append(name)
-            labels = eval_batch.labels
-    mat = agreement_matrix(preds, labels, variant, names=names)
+    _, eval_batch = load_experiment_data(AGREEMENT_TASK)
+    with tempfile.TemporaryDirectory() as tmp:
+        summaries = _train(AGREEMENT_LOSSES, seeds, AGREEMENT_TASK, tmp)
+        preds = [
+            read_predictions_csv(
+                run_dir(tmp, s["loss"], s["seed"]) / "predictions.csv"
+            )[0]
+            for s in summaries
+        ]
+    names = [f"{s['loss']}:seed{s['seed']}" for s in summaries]
+    loss_of = [s["loss"] for s in summaries]
+    mat = agreement_matrix(preds, eval_batch.labels, variant, names=names)
     merges = linkage_dendrogram(1.0 - mat.agree)
 
     same = np.equal.outer(loss_of, loss_of)
@@ -251,16 +237,12 @@ CONVERGENCE_RECIPES = {
 assert tuple(CONVERGENCE_RECIPES) == LOSS_KINDS
 
 
-def convergence_experiment(
-    seed: int = 0,
-    task: BlobsTask = CONVERGENCE_TASK,
-    epochs: int = 100,
-) -> dict:
+def convergence_experiment(seed: int = 0) -> dict:
     """{kind: final train accuracy} for every objective on easy blobs."""
-    out = {}
-    for kind, (spec, lr) in CONVERGENCE_RECIPES.items():
-        _, _, _, result = run_blobs(
-            spec, seed, task=task, epochs=epochs, batch_size=64, peak_lr=lr
-        )
-        out[kind] = result.log[-1].train_acc
-    return out
+    recipes = [
+        (kind, spec, dict(epochs=100, batch_size=64, peak_lr=lr))
+        for kind, (spec, lr) in CONVERGENCE_RECIPES.items()
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        summaries = _train(recipes, (seed,), CONVERGENCE_TASK, tmp)
+    return {s["loss"]: s["final_train_acc"] for s in summaries}

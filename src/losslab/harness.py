@@ -13,6 +13,9 @@ everything the analyses need under ``{out}/runs/{loss}/seed{N}/``:
 Reports under ``{out}/reports/`` are pure views over those artifacts:
 rerunning the same config reproduces every file byte for byte (no
 timestamps, fixed float formatting).
+
+run_single is the only code in losslab that trains a model; the CLI and
+the blobs experiments reach it through train_runs.
 """
 
 from __future__ import annotations
@@ -210,35 +213,37 @@ def _one_blas_thread_env():
                 os.environ[v] = old
 
 
-def run_all(config: ExperimentConfig, jobs: int = 1) -> list:
-    """Train the full (loss, seed) grid; returns run summaries in grid order.
+def train_runs(runs, jobs: int = 1) -> list:
+    """Train (config, loss name, spec, seed) runs; returns summaries in order.
 
     With jobs > 1 the runs go to spawned workers. A spawned worker starts
     with os.environ as it is then and imports numpy afresh, so each gets
     one BLAS thread: jobs workers with BLAS's default of one thread per
     core would oversubscribe the cores.
     """
-    pairs = [
-        (config, name, spec, seed)
-        for name, spec in config.losses
-        for seed in config.seeds
-    ]
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")
         with _one_blas_thread_env(), ProcessPoolExecutor(
             max_workers=jobs, mp_context=spawn
         ) as pool:
-            return list(pool.map(_run_single_job, pairs))
-    return [_run_single_job(p) for p in pairs]
-
-
-# ---------------------------------------------------------------- reports
+            return list(pool.map(_run_single_job, runs))
+    return [_run_single_job(r) for r in runs]
 
 
 def _runs(config):
     for name, spec in config.losses:
         for seed in config.seeds:
             yield name, spec, seed
+
+
+def run_all(config: ExperimentConfig, jobs: int = 1) -> list:
+    """Train the full (loss, seed) grid; returns run summaries in grid order."""
+    return train_runs(
+        [(config, name, spec, seed) for name, spec, seed in _runs(config)], jobs
+    )
+
+
+# ---------------------------------------------------------------- reports
 
 
 def _run_names(config):

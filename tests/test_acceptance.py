@@ -21,12 +21,12 @@ from losslab.calibration import (
     probs_from_logits,
     top1_predictions,
 )
+from losslab.config import ExperimentConfig
 from losslab.experiments import (
     CONVERGENCE_RECIPES,
     CONVERGENCE_TASK,
     agreement_experiment,
     convergence_experiment,
-    run_blobs,
     separation_experiment,
     temperature_experiment,
 )
@@ -45,6 +45,7 @@ from losslab.losses import (
     softmax_xent,
     squared_error_loss,
 )
+from losslab.harness import run_all, run_dir
 from losslab.probe import DEFAULT_GRID, ProbeConfig, fit_logreg, sweep_and_retrain
 from losslab.repr_analysis import (
     angular_visual_hardness,
@@ -52,7 +53,6 @@ from losslab.repr_analysis import (
     linear_cka,
     one_hot_matrix,
 )
-from losslab.training import write_log_csv
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -566,9 +566,7 @@ def test_05_class_separation_ordering():
 
 def test_06_temperature_tradeoff():
     taus = (0.01, 0.03, 0.05, 0.08)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = temperature_experiment(taus)
+    res = temperature_experiment(taus)
     r2m = np.array([res[tau]["r2"].mean() for tau in taus])
     trm = np.array([res[tau]["transfer"].mean() for tau in taus])
     # strict monotonicity over 4 distinct points == Spearman +1 / -1
@@ -590,12 +588,14 @@ def test_07_determinism_and_convergence(tmp_path):
         spec, lr = CONVERGENCE_RECIPES[kind]
         paths = []
         for run in range(2):
-            _, _, _, result = run_blobs(
-                spec, 0, task=CONVERGENCE_TASK, epochs=12, batch_size=64, peak_lr=lr
-            )
-            path = tmp_path / f"{kind}_{run}.csv"
-            write_log_csv(result.log, path)
-            paths.append(path.read_bytes())
+            out = tmp_path / f"{kind}_{run}"
+            run_all(ExperimentConfig(
+                dataset=CONVERGENCE_TASK, hidden=(64, 64),
+                train={"epochs": 12, "batch_size": 64, "peak_lr": lr},
+                seeds=(0,), losses=((kind, spec),), analyses=(),
+                output_dir=str(out),
+            ))
+            paths.append((run_dir(out, kind, 0) / "train_log.csv").read_bytes())
         identical = identical and paths[0] == paths[1]
 
     accs = convergence_experiment()

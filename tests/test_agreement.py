@@ -1,15 +1,11 @@
-"""Agreement matrices, hand-rolled average linkage vs scipy, ensembling."""
+"""Agreement matrices, hand-rolled average linkage vs scipy."""
 
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
 from scipy.spatial.distance import squareform
 
-from losslab.agreement import (
-    agreement_matrix,
-    ensemble_modal,
-    linkage_dendrogram,
-)
+from losslab.agreement import agreement_matrix, linkage_dendrogram
 
 
 class TestAgreementMatrix:
@@ -98,25 +94,3 @@ class TestLinkage:
         with pytest.raises(ValueError, match="finite"):
             linkage_dendrogram(D)
 
-
-class TestEnsemble:
-    def test_single_model_identity(self):
-        p = np.array([3, 1, 4, 1])
-        np.testing.assert_array_equal(ensemble_modal([p]), p)
-
-    def test_majority(self):
-        preds = [np.array([2, 0]), np.array([2, 1]), np.array([5, 1])]
-        np.testing.assert_array_equal(ensemble_modal(preds), [2, 1])
-
-    def test_tie_goes_to_lower_class(self):
-        preds = [np.array([3]), np.array([7]), np.array([7]), np.array([3])]
-        assert ensemble_modal(preds)[0] == 3
-
-    def test_identical_copies_equal_original(self):
-        rng = np.random.default_rng(2)
-        p = rng.integers(0, 5, 30)
-        np.testing.assert_array_equal(ensemble_modal([p, p.copy(), p.copy()]), p)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_modal([])

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from losslab.harness import (
     run_dir,
     run_experiment,
     save_model,
+    train_runs,
     write_predictions_csv,
 )
 from losslab.losses import LossSpec
@@ -216,6 +218,33 @@ class TestDeterminism:
         first = tree_digest(serial.output_dir)
         assert len(first) == 4 * len(RUN_FILES)
         assert tree_digest(pooled.output_dir) == first
+
+    def test_pool_of_two_configs_matches_serial(self, tmp_path):
+        # one call over two configs that differ only in train and share an
+        # output directory: every run must train under its own config
+        def train(out, jobs):
+            base = tiny_config(out)
+            configs = {
+                "fast": base,
+                "slow": replace(base, train={**base.train, "peak_lr": 0.02}),
+            }
+            runs = [
+                (config, name, LossSpec("softmax"), seed)
+                for name, config in configs.items()
+                for seed in config.seeds
+            ]
+            return train_runs(runs, jobs)
+
+        serial = train(tmp_path / "serial", 1)
+        assert train(tmp_path / "pooled", 2) == serial
+        first = tree_digest(tmp_path / "serial")
+        assert len(first) == 4 * len(RUN_FILES)
+        assert tree_digest(tmp_path / "pooled") == first
+        logs = [
+            (run_dir(tmp_path / "serial", name, 0) / "train_log.csv").read_bytes()
+            for name in ("fast", "slow")
+        ]
+        assert logs[0] != logs[1]
 
 
 class TestFailurePropagation:
