@@ -5,7 +5,9 @@ Usage:
     python scripts/run_temperature_tradeoff.py [--seeds 3] [--out sweep.csv]
 
 For each temperature, trains on the blobs task and reports train-split
-R2 plus probe accuracy on the coarse 5-way relabeling of the eval split.
+R2 plus probe accuracy on the coarse 5-way relabeling of
+experiments.TRANSFER_TASK's eval split. That task is a fresh draw of the
+blobs task family (data seed 11, so new class means), not the training task.
 """
 
 import argparse

@@ -6,9 +6,6 @@ Subcommands:
     sweep      train the full loss x seed grid
     dump       write penultimate features of a saved model to a dump file
     analyze    write every analysis report enabled in the config
-    calibrate  print the calibration report for one trained run
-    agreement  write the agreement matrix + linkage reports
-    transfer   write the coarse-label transfer probe report
     report     write one named report (accuracy or any analysis)
 
 Every subcommand takes --config; --out overrides the config's output
@@ -23,17 +20,13 @@ import sys
 from dataclasses import replace
 
 from . import harness
-from .agreement import AGREEMENT_VARIANTS
-from .calibration import ece, fit_temperature, probs_from_logits
 from .config import ANALYSES, load_config
 
 
-def _experiment(args, seeds_override=True):
+def _experiment(args):
     config = load_config(args.config)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    if seeds_override and getattr(args, "seed", None) is not None:
-        config = replace(config, seeds=(args.seed,))
     return config
 
 
@@ -50,6 +43,8 @@ def _pick_loss(config, name):
 def cmd_train(args) -> int:
     config = _experiment(args)
     pair = _pick_loss(config, args.loss)
+    if args.seed is not None:
+        config = replace(config, seeds=(args.seed,))
     for summary in harness.run_all(replace(config, losses=(pair,))):
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -65,7 +60,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    config = _experiment(args, seeds_override=False)
+    config = _experiment(args)
     train_batch, eval_batch = harness.load_experiment_data(config.dataset)
     batch = train_batch if args.split == "train" else eval_batch
     harness.dump_activations(args.model, batch, args.dump_out)
@@ -74,65 +69,20 @@ def cmd_dump(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _experiment(args, seeds_override=False)
+    config = _experiment(args)
     for path in harness.write_reports(config):
         print(path)
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    config = _experiment(args, seeds_override=False)
-    name, spec = _pick_loss(config, args.loss)
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    d = harness.load_run_dump(config, name, seed, "eval_scores.dump")
-    kind = harness.prob_kind(spec)
-    pre = ece(probs_from_logits(d.data, kind), d.labels)
-    temp, post = fit_temperature(d.data, d.labels, kind)
-    json.dump(
-        {
-            "loss": name,
-            "seed": seed,
-            "nll": pre.nll,
-            "ece": pre.ece,
-            "temperature": temp,
-            "nll_scaled": post.nll,
-            "ece_scaled": post.ece,
-        },
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
-    print()
-    return 0
-
-
-def cmd_agreement(args) -> int:
-    config = _experiment(args, seeds_override=False)
-    if args.variant is not None:
-        config = replace(config, agreement_variant=args.variant)
-    harness.reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
-    for path in harness.report_agreement(config):
-        print(path)
-    return 0
-
-
-def cmd_transfer(args) -> int:
-    config = _experiment(args, seeds_override=False)
-    if args.merge is not None:
-        config = replace(config, transfer_merge=args.merge)
-    harness.reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
-    print(harness.report_transfer(config))
-    return 0
-
-
 def cmd_report(args) -> int:
-    config = _experiment(args, seeds_override=False)
+    config = _experiment(args)
     harness.reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
     if args.kind == "accuracy":
-        print(harness.report_accuracy(config))
-        return 0
-    out = harness.REPORTERS[args.kind](config)
-    for path in out if isinstance(out, tuple) else (out,):
+        paths = harness.report_accuracy(config)
+    else:
+        paths = harness.REPORTERS[args.kind](config)
+    for path in paths:
         print(path)
     return 0
 
@@ -171,23 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="write all enabled analysis reports")
     common(p)
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("calibrate", help="calibration report for one run")
-    common(p)
-    p.add_argument("--loss", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("agreement", help="agreement matrix + linkage")
-    common(p)
-    p.add_argument("--variant", choices=AGREEMENT_VARIANTS, default=None)
-    p.set_defaults(func=cmd_agreement)
-
-    p = sub.add_parser("transfer", help="coarse-label transfer probe")
-    common(p)
-    p.add_argument("--merge", type=int, default=None,
-                   help="number of coarse classes")
-    p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("report", help="write one named report")
     common(p)

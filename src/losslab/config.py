@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .agreement import AGREEMENT_VARIANTS
 from .losses import LOSS_KINDS, LOSS_PARAMS, PENALTY_KINDS, LossSpec, PenaltySpec
-from .training import SCHEDULE_KINDS
+from .training import TrainConfig
 
 ANALYSES = (
     "separation",
@@ -154,9 +154,6 @@ class ExperimentConfig:
     output_dir: str
     agreement_variant: str = "same_top1"
     transfer_merge: int = 5
-    probe_val_fraction: float = 0.1
-    probe_tolerance: float = 1e-4
-    probe_max_iterations: int = 2000
 
     def __post_init__(self):
         if not self.seeds:
@@ -173,6 +170,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"loss name {name!r} must match {_RUN_NAME.pattern}"
                 )
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        # the knobs are shared by every run, so one TrainConfig checks them all
+        TrainConfig(loss=self.losses[0][1], seed=self.seeds[0], **self.train)
         for a in self.analyses:
             if a not in ANALYSES:
                 raise ValueError(f"unknown analysis {a!r}; choose from {ANALYSES}")
@@ -248,9 +249,6 @@ _EXPERIMENT_KEYS = {
     "analyses": _str_list,
     "agreement_variant": str,
     "transfer_merge": int,
-    "probe_val_fraction": float,
-    "probe_tolerance": float,
-    "probe_max_iterations": int,
 }
 _SECTIONS = ("dataset", "model", "train", "experiment", "losses")
 
@@ -272,11 +270,6 @@ def load_config(path) -> ExperimentConfig:
                            required=("epochs", "batch_size", "peak_lr"))
     exp = _parse_section(parser, "experiment", _EXPERIMENT_KEYS,
                          required=("seeds", "output"))
-    if "schedule" in train and train["schedule"] not in SCHEDULE_KINDS:
-        raise ValueError(
-            f"[train] schedule must be one of {SCHEDULE_KINDS}, "
-            f"got {train['schedule']!r}"
-        )
     # TrainConfig calls the product-form knob weight_decay_product
     if "weight_decay" in train:
         train["weight_decay_product"] = train.pop("weight_decay")
@@ -297,7 +290,4 @@ def load_config(path) -> ExperimentConfig:
         output_dir=exp["output"],
         agreement_variant=exp.get("agreement_variant", "same_top1"),
         transfer_merge=exp.get("transfer_merge", 5),
-        probe_val_fraction=exp.get("probe_val_fraction", 0.1),
-        probe_tolerance=exp.get("probe_tolerance", 1e-4),
-        probe_max_iterations=exp.get("probe_max_iterations", 2000),
     )

@@ -92,13 +92,6 @@ def make_blob_split(
     )
 
 
-def save_csv(batch: Batch, path) -> None:
-    with open(path, "w") as fh:
-        for i in range(batch.n):
-            row = ",".join("%.17g" % v for v in batch.features[i])
-            fh.write(f"{int(batch.labels[i])},{row}\n")
-
-
 def load_csv(path, num_classes: int | None = None) -> Batch:
     labels = []
     rows = []

@@ -276,7 +276,7 @@ def _write_matrix_csv(path, names, matrix) -> None:
             fh.write(name + "," + ",".join(FMT % v for v in row) + "\n")
 
 
-def report_accuracy(config) -> Path:
+def report_accuracy(config) -> tuple:
     """Per-loss eval accuracy, mean and standard error over seeds."""
     path = reports_dir(config.output_dir) / "accuracy.csv"
     with open(path, "w") as fh:
@@ -288,10 +288,10 @@ def report_accuracy(config) -> Path:
                     accs.append(json.load(rf)["eval_acc"])
             mean, se = _mean_stderr(accs)
             fh.write(f"{name},{FMT % mean},{_fmt_opt(se)},{len(accs)}\n")
-    return path
+    return (path,)
 
 
-def report_separation(config) -> Path:
+def report_separation(config) -> tuple:
     path = reports_dir(config.output_dir) / "separation.csv"
     with open(path, "w") as fh:
         fh.write("loss,index,mean_r2,stderr\n")
@@ -306,10 +306,10 @@ def report_separation(config) -> Path:
             for ix in SEPARATION_INDEXES:
                 mean, se = _mean_stderr(per_index[ix])
                 fh.write(f"{name},{ix},{FMT % mean},{_fmt_opt(se)}\n")
-    return path
+    return (path,)
 
 
-def report_cka(config) -> Path:
+def report_cka(config) -> tuple:
     names = _run_names(config)
     dumps = [
         load_run_dump(config, name, seed, "penultimate.dump").data
@@ -322,10 +322,10 @@ def report_cka(config) -> Path:
             M[i, j] = M[j, i] = linear_cka(dumps[i], dumps[j])
     path = reports_dir(config.output_dir) / "cka.csv"
     _write_matrix_csv(path, names, M)
-    return path
+    return (path,)
 
 
-def report_sparsity(config) -> Path:
+def report_sparsity(config) -> tuple:
     """Fraction of active ReLU units per hidden layer on the eval split."""
     _, eval_batch = load_experiment_data(config.dataset)
     path = reports_dir(config.output_dir) / "sparsity.csv"
@@ -336,7 +336,7 @@ def report_sparsity(config) -> Path:
             acts = forward_hidden(model, eval_batch.features)[1:]
             for layer, frac in enumerate(sparsity_profile(acts)):
                 fh.write(f"{name},{seed},{layer},{FMT % frac}\n")
-    return path
+    return (path,)
 
 
 def report_calibration(config) -> tuple:
@@ -416,7 +416,7 @@ def report_agreement(config) -> tuple:
     return mat_path, link_path
 
 
-def report_avh(config) -> Path:
+def report_avh(config) -> tuple:
     path = reports_dir(config.output_dir) / "avh.csv"
     with open(path, "w") as fh:
         fh.write("loss,seed,mean_avh\n")
@@ -425,10 +425,10 @@ def report_avh(config) -> Path:
             d = load_run_dump(config, name, seed, "penultimate.dump")
             avh = angular_visual_hardness(model.final, d.data, d.labels)
             fh.write(f"{name},{seed},{FMT % float(avh.mean())}\n")
-    return path
+    return (path,)
 
 
-def report_spectra(config) -> Path:
+def report_spectra(config) -> tuple:
     """Singular values of centered penultimate activations, descending."""
     path = reports_dir(config.output_dir) / "spectra.csv"
     with open(path, "w") as fh:
@@ -437,7 +437,7 @@ def report_spectra(config) -> Path:
             d = load_run_dump(config, name, seed, "penultimate.dump")
             for rank, s in enumerate(singular_spectrum(d.data, "activations")):
                 fh.write(f"{name},{seed},{rank},{FMT % s}\n")
-    return path
+    return (path,)
 
 
 def merge_labels(labels, merge: int) -> np.ndarray:
@@ -462,22 +462,16 @@ def transfer_probe(features, labels, merge: int, probe_config: ProbeConfig,
     return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
 
 
-def report_transfer(config) -> Path:
+def report_transfer(config) -> tuple:
     """Coarse-label probe accuracy per run, with whether every fit behind it
     (the lambda path and the refit) converged and its largest gradient norm."""
-    probe_cfg = ProbeConfig(
-        val_fraction=config.probe_val_fraction,
-        tolerance=config.probe_tolerance,
-        max_iterations=config.probe_max_iterations,
-        seed=0,
-    )
     path = reports_dir(config.output_dir) / "transfer.csv"
     with open(path, "w") as fh:
         fh.write("loss,seed,merge,probe_acc,converged,max_grad_norm\n")
         for name, _, seed in _runs(config):
             d = load_run_dump(config, name, seed, "penultimate.dump")
             res = transfer_probe(
-                d.data, d.labels, config.transfer_merge, probe_cfg
+                d.data, d.labels, config.transfer_merge, ProbeConfig()
             )
             converged = bool(res.converged.all()) and res.refit_converged
             max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
@@ -485,9 +479,11 @@ def report_transfer(config) -> Path:
                 f"{name},{seed},{config.transfer_merge},"
                 f"{FMT % res.test_accuracy},{int(converged)},{FMT % max_gn}\n"
             )
-    return path
+    return (path,)
 
 
+# analysis name -> reporter; like report_accuracy, each returns the tuple
+# of paths it wrote
 REPORTERS = {
     "separation": report_separation,
     "cka": report_cka,
@@ -504,10 +500,9 @@ def write_reports(config) -> list:
     """Accuracy table plus every enabled analysis; returns written paths."""
     rdir = reports_dir(config.output_dir)
     rdir.mkdir(parents=True, exist_ok=True)
-    written = [report_accuracy(config)]
+    written = list(report_accuracy(config))
     for analysis in config.analyses:
-        out = REPORTERS[analysis](config)
-        written.extend(out if isinstance(out, tuple) else (out,))
+        written.extend(REPORTERS[analysis](config))
     meta = {
         "runs": _run_names(config),
         "losses": {name: format_loss_line(spec) for name, spec in config.losses},

@@ -1,5 +1,4 @@
-"""Representation metrics: CKA, class separation, sparsity, AVH, spectra,
-cosine-distance densities.
+"""Representation metrics: CKA, class separation, sparsity, AVH, spectra.
 
 All functions are pure and operate on plain (n, d) matrices; labels are int
 vectors in [0, K). The optimized class-separation computation reduces the
@@ -8,8 +7,6 @@ literal double loop.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,50 +168,3 @@ def singular_spectrum(X, mode: str = "activations", labels=None) -> np.ndarray:
         X = X - X.mean(axis=0)
     s = np.linalg.svd(X, compute_uv=False)
     return np.sort(s)[::-1]
-
-
-@dataclass
-class DensityResult:
-    grid: np.ndarray
-    within: np.ndarray
-    between: np.ndarray
-    bandwidth: float
-
-
-def pairwise_cosine_distances(X, labels):
-    """(within, between) lists of 1 - cos over unordered pairs, no self-pairs."""
-    X = _check_matrix(X, min_rows=2)
-    y, _, _ = _check_labels(labels, X.shape[0], require_all=False)
-    Xn = _normalize_rows(X)
-    D = 1.0 - Xn @ Xn.T
-    iu, ju = np.triu_indices(X.shape[0], k=1)
-    same = y[iu] == y[ju]
-    return D[iu, ju][same], D[iu, ju][~same]
-
-
-def gaussian_kde_curve(samples, bandwidth: float, grid) -> np.ndarray:
-    """Plain Gaussian KDE with an absolute bandwidth (the kernel sigma)."""
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if samples.size == 0:
-        raise ValueError("no samples to smooth")
-    grid = np.asarray(grid, dtype=np.float64)
-    z = (grid[:, None] - samples[None, :]) / bandwidth
-    return np.exp(-0.5 * z * z).sum(axis=1) / (
-        samples.size * bandwidth * np.sqrt(2.0 * np.pi)
-    )
-
-
-def cosine_distance_density(
-    X, labels, bandwidth: float, grid_points: int = 512
-) -> DensityResult:
-    """Gaussian KDE of within/between-class cosine distances on [0, 2]."""
-    within, between = pairwise_cosine_distances(X, labels)
-    grid = np.linspace(0.0, 2.0, grid_points)
-    return DensityResult(
-        grid=grid,
-        within=gaussian_kde_curve(within, bandwidth, grid),
-        between=gaussian_kde_curve(between, bandwidth, grid),
-        bandwidth=bandwidth,
-    )

@@ -1,12 +1,13 @@
 """CLI subcommands drive the harness end to end."""
 
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from losslab.cli import main
+from losslab.cli import build_parser, main
 from losslab.dumps import read_activation_dump
 
 INI = """\
@@ -61,6 +62,13 @@ def workspace(tmp_path_factory):
     return ini, out
 
 
+def with_experiment_key(ini, tmp_path, line):
+    """A copy of the INI with one more [experiment] key."""
+    path = tmp_path / "variant.ini"
+    path.write_text(ini.read_text().replace("output = ", line + "\noutput = "))
+    return path
+
+
 class TestSweepAndTrain:
     def test_sweep_trains_grid(self, workspace):
         _, out = workspace
@@ -100,12 +108,11 @@ class TestAnalysisCommands:
         assert (out / "reports" / "accuracy.csv").exists()
         assert (out / "reports" / "separation.csv").exists()
 
-    def test_calibrate_prints_one_run(self, workspace, capsys):
-        ini, _ = workspace
-        assert main(["calibrate", "--config", str(ini), "--loss", "plain",
-                     "--seed", "0"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["loss"] == "plain" and data["seed"] == 0
+    def test_calibrate_prints_one_run(self, workspace):
+        ini, out = workspace
+        assert main(["report", "--config", str(ini), "--kind", "calibration"]) == 0
+        report = json.loads((out / "reports" / "calibration.json").read_text())
+        (data,) = [r for r in report["plain"]["runs"] if r["seed"] == 0]
         assert data["nll_scaled"] <= data["nll"] + 1e-12
         assert data["temperature"] > 0
 
@@ -115,16 +122,18 @@ class TestAnalysisCommands:
         path = Path(capsys.readouterr().out.strip())
         assert path.name == "accuracy.csv" and path.exists()
 
-    def test_agreement_variant_flag(self, workspace, capsys):
+    def test_agreement_variant_flag(self, workspace, tmp_path, capsys):
         ini, out = workspace
-        assert main(["agreement", "--config", str(ini),
-                     "--variant", "agree_on_mutual_errors"]) == 0
+        ini = with_experiment_key(ini, tmp_path,
+                                  "agreement_variant = agree_on_mutual_errors")
+        assert main(["report", "--config", str(ini), "--kind", "agreement"]) == 0
         capsys.readouterr()
         assert (out / "reports" / "agreement_agree_on_mutual_errors.csv").exists()
 
-    def test_transfer_merge_flag(self, workspace, capsys):
+    def test_transfer_merge_flag(self, workspace, tmp_path, capsys):
         ini, out = workspace
-        assert main(["transfer", "--config", str(ini), "--merge", "2"]) == 0
+        ini = with_experiment_key(ini, tmp_path, "transfer_merge = 2")
+        assert main(["report", "--config", str(ini), "--kind", "transfer"]) == 0
         report = out / "reports" / "transfer.csv"
         assert str(report) in capsys.readouterr().out
         body = report.read_text().splitlines()
@@ -171,3 +180,35 @@ class TestErrorPaths:
             code = main(["train", "--config", str(ini), "--loss", "plain"])
         assert code == 1
         assert "loss=plain seed=0" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """argv of every ``losslab ...`` line in README, with backslash
+    continuations joined and trailing comments dropped."""
+    text = README.read_text().replace("\\\n", " ")
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in text.splitlines()
+        if line.startswith("losslab ")
+    ]
+
+
+class TestReadme:
+    def test_documented_commands_parse(self, capsys):
+        commands = readme_commands()
+        assert commands
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: losslab {shlex.join(argv)}"
+                            f"\n{capsys.readouterr().err}")
+
+    def test_documents_exactly_the_subcommands(self):
+        documented = {argv[0] for argv in readme_commands()}
+        assert documented == {"train", "sweep", "dump", "analyze", "report"}
+        assert "{train,sweep,dump,analyze,report}" in build_parser().format_help()

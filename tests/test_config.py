@@ -179,6 +179,14 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="schedule must be one of"):
             load_config(write_ini(tmp_path, bad))
 
+    @pytest.mark.parametrize("good, bad, match", [
+        ("epochs = 6", "epochs = -1", "epochs must be >= 0"),
+        ("hidden = 16, 16", "hidden = 16, 0", "hidden widths must be >= 1"),
+    ])
+    def test_bad_train_or_model_value_rejected(self, tmp_path, good, bad, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(write_ini(tmp_path, GOOD_INI.replace(good, bad)))
+
     def test_weight_decay_key_renamed_for_trainer(self, tmp_path):
         ini = GOOD_INI.replace("peak_lr = 0.05", "peak_lr = 0.05\nweight_decay = 0.99")
         cfg = load_config(write_ini(tmp_path, ini))

@@ -27,6 +27,7 @@ from losslab.harness import (
 )
 from losslab.losses import LossSpec
 from losslab.mlp import init_mlp
+from losslab.probe import ProbeConfig
 
 RUN_FILES = (
     "model.npz",
@@ -188,7 +189,7 @@ class TestReports:
         ]
         for r in rows:
             assert r["converged"] == "1"
-            assert 0.0 <= float(r["max_grad_norm"]) <= config.probe_tolerance
+            assert 0.0 <= float(r["max_grad_norm"]) <= ProbeConfig().tolerance
 
     def test_metadata_lists_grid(self, experiment):
         config, _ = experiment

@@ -7,11 +7,8 @@ from losslab.losses import DegenerateInputError, FinalLayer
 from losslab.repr_analysis import (
     angular_visual_hardness,
     class_separation_r2,
-    cosine_distance_density,
-    gaussian_kde_curve,
     linear_cka,
     one_hot_matrix,
-    pairwise_cosine_distances,
     singular_spectrum,
     sparsity_profile,
 )
@@ -285,53 +282,6 @@ class TestSpectra:
     def test_centroid_mode_needs_labels(self):
         with pytest.raises(ValueError):
             singular_spectrum(np.ones((4, 2)), "class_centroids")
-
-
-class TestDensity:
-    def test_pairwise_lists_match_double_loop(self):
-        rng = np.random.default_rng(16)
-        X = rng.standard_normal((20, 4))
-        y = rng.integers(0, 3, 20)
-        y[:3] = [0, 1, 2]
-        within, between = pairwise_cosine_distances(X, y)
-        Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-        w_ref, b_ref = [], []
-        for i in range(20):
-            for j in range(i + 1, 20):
-                d = 1.0 - float(Xn[i] @ Xn[j])
-                (w_ref if y[i] == y[j] else b_ref).append(d)
-        np.testing.assert_allclose(np.sort(within), np.sort(w_ref), atol=1e-12)
-        np.testing.assert_allclose(np.sort(between), np.sort(b_ref), atol=1e-12)
-
-    def test_kde_integrates_to_one(self):
-        # samples several sigma inside the grid keep all their mass on it
-        rng = np.random.default_rng(17)
-        samples = 0.8 + 0.4 * rng.random(50)
-        grid = np.linspace(0.0, 2.0, 2001)
-        curve = gaussian_kde_curve(samples, 0.05, grid)
-        assert np.trapezoid(curve, grid) == pytest.approx(1.0, abs=1e-6)
-
-    def test_density_curves_cover_most_mass(self):
-        # boundary leakage only: cosine distances can sit near 0 or 2
-        rng = np.random.default_rng(17)
-        X = rng.standard_normal((30, 8))
-        y = rng.integers(0, 3, 30)
-        y[:3] = [0, 1, 2]
-        res = cosine_distance_density(X, y, bandwidth=0.05)
-        assert res.grid.shape == (512,)
-        for curve in (res.within, res.between):
-            mass = np.trapezoid(curve, res.grid)
-            assert 0.99 < mass <= 1.0 + 1e-9
-
-    def test_identical_points_concentrate_at_zero(self):
-        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        y = np.array([0, 0, 1])
-        res = cosine_distance_density(X, y, bandwidth=0.01)
-        assert np.argmax(res.within) == 0
-
-    def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            gaussian_kde_curve([0.5], 0.0, np.linspace(0, 2, 16))
 
 
 def test_one_hot_matrix():
