@@ -82,6 +82,8 @@ def cmd_report(args) -> int:
         paths = harness.report_accuracy(config)
     else:
         paths = harness.REPORTERS[args.kind](config)
+    # the metadata records the settings of the report just rewritten
+    harness.write_metadata(config)
     for path in paths:
         print(path)
     return 0

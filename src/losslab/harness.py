@@ -496,13 +496,8 @@ REPORTERS = {
 }
 
 
-def write_reports(config) -> list:
-    """Accuracy table plus every enabled analysis; returns written paths."""
-    rdir = reports_dir(config.output_dir)
-    rdir.mkdir(parents=True, exist_ok=True)
-    written = list(report_accuracy(config))
-    for analysis in config.analyses:
-        written.extend(REPORTERS[analysis](config))
+def write_metadata(config) -> Path:
+    """reports/metadata.json: the grid and the settings of every report."""
     meta = {
         "runs": _run_names(config),
         "losses": {name: format_loss_line(spec) for name, spec in config.losses},
@@ -514,11 +509,20 @@ def write_reports(config) -> list:
         "transfer_merge": config.transfer_merge,
         "dataset": asdict(config.dataset),
     }
-    meta_path = rdir / "metadata.json"
+    meta_path = reports_dir(config.output_dir) / "metadata.json"
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(meta_path)
+    return meta_path
+
+
+def write_reports(config) -> list:
+    """Accuracy table plus every enabled analysis; returns written paths."""
+    reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
+    written = list(report_accuracy(config))
+    for analysis in config.analyses:
+        written.extend(REPORTERS[analysis](config))
+    written.append(write_metadata(config))
     return written
 
 

@@ -1,8 +1,10 @@
 """Minimal fully-connected ReLU network with a linear classification head.
 
 Parameters live in plain numpy arrays. Layout: hidden layers as (W_i, b_i)
-with W_i of shape (width_i, fan_in_i), then a FinalLayer. He-uniform init
-for weights, constant init for biases (zero, or -log K for sigmoid specs).
+with W_i of shape (width_i, fan_in_i), then a FinalLayer. model_from_params
+lays a model over one flat vector, so every array is a view of it.
+He-uniform init for weights, constant init for biases (zero, or -log K for
+sigmoid specs).
 """
 
 from __future__ import annotations
@@ -40,20 +42,20 @@ class MlpModel:
         out.append(self.final.bias)
         return out
 
-    def weight_param_indices(self) -> list:
-        """Indices into params() that are weight matrices (decay targets)."""
-        return [2 * i for i in range(len(self.hidden_weights))] + [
-            2 * len(self.hidden_weights)
-        ]
 
+def model_from_params(template: MlpModel, theta: np.ndarray) -> MlpModel:
+    """A model shaped like template whose arrays are views of the flat theta.
 
-def model_from_params(template: MlpModel, params) -> MlpModel:
+    theta holds the parameters in params() order; writing into theta
+    updates the returned model.
+    """
+    views, start = [], 0
+    for p in template.params():
+        views.append(theta[start : start + p.size].reshape(p.shape))
+        start += p.size
     nh = len(template.hidden_weights)
-    return MlpModel(
-        hidden_weights=[params[2 * i] for i in range(nh)],
-        hidden_biases=[params[2 * i + 1] for i in range(nh)],
-        final=FinalLayer(params[2 * nh], params[2 * nh + 1]),
-    )
+    return MlpModel(views[0 : 2 * nh : 2], views[1 : 2 * nh : 2],
+                    FinalLayer(*views[2 * nh :]))
 
 
 def he_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -120,11 +122,3 @@ def penultimate_features(model: MlpModel, X: np.ndarray) -> np.ndarray:
 def model_scores(model: MlpModel, spec: LossSpec, X: np.ndarray) -> np.ndarray:
     """Deterministic eval-time scores for a spec (see losses.eval_scores)."""
     return eval_scores(spec, model.final, penultimate_features(model, X))
-
-
-def copy_model(model: MlpModel) -> MlpModel:
-    return MlpModel(
-        [w.copy() for w in model.hidden_weights],
-        [b.copy() for b in model.hidden_biases],
-        FinalLayer(model.final.weights.copy(), model.final.bias.copy()),
-    )

@@ -1,9 +1,12 @@
-"""SGD with Nesterov momentum, LR schedules, product-form weight decay, EMA.
+"""In-place Nesterov step on one flat vector, LR schedules, product-form decay.
 
 The momentum update is the "implementation" variant:
 
     v <- mu * v - eta * g
     p <- p + mu * v - eta * g
+
+done in place as v *= mu; v -= eta*g; p += mu*v; p -= eta*g, which rounds
+each element exactly as the two formulas do.
 
 Weight decay is parameterized by the product lambda_tilde = lr * decay, so
 its gradient contribution is (lambda_tilde / eta) * p and the per-step
@@ -18,26 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def sgd_nesterov_step(params, grads, velocity, lr, momentum):
-    """One Nesterov step over parallel lists of arrays.
-
-    Returns (new_params, new_velocity) as fresh arrays.
-    """
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if len(params) != len(grads) or len(params) != len(velocity):
-        raise ValueError("params, grads, velocity must have equal length")
-    new_v = []
-    new_p = []
-    for p, g, v in zip(params, grads, velocity):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ValueError(f"shape mismatch {p.shape} / {g.shape} / {v.shape}")
-        v2 = momentum * v - lr * g
-        new_v.append(v2)
-        new_p.append(p + momentum * v2 - lr * g)
-    return new_p, new_v
+def sgd_nesterov_step(theta, grad, velocity, lr, momentum) -> None:
+    """One Nesterov step on flat vectors; theta and velocity change in place."""
+    velocity *= momentum
+    velocity -= lr * grad
+    theta += momentum * velocity
+    theta -= lr * grad
 
 
 def weight_decay_grad(param: np.ndarray, weight_decay_product: float, lr: float):
@@ -89,29 +78,3 @@ def lr_at(schedule, step: int, total_steps: int) -> float:
         epochs_past = np.floor((step - warm) / schedule.steps_per_epoch)
         return schedule.peak_lr * schedule.decay_per_epoch**epochs_past
     raise TypeError(f"unknown schedule {type(schedule).__name__}")
-
-
-@dataclass
-class EmaState:
-    """Exponential moving average of a parameter list."""
-
-    shadow: list
-    momentum: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"ema momentum must be in [0, 1), got {self.momentum}")
-
-
-def ema_init(params, momentum: float) -> EmaState:
-    return EmaState([np.array(p, copy=True) for p in params], momentum)
-
-
-def ema_update(state: EmaState, params) -> None:
-    """shadow <- m * shadow + (1 - m) * params, in place."""
-    if len(params) != len(state.shadow):
-        raise ValueError("param list length changed under EMA")
-    m = state.momentum
-    for s, p in zip(state.shadow, params):
-        s *= m
-        s += (1.0 - m) * p

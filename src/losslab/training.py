@@ -2,7 +2,11 @@
 
 Fully deterministic for a fixed (model, dataset, config): shuffling and
 dropout masks come from independent child streams of SeedSequence(seed).
-The input model is never mutated; train() works on a copy.
+train() copies the input model's parameters into one flat vector theta and
+trains a model whose arrays are views of it, so the Nesterov step, the
+product-form decay and the EMA are in-place vector operations. The input
+model is never mutated. TrainConfig checks every knob once, so the step
+itself checks nothing but finiteness.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .losses import (
 )
 from .mlp import (
     MlpModel,
-    copy_model,
     forward_hidden,
     model_from_params,
     model_scores,
@@ -31,8 +34,6 @@ from .mlp import (
 from .optim import (
     CosineSchedule,
     WarmupExponentialSchedule,
-    ema_init,
-    ema_update,
     lr_at,
     sgd_nesterov_step,
     weight_decay_grad,
@@ -64,16 +65,28 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.peak_lr <= 0:
-            raise ValueError(f"peak_lr must be > 0, got {self.peak_lr}")
+        # the comparisons are False on nan, so each check also rejects nan
+        if not 0.0 < self.peak_lr < np.inf:
+            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        if not 0.0 <= self.warmup_epochs < np.inf:
+            raise ValueError(
+                f"warmup_epochs must be finite and >= 0, got {self.warmup_epochs}"
+            )
+        if not 0.0 < self.decay_per_epoch < np.inf:
+            raise ValueError(
+                f"decay_per_epoch must be finite and > 0, got {self.decay_per_epoch}"
+            )
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(
                 f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}"
             )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay_product < 0:
-            raise ValueError("weight_decay_product must be >= 0")
+        if not 0.0 <= self.weight_decay_product < np.inf:
+            raise ValueError(
+                "weight_decay_product must be finite and >= 0, "
+                f"got {self.weight_decay_product}"
+            )
         if self.ema_momentum is not None and not 0.0 <= self.ema_momentum < 1.0:
             raise ValueError(f"ema_momentum must be in [0, 1), got {self.ema_momentum}")
 
@@ -159,7 +172,6 @@ def train(
         raise ValueError(
             f"dataset has {dataset.num_classes} classes, model {model.num_classes}"
         )
-    model = copy_model(model)
     spec = config.loss
 
     ss = np.random.SeedSequence(config.seed)
@@ -173,9 +185,13 @@ def train(
     schedule = _build_schedule(config, steps_per_epoch)
 
     params = model.params()
-    velocity = [np.zeros_like(p) for p in params]
-    decay_idx = set(model.weight_param_indices())
-    ema = ema_init(params, config.ema_momentum) if config.ema_momentum is not None else None
+    theta = np.concatenate(params, axis=None)
+    model = model_from_params(model, theta)
+    velocity = np.zeros_like(theta)
+    # product-form decay reaches the weight matrices (2-d), not the biases
+    decay = np.concatenate([np.full(p.size, p.ndim == 2) for p in params])
+    ema_m = config.ema_momentum
+    ema = theta.copy() if ema_m is not None else None
 
     log = []
     step = 0
@@ -192,27 +208,26 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite loss at step {step} (kind {spec.kind!r}, lr {lr:g})"
                 )
+            grad = np.concatenate(grads, axis=None)
             if config.weight_decay_product > 0.0 and lr > 0.0:
-                # product-form decay; skipped on lr=0 steps (no-op updates)
-                for i in decay_idx:
-                    grads[i] = grads[i] + weight_decay_grad(
-                        params[i], config.weight_decay_product, lr
-                    )
-            params, velocity = sgd_nesterov_step(
-                params, grads, velocity, lr, config.momentum
-            )
-            if not all(np.all(np.isfinite(p)) for p in params):
+                # skipped on lr=0 steps, whose updates are no-ops
+                grad[decay] += weight_decay_grad(
+                    theta[decay], config.weight_decay_product, lr
+                )
+            sgd_nesterov_step(theta, grad, velocity, lr, config.momentum)
+            # exact: a reduction such as a sum could overflow on finite theta
+            if not np.isfinite(theta).all():
                 raise TrainingDiverged(
                     f"non-finite parameters after step {step} (kind {spec.kind!r})"
                 )
-            model = model_from_params(model, params)
             if ema is not None:
-                ema_update(ema, params)
+                ema *= ema_m
+                ema += (1.0 - ema_m) * theta
             step += 1
 
         log.append(_epoch_record(model, spec, dataset, holdout, epoch, lr))
 
-    ema_model = model_from_params(model, ema.shadow) if ema is not None else None
+    ema_model = model_from_params(model, ema) if ema is not None else None
     return TrainResult(model=model, ema_model=ema_model, log=log)
 
 

@@ -129,6 +129,8 @@ class TestAnalysisCommands:
         assert main(["report", "--config", str(ini), "--kind", "agreement"]) == 0
         capsys.readouterr()
         assert (out / "reports" / "agreement_agree_on_mutual_errors.csv").exists()
+        meta = json.loads((out / "reports" / "metadata.json").read_text())
+        assert meta["agreement_variant"] == "agree_on_mutual_errors"
 
     def test_transfer_merge_flag(self, workspace, tmp_path, capsys):
         ini, out = workspace
@@ -139,6 +141,8 @@ class TestAnalysisCommands:
         body = report.read_text().splitlines()
         assert body[0] == "loss,seed,merge,probe_acc,converged,max_grad_norm"
         assert all(row.split(",")[2] == "2" for row in body[1:])
+        meta = json.loads((out / "reports" / "metadata.json").read_text())
+        assert meta["transfer_merge"] == 2
 
 
 class TestDumpCommand:

@@ -182,6 +182,14 @@ class TestLoadConfig:
     @pytest.mark.parametrize("good, bad, match", [
         ("epochs = 6", "epochs = -1", "epochs must be >= 0"),
         ("hidden = 16, 16", "hidden = 16, 0", "hidden widths must be >= 1"),
+        ("peak_lr = 0.05", "peak_lr = nan", "peak_lr must be finite and > 0"),
+        ("peak_lr = 0.05", "peak_lr = inf", "peak_lr must be finite and > 0"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nschedule = warmup_exp\n"
+         "decay_per_epoch = -0.5", "decay_per_epoch must be finite and > 0"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nschedule = warmup_exp\n"
+         "warmup_epochs = nan", "warmup_epochs must be finite and >= 0"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nweight_decay = nan",
+         "weight_decay_product must be finite and >= 0"),
     ])
     def test_bad_train_or_model_value_rejected(self, tmp_path, good, bad, match):
         with pytest.raises(ValueError, match=match):

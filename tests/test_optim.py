@@ -5,10 +5,7 @@ import pytest
 
 from losslab.optim import (
     CosineSchedule,
-    EmaState,
     WarmupExponentialSchedule,
-    ema_init,
-    ema_update,
     lr_at,
     sgd_nesterov_step,
     weight_decay_grad,
@@ -20,36 +17,33 @@ class TestNesterov:
         # f(p) = p^2 / 2, grad = p; eta=0.1, mu=0.9, p0=1
         # v1 = -0.1,  p1 = 1 + 0.9*(-0.1) - 0.1 = 0.81
         # v2 = 0.9*(-0.1) - 0.081 = -0.171, p2 = 0.81 - 0.1539 - 0.081 = 0.5751
-        p = [np.array([1.0])]
-        v = [np.zeros(1)]
-        p, v = sgd_nesterov_step(p, [np.array([1.0])], v, 0.1, 0.9)
-        assert p[0][0] == pytest.approx(0.81, abs=1e-15)
-        assert v[0][0] == pytest.approx(-0.1, abs=1e-15)
-        p, v = sgd_nesterov_step(p, [p[0].copy()], v, 0.1, 0.9)
-        assert v[0][0] == pytest.approx(-0.171, abs=1e-15)
-        assert p[0][0] == pytest.approx(0.5751, abs=1e-15)
+        p = np.array([1.0])
+        v = np.zeros(1)
+        sgd_nesterov_step(p, np.array([1.0]), v, 0.1, 0.9)
+        assert p[0] == pytest.approx(0.81, abs=1e-15)
+        assert v[0] == pytest.approx(-0.1, abs=1e-15)
+        sgd_nesterov_step(p, p.copy(), v, 0.1, 0.9)
+        assert v[0] == pytest.approx(-0.171, abs=1e-15)
+        assert p[0] == pytest.approx(0.5751, abs=1e-15)
 
     def test_zero_momentum_is_plain_sgd(self):
-        p = [np.array([2.0, -1.0])]
-        g = [np.array([0.5, 0.5])]
-        v = [np.zeros(2)]
-        p2, v2 = sgd_nesterov_step(p, g, v, 0.2, 0.0)
-        np.testing.assert_allclose(p2[0], [1.9, -1.1])
-        np.testing.assert_allclose(v2[0], [-0.1, -0.1])
+        p = np.array([2.0, -1.0])
+        g = np.array([0.5, 0.5])
+        v = np.zeros(2)
+        sgd_nesterov_step(p, g, v, 0.2, 0.0)
+        np.testing.assert_allclose(p, [1.9, -1.1])
+        np.testing.assert_allclose(v, [-0.1, -0.1])
 
-    def test_inputs_not_mutated(self):
-        p = [np.array([1.0])]
-        v = [np.array([0.5])]
-        sgd_nesterov_step(p, [np.array([1.0])], v, 0.1, 0.9)
-        assert p[0][0] == 1.0 and v[0][0] == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sgd_nesterov_step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)], -0.1, 0.9)
-        with pytest.raises(ValueError):
-            sgd_nesterov_step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)], 0.1, 1.0)
-        with pytest.raises(ValueError):
-            sgd_nesterov_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1, 0.9)
+    def test_updates_theta_and_velocity_in_place(self):
+        theta = np.array([1.0, 2.0])
+        v = np.array([0.5, 0.0])
+        g = np.array([1.0, 1.0])
+        theta_buf, v_buf = theta, v
+        assert sgd_nesterov_step(theta, g, v, 0.1, 0.9) is None
+        assert theta is theta_buf and v is v_buf
+        np.testing.assert_allclose(v, [0.35, -0.1])
+        np.testing.assert_allclose(theta, [1.0 + 0.9 * 0.35 - 0.1, 1.81])
+        np.testing.assert_array_equal(g, [1.0, 1.0])
 
 
 class TestWeightDecay:
@@ -58,11 +52,11 @@ class TestWeightDecay:
         # param by (1 - lambda_tilde) no matter what the lr is
         lam = 0.01
         for lr in (0.001, 0.1, 1.6):
-            p = [np.array([3.0])]
-            v = [np.zeros(1)]
-            g = [weight_decay_grad(p[0], lam, lr)]
-            p, _ = sgd_nesterov_step(p, g, v, lr, 0.0)
-            assert p[0][0] == pytest.approx(3.0 * (1 - lam), rel=1e-14)
+            p = np.array([3.0])
+            v = np.zeros(1)
+            g = weight_decay_grad(p, lam, lr)
+            sgd_nesterov_step(p, g, v, lr, 0.0)
+            assert p[0] == pytest.approx(3.0 * (1 - lam), rel=1e-14)
 
     def test_zero_lr_rejected(self):
         with pytest.raises(ValueError):
@@ -106,22 +100,3 @@ class TestSchedules:
             lr_at(s, -1, 10)
         with pytest.raises(ValueError):
             lr_at(s, 11, 10)
-
-
-class TestEma:
-    def test_frozen_sequence(self):
-        # m=0.9, shadow0=0, params 1,2,3 -> 0.1, 0.29, 0.561
-        state = EmaState([np.array([0.0])], 0.9)
-        for val, expect in ((1.0, 0.1), (2.0, 0.29), (3.0, 0.561)):
-            ema_update(state, [np.array([val])])
-            assert state.shadow[0][0] == pytest.approx(expect, abs=1e-15)
-
-    def test_init_copies(self):
-        p = [np.array([1.0, 2.0])]
-        state = ema_init(p, 0.99)
-        p[0][0] = 50.0
-        assert state.shadow[0][0] == 1.0
-
-    def test_momentum_range(self):
-        with pytest.raises(ValueError):
-            EmaState([np.zeros(1)], 1.0)

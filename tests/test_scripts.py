@@ -1,10 +1,13 @@
 """The experiment scripts: their rank correlation and their arguments.
 
 The experiments themselves are stubbed out, so these run in milliseconds;
-the real experiments are the acceptance gate's business.
+the real experiments are the acceptance gate's business. The benchmark's
+tracer is checked here too, for the program names it patches.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +17,8 @@ from scipy.stats import spearmanr
 
 from losslab.repr_analysis import SEPARATION_INDEXES
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -74,3 +78,15 @@ def test_class_separation_offers_every_index(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         mod.main(["--index", "centroid"])
     capsys.readouterr()
+
+
+def test_tracer_finds_every_patch_point(tmp_path):
+    # install() looks up each traced function before the CLI parses its
+    # arguments, so a renamed or deleted one fails even a --help run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"),
+         str(tmp_path / "t.json"), "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

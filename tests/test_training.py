@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from losslab.data import make_blobs
-from losslab.losses import LossSpec
+from losslab.losses import FinalLayer, LossSpec
 from losslab.mlp import (
+    MlpModel,
     forward_hidden,
     init_for_spec,
     init_mlp,
     model_scores,
     penultimate_features,
 )
+from losslab.optim import CosineSchedule, lr_at
 from losslab.training import (
     TrainConfig,
     TrainingDiverged,
@@ -43,6 +45,13 @@ def cfg(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("knob", ["momentum", "ema_momentum"])
+    def test_momentum_of_one_rejected(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} must be in"):
+            cfg(**{knob: 1.0})
 
 
 class TestInit:
@@ -205,6 +214,61 @@ class TestEmaInTrainer:
     def test_no_ema_by_default(self):
         r = train(small_model(), small_data(), cfg(epochs=1))
         assert r.ema_model is None
+
+
+def reference_train(model, data, config):
+    """The per-array loop: Nesterov, product-form decay and EMA on lists."""
+    ss = np.random.SeedSequence(config.seed)
+    shuffle_ss, dropout_ss = ss.spawn(2)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    dropout_rng = np.random.default_rng(dropout_ss)
+    steps_per_epoch = -(-data.n // config.batch_size)
+    total = config.epochs * steps_per_epoch
+    schedule = CosineSchedule(config.peak_lr)
+    mu, m = config.momentum, config.ema_momentum
+    nh = len(model.hidden_weights)
+
+    def as_model(ps):
+        return MlpModel(ps[0 : 2 * nh : 2], ps[1 : 2 * nh : 2],
+                        FinalLayer(ps[-2], ps[-1]))
+
+    params = [p.copy() for p in model.params()]
+    velocity = [np.zeros_like(p) for p in params]
+    shadow = [p.copy() for p in params]
+    step = 0
+    for _ in range(config.epochs):
+        perm = shuffle_rng.permutation(data.n)
+        for start in range(0, data.n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            lr = float(lr_at(schedule, step, total))
+            _, grads = loss_and_grads(as_model(params), config.loss,
+                                      data.features[idx], data.labels[idx],
+                                      dropout_rng)
+            if lr > 0.0:
+                for i, p in enumerate(params):
+                    if p.ndim == 2:
+                        grads[i] = grads[i] + (
+                            config.weight_decay_product / lr) * p
+            for i, (p, g) in enumerate(zip(params, grads)):
+                velocity[i] = mu * velocity[i] - lr * g
+                params[i] = p + mu * velocity[i] - lr * g
+            for s, p in zip(shadow, params):
+                s *= m
+                s += (1.0 - m) * p
+            step += 1
+    return as_model(params), as_model(shadow)
+
+
+def test_flat_step_matches_per_array_reference():
+    data = small_data(seed=4)
+    model = init_mlp(4, (8, 6), 3, np.random.default_rng(9))
+    config = cfg(loss=LossSpec("dropout", keep_prob=0.8), epochs=3,
+                 weight_decay_product=5e-3, ema_momentum=0.9, seed=2)
+    result = train(model, data, config)
+    ref_model, ref_ema = reference_train(model, data, config)
+    for got, want in ((result.model, ref_model), (result.ema_model, ref_ema)):
+        for a, b in zip(got.params(), want.params(), strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestLossAndGrads:
