@@ -1,7 +1,17 @@
 """Small research stack: classification objectives, an MLP trainer, and
 representation / calibration / transfer analysis tools."""
 
-from .losses import (
+import os
+
+# One BLAS thread per process: at losslab's matrix sizes a second thread
+# buys no wall time and doubles the CPU, and every --jobs N worker starts
+# from this environment. Set before anything imports numpy; a value the
+# user has set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from .losses import (  # noqa: E402 - after the thread environment
     DegenerateInputError,
     FinalLayer,
     LossResult,

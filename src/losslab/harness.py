@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -195,37 +193,16 @@ def _run_single_job(args):
         raise RunFailure(loss_name, seed, exc) from exc
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread_env():
-    """os.environ with every BLAS thread variable at 1, restored on exit."""
-    saved = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for v, old in saved.items():
-            if old is None:
-                os.environ.pop(v, None)
-            else:
-                os.environ[v] = old
-
-
 def train_runs(runs, jobs: int = 1) -> list:
     """Train (config, loss name, spec, seed) runs; returns summaries in order.
 
-    With jobs > 1 the runs go to spawned workers. A spawned worker starts
-    with os.environ as it is then and imports numpy afresh, so each gets
-    one BLAS thread: jobs workers with BLAS's default of one thread per
-    core would oversubscribe the cores.
+    With jobs > 1 the runs go to spawned workers. A spawned worker imports
+    numpy afresh with this process's os.environ, so it keeps the one BLAS
+    thread that importing losslab sets (see ``losslab/__init__.py``).
     """
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")
-        with _one_blas_thread_env(), ProcessPoolExecutor(
-            max_workers=jobs, mp_context=spawn
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             return list(pool.map(_run_single_job, runs))
     return [_run_single_job(r) for r in runs]
 

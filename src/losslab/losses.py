@@ -8,7 +8,7 @@ kinds of part, each written once:
   and the dropout head (the linear head on Bernoulli-masked features).
 * **Score losses** give per-row values and gradients wrt the scores:
   softmax, smoothed, logit-norm and sigmoid cross-entropy (values in the
-  cancellation-free form of ``xent_rows``), and squared error.
+  cancellation-free form of ``softmax_xent_rows``), and squared error.
 * **Penalties**: beta ||z||^2 on the head's clean scores, and
   (lambda/2) ||W||^2. logit_penalty is softmax plus beta, extra_final_l2
   softmax plus lambda.
@@ -34,7 +34,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -177,33 +177,23 @@ def logsumexp_rows(logits: np.ndarray) -> np.ndarray:
     return (m + np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)))[..., 0]
 
 
-def _lse_parts(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split logsumexp(z) = m + log1p(r) for each row of an (N, K) matrix.
+def softmax_xent_rows(scores: np.ndarray, target: np.ndarray):
+    """Row-wise cross-entropy and softmax of an (n, K) score matrix, in one pass.
 
-    m is the row max and r = sum_{k != argmax} exp(z_k - m); the argmax
-    term (exactly 1) is dropped before summing so log1p keeps every digit
-    of a tiny r.
+    Returns (values, P, m, tail): m is the row max, tail = log1p(sum over
+    k != argmax of exp(z_k - m)), values = (m - z_t) + tail is
+    logsumexp(z) - z_t, and P the softmax rows. Both terms of a value are
+    >= 0, so a near-certain row keeps its tiny loss instead of losing it
+    to cancellation, and log1p keeps every digit of a tiny tail.
     """
     rows = np.arange(scores.shape[0])
-    m = np.max(scores, axis=1)
+    top = np.argmax(scores, axis=1)
+    m = scores[rows, top]
     e = np.exp(scores - m[:, None])
-    e[rows, np.argmax(scores, axis=1)] = 0.0
-    return m, np.log1p(np.sum(e, axis=1))
-
-
-def xent_rows(scores: np.ndarray, target) -> np.ndarray:
-    """Row-wise cross-entropy logsumexp(z) - z_t without cancellation.
-
-    Evaluated as (m - z_t) + log1p(sum_{k != argmax} exp(z_k - m)) with m
-    the row max. Both terms are >= 0, so a near-certain row keeps its tiny
-    loss instead of losing it to rounding in the difference of two large
-    numbers. ``target`` broadcasts against the leading axes of ``scores``.
-    """
-    lead = scores.shape[:-1]
-    Z = scores.reshape(-1, scores.shape[-1])
-    t = np.broadcast_to(target, lead).reshape(-1)
-    m, tail = _lse_parts(Z)
-    return ((m - Z[np.arange(Z.shape[0]), t]) + tail).reshape(lead)
+    P = e / np.sum(e, axis=1, keepdims=True)
+    e[rows, top] = 0.0
+    tail = np.log1p(np.sum(e, axis=1))
+    return (m - scores[rows, target]) + tail, P, m, tail
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -229,10 +219,6 @@ def sigmoid_bias_init(num_classes: int) -> float:
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     return -float(np.log(num_classes))
-
-
-def _one_hot(t: np.ndarray, num_classes: int) -> np.ndarray:
-    return np.eye(num_classes)[t]
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +319,26 @@ def _clean_head(spec: LossSpec, layer: FinalLayer, X: np.ndarray):
 
 def _softmax_ce(Z, t, spec=None):
     """-z_t + logsumexp(z); gradient softmax(z) - onehot."""
-    return xent_rows(Z, t), softmax_rows(Z) - _one_hot(t, Z.shape[1])
+    values, G, _, _ = softmax_xent_rows(Z, t)
+    G[np.arange(Z.shape[0]), t] -= 1.0
+    return values, G
 
 
 def _smoothed_ce(Z, t, spec):
     """Smoothed CE as (lse(z) - z_t) + alpha/(1-alpha) (lse(z) - mean(z)).
 
-    Both terms are >= 0, each split into max and log1p tail as in xent_rows.
+    Both terms are >= 0, each split into max and log1p tail as in
+    softmax_xent_rows. Gradient c softmax(z) - onehot - alpha c / K, with
+    c = 1/(1-alpha).
     """
     K, alpha = Z.shape[1], spec.alpha
     c = 1.0 / (1.0 - alpha)
-    m, tail = _lse_parts(Z)
-    values = xent_rows(Z, t) + alpha * c * ((m - Z.mean(axis=1)) + tail)
-    return values, c * softmax_rows(Z) - _one_hot(t, K) - alpha * c / K
+    values, G, m, tail = softmax_xent_rows(Z, t)
+    values += alpha * c * ((m - Z.mean(axis=1)) + tail)
+    G *= c
+    G[np.arange(Z.shape[0]), t] -= 1.0
+    G -= alpha * c / K
+    return values, G
 
 
 def _unit_logits(L, temperature: float):
@@ -368,11 +361,19 @@ def _logit_norm_ce(L, t, spec):
 
 
 def _sigmoid_ce(Z, t, spec=None):
-    """-z_t + sum_k softplus(z_k) as softplus(-z_t) + sum_{k != t} softplus(z_k)."""
+    """-z_t + sum_k softplus(z_k) as softplus(-z_t) + sum_{k != t} softplus(z_k).
+
+    softplus(z) = max(z, 0) + log1p(e) and sigmoid(z) = (1 or e)/(1 + e)
+    share e = exp(-|z|), which never overflows.
+    """
     rows = np.arange(Z.shape[0])
-    terms = softplus(Z)
-    terms[rows, t] = softplus(-Z[rows, t])
-    return terms.sum(axis=1), sigmoid(Z) - _one_hot(t, Z.shape[1])
+    e = np.exp(-np.abs(Z))
+    log1p_e = np.log1p(e)
+    terms = np.maximum(Z, 0.0) + log1p_e
+    terms[rows, t] = np.maximum(-Z[rows, t], 0.0) + log1p_e[rows, t]
+    G = np.where(Z >= 0, 1.0, e) / (1.0 + e)
+    G[rows, t] -= 1.0
+    return terms.sum(axis=1), G
 
 
 def _squared_error(Z, t, spec):
@@ -453,26 +454,37 @@ def _dropout_xent(layer, X, t, keep_prob: float, n_samples: int, rng):
     return value * inv, g_logits * inv, tuple(g * inv for g in grads)
 
 
-def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng):
+def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng,
+             backward: bool = True):
+    """(value, dL/dZ, head gradients (dW, db, dX), clean scores) of a spec.
+
+    Without backward no head gradient is formed (the tuple is empty), and
+    a dropout spec is evaluated with its mask off: softmax on its clean
+    logits. The clean scores are None only for a dropout backward without
+    a logit penalty, which never forms them.
+    """
     kind, beta, lam = _folded(spec)
-    if kind == "dropout":
+    grads, Z = (), None
+    if kind == "dropout" and backward:
         value, G, grads = _dropout_xent(layer, X, t, spec.keep_prob, n_samples, rng)
         if beta > 0.0:
             # penalty on the clean logits keeps the term deterministic
-            L, clean_backward = _clean_head(spec, layer, X)
-            penalty, q = _logit_penalty(L, beta)
+            Z, clean_backward = _clean_head(spec, layer, X)
+            penalty, q = _logit_penalty(Z, beta)
             value += penalty
             grads = tuple(a + b for a, b in zip(grads, clean_backward(q)))
     else:
-        Z, backward = _clean_head(spec, layer, X)
+        Z, head_backward = _clean_head(spec, layer, X)
         value, G = _mean_loss(kind, spec, beta, Z, t)
         # a plain linear head leaves its chain to the caller
-        grads = backward(G) if kind == "cosine_softmax" or lam > 0.0 else ()
+        if backward and (kind == "cosine_softmax" or lam > 0.0):
+            grads = head_backward(G)
     if lam > 0.0:
         penalty, gw = _weight_penalty(layer.weights, lam)
         value += penalty
-        grads = (grads[0] + gw,) + grads[1:]
-    return LossResult(value, G, *grads)
+        if grads:
+            grads = (grads[0] + gw,) + grads[1:]
+    return value, G, grads, Z
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +502,8 @@ def _on_logits(spec: LossSpec, logits, target) -> LossResult:
 def softmax_xent(logits, target) -> LossResult:
     """Mean cross-entropy -l_t + logsumexp(l); gradient (p - onehot)/n.
 
-    The value is evaluated in the cancellation-free form of ``xent_rows``.
+    The value is evaluated in the cancellation-free form of
+    ``softmax_xent_rows``.
     """
     return _on_logits(LossSpec("softmax"), logits, target)
 
@@ -612,13 +625,21 @@ def compose_loss(
             if seed is None:
                 raise ValueError("dropout needs an explicit seed or rng")
             rng = np.random.default_rng(seed)
-    res = _compose(spec, layer, X, t, n_samples, rng)
+    value, G, grads, _ = _compose(spec, layer, X, t, n_samples, rng)
+    res = LossResult(value, G, *grads)
     if squeeze:
         # weight/bias grads keep their natural shapes; only row grads drop
         res.grad_logits = res.grad_logits[0]
         if res.grad_features is not None:
             res.grad_features = res.grad_features[0]
     return res
+
+
+def _reported(spec: LossSpec, Z: np.ndarray) -> np.ndarray:
+    """The scores a spec reports, from its clean head's scores Z."""
+    if spec.kind == "logit_norm":
+        return _unit_logits(Z, spec.temperature)[0]
+    return Z
 
 
 def eval_scores(spec: LossSpec, layer: FinalLayer, features) -> np.ndarray:
@@ -629,14 +650,17 @@ def eval_scores(spec: LossSpec, layer: FinalLayer, features) -> np.ndarray:
     raw logits W x + b.
     """
     X, squeeze = _as_rows(features, "features", layer.feature_dim)
-    Z = _clean_head(spec, layer, X)[0]
-    if spec.kind == "logit_norm":
-        Z = _unit_logits(Z, spec.temperature)[0]
+    Z = _reported(spec, _clean_head(spec, layer, X)[0])
     return Z[0] if squeeze else Z
 
 
-def evaluation_loss(spec: LossSpec, layer: FinalLayer, features, target) -> float:
-    """Deterministic loss for logging: dropout specs evaluate mask-off."""
-    if spec.kind == "dropout":
-        spec = replace(spec, kind="softmax")
-    return compose_loss(spec, layer, features, target).value
+def evaluate(spec: LossSpec, layer: FinalLayer, features, target):
+    """(loss, eval_scores) for logging, from one head evaluation and no backward.
+
+    The loss is compose_loss's value, with a dropout spec's mask off.
+    """
+    X, squeeze = _as_rows(features, "features", layer.feature_dim)
+    t = _as_target(target, X.shape[0], layer.num_classes)
+    value, _, _, Z = _compose(spec, layer, X, t, 1, None, backward=False)
+    Z = _reported(spec, Z)
+    return value, Z[0] if squeeze else Z

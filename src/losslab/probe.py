@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .losses import softmax_rows, xent_rows
+from .losses import softmax_xent_rows
 
 DEFAULT_GRID = tuple(np.logspace(-6.0, 5.0, 45))
 
@@ -80,8 +80,8 @@ def _objective_and_grad(theta, Xa, y, lam):
     """J, its gradient and the softmax rows at theta = [W, b], shape (K, d+1)."""
     W = theta[:, :-1]
     Z = Xa @ theta.T
-    value = float(np.sum(xent_rows(Z, y))) + 0.5 * lam * float(np.sum(W * W))
-    P = softmax_rows(Z)
+    values, P, _, _ = softmax_xent_rows(Z, y)
+    value = float(np.sum(values)) + 0.5 * lam * float(np.sum(W * W))
     R = P.copy()
     R[np.arange(y.size), y] -= 1.0
     G = R.T @ Xa

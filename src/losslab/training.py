@@ -20,8 +20,7 @@ from .data import Batch
 from .losses import (
     LossSpec,
     compose_loss,
-    eval_scores,
-    evaluation_loss,
+    evaluate,
     linear_backward,
 )
 from .mlp import (
@@ -233,8 +232,8 @@ def train(
 
 def _epoch_record(model, spec, dataset, holdout, epoch, lr) -> EpochRecord:
     h = penultimate_features(model, dataset.features)
-    loss = evaluation_loss(spec, model.final, h, dataset.labels)
-    acc = _top1_acc(eval_scores(spec, model.final, h), dataset.labels)
+    loss, scores = evaluate(spec, model.final, h, dataset.labels)
+    acc = _top1_acc(scores, dataset.labels)
     hold = None
     if holdout is not None:
         hold = _top1_acc(model_scores(model, spec, holdout.features), holdout.labels)

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -317,17 +319,27 @@ class TestSmallHelpers:
         # sample std of {0.4, 0.6} is 0.1414..., over sqrt(2)
         assert se == pytest.approx(0.1)
 
-    def test_one_blas_thread_env_is_restored(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with harness._one_blas_thread_env():
-            assert [os.environ[v] for v in harness.BLAS_THREAD_VARS] == ["1"] * 3
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-        assert "MKL_NUM_THREADS" not in os.environ
-
     def test_run_failure_message(self):
         err = RunFailure("plain", 3, ValueError("exploded"))
         assert "loss=plain seed=3" in str(err)
         assert "exploded" in str(err)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+])
+def test_import_sets_one_blas_thread_unless_set(preset, expected):
+    # a fresh interpreter, as the CLI and every spawned --jobs worker start
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src
+    code = ("import os, losslab; "
+            f"print(' '.join(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == expected

@@ -7,13 +7,16 @@ boundary). Nothing here was tuned to the implementation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslab import losses
 from losslab.losses import (
+    LOSS_KINDS,
     LOSS_PARAMS,
     DegenerateInputError,
     FinalLayer,
@@ -23,18 +26,23 @@ from losslab.losses import (
     cosine_softmax_xent,
     dropout_xent,
     eval_scores,
-    evaluation_loss,
+    evaluate,
     extra_final_l2_penalty,
     label_smoothing_xent,
     logit_norm_xent,
     logit_penalty_xent,
     logsumexp_rows,
+    sigmoid,
     sigmoid_bias_init,
     sigmoid_xent,
+    softmax_rows,
     softmax_xent,
+    softmax_xent_rows,
     softplus,
     squared_error_loss,
 )
+from losslab.probe import _objective_and_grad
+from test_gradients import COMPOSED_SPECS
 
 
 class TestSoftmax:
@@ -442,7 +450,7 @@ class TestCompose:
         X = rng.standard_normal((4, 5))
         t = [0, 1, 2, 0]
         spec = LossSpec("dropout", keep_prob=0.5)
-        v = evaluation_loss(spec, layer, X, t)
+        v, _ = evaluate(spec, layer, X, t)
         ref = softmax_xent(X @ layer.weights.T + layer.bias, t).value
         assert v == ref
 
@@ -463,6 +471,110 @@ class TestEvalScores:
         X = rng.standard_normal((10, 6))
         Z = eval_scores(LossSpec("cosine_softmax", temperature=0.05), layer, X)
         assert np.all(np.abs(Z) <= 1.0 / 0.05 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernels give the bits of the separate passes they replaced
+
+
+def reference_xent_rows(Z, t):
+    """(m - z_t) + log1p(sum_{k != argmax} exp(z_k - m)), in separate passes."""
+    rows = np.arange(Z.shape[0])
+    m = np.max(Z, axis=1)
+    e = np.exp(Z - m[:, None])
+    e[rows, np.argmax(Z, axis=1)] = 0.0
+    return (m - Z[rows, t]) + np.log1p(np.sum(e, axis=1)), m, np.log1p(np.sum(e, axis=1))
+
+
+def one_hot(t, K):
+    return np.eye(K)[t]
+
+
+def kernel_cases():
+    rng = np.random.default_rng(40)
+    random = 3.0 * rng.standard_normal((64, 10))
+    certain = rng.standard_normal((16, 10))
+    certain[np.arange(16), np.arange(16) % 10] += 45.0  # gap >= 40
+    tied = np.array([[2.0, 2.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0],
+                     [-3.0, 5.0, 5.0, 5.0], [1.0, -2.0, 1.0, 0.5]])
+    return [
+        pytest.param(random, rng.integers(0, 10, 64), id="random"),
+        pytest.param(certain, np.arange(16) % 10, id="certain_target"),
+        pytest.param(certain, (np.arange(16) + 3) % 10, id="certain_other"),
+        pytest.param(tied, np.array([1, 3, 2, 2]), id="tied"),
+    ]
+
+
+@pytest.mark.parametrize("Z,t", kernel_cases())
+class TestOnePassKernels:
+    def test_values_and_softmax(self, Z, t):
+        values, P, m, tail = softmax_xent_rows(Z, t)
+        ref, ref_m, ref_tail = reference_xent_rows(Z, t)
+        np.testing.assert_array_equal(values, ref)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(tail, ref_tail)
+        np.testing.assert_array_equal(P, softmax_rows(Z))
+
+    def test_softmax_ce(self, Z, t):
+        values, G = losses._softmax_ce(Z, t)
+        np.testing.assert_array_equal(values, reference_xent_rows(Z, t)[0])
+        np.testing.assert_array_equal(G, softmax_rows(Z) - one_hot(t, Z.shape[1]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_smoothed_ce(self, Z, t, alpha):
+        K, c = Z.shape[1], 1.0 / (1.0 - alpha)
+        ref, m, tail = reference_xent_rows(Z, t)
+        ref = ref + alpha * c * ((m - Z.mean(axis=1)) + tail)
+        ref_G = c * softmax_rows(Z) - one_hot(t, K) - alpha * c / K
+        values, G = losses._smoothed_ce(Z, t, LossSpec("label_smoothing", alpha=alpha))
+        np.testing.assert_array_equal(values, ref)
+        np.testing.assert_array_equal(G, ref_G)
+
+    def test_sigmoid_ce(self, Z, t):
+        Z = np.vstack([Z, np.full((1, Z.shape[1]), 800.0)])
+        t = np.append(t, 0)
+        rows = np.arange(Z.shape[0])
+        terms = softplus(Z)
+        terms[rows, t] = softplus(-Z[rows, t])
+        values, G = losses._sigmoid_ce(Z, t)
+        np.testing.assert_array_equal(values, terms.sum(axis=1))
+        np.testing.assert_array_equal(G, sigmoid(Z) - one_hot(t, Z.shape[1]))
+
+    def test_probe_objective(self, Z, t):
+        # Z stands in for the features; the probe's scores are Xa theta^T
+        rng = np.random.default_rng(41)
+        K = 5
+        Xa = np.hstack([Z, np.ones((Z.shape[0], 1))])
+        theta = rng.standard_normal((K, Xa.shape[1]))
+        y = t % K
+        lam = 0.3
+        value, G, P = _objective_and_grad(theta, Xa, y, lam)
+        S = Xa @ theta.T
+        W = theta[:, :-1]
+        ref_G = (softmax_rows(S) - one_hot(y, K)).T @ Xa
+        ref_G[:, :-1] += lam * W
+        ref = float(np.sum(reference_xent_rows(S, y)[0])) + 0.5 * lam * float(np.sum(W * W))
+        assert value == ref
+        np.testing.assert_array_equal(G, ref_G)
+        np.testing.assert_array_equal(P, softmax_rows(S))
+
+
+def mask_off(spec):
+    return replace(spec, kind="softmax") if spec.kind == "dropout" else spec
+
+
+@pytest.mark.parametrize(
+    "spec", [LossSpec(kind) for kind in LOSS_KINDS] + COMPOSED_SPECS,
+    ids=lambda s: s.kind + "".join(f"+{p.kind}" for p in s.extra_penalties),
+)
+def test_evaluate_is_compose_value_and_eval_scores(spec):
+    rng = np.random.default_rng(42)
+    layer = FinalLayer(rng.standard_normal((4, 6)), rng.standard_normal(4))
+    X = rng.standard_normal((9, 6))
+    t = rng.integers(0, 4, 9)
+    value, scores = evaluate(spec, layer, X, t)
+    assert value == compose_loss(mask_off(spec), layer, X, t).value
+    np.testing.assert_array_equal(scores, eval_scores(spec, layer, X))
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

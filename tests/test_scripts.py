@@ -6,6 +6,7 @@ tracer is checked here too, for the program names it patches.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -90,3 +91,51 @@ def test_tracer_finds_every_patch_point(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRACE_INI = """\
+[dataset]
+kind = blobs
+classes = 4
+features = 8
+per_class = 30
+eval_per_class = 10
+spread = 0.8
+seed = 3
+
+[model]
+hidden = 16, 16
+
+[train]
+epochs = 6
+batch_size = 32
+peak_lr = 0.05
+
+[experiment]
+seeds = 0
+output = {out}
+
+[losses]
+plain = softmax
+"""
+
+
+def test_tracer_spans_every_step(tmp_path):
+    # a span count of zero would read as a layer that costs nothing: every
+    # patch point must still be on the path that train() takes
+    ini = tmp_path / "exp.ini"
+    ini.write_text(TRACE_INI.format(out=tmp_path / "out"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    trace = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
+         "train", "--config", str(ini)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[2] for span in json.loads(trace.read_text())["spans"]]
+    steps = names.count("training.loss_and_grads")
+    assert steps == 6 * 4  # 6 epochs of ceil(120 / 32) batches
+    assert names.count("losses.compose_loss") == steps
+    assert names.count("mlp.forward_hidden") == steps
+    assert names.count("training.epoch_log") == 6

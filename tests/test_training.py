@@ -1,10 +1,12 @@
 """Trainer behavior: determinism, logging, divergence, decay, EMA."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from losslab.data import make_blobs
-from losslab.losses import FinalLayer, LossSpec
+from losslab.losses import LOSS_KINDS, FinalLayer, LossSpec, compose_loss, eval_scores
 from losslab.mlp import (
     MlpModel,
     forward_hidden,
@@ -23,6 +25,7 @@ from losslab.training import (
     train,
     write_log_csv,
 )
+from test_gradients import COMPOSED_SPECS
 
 
 def small_data(seed=0, spread=0.2):
@@ -171,6 +174,22 @@ class TestLogging:
         for a, b in zip(r.log, back):
             assert b.train_loss == pytest.approx(a.train_loss, rel=1e-9)
             assert b.holdout_acc is None
+
+    @pytest.mark.parametrize(
+        "spec", [LossSpec(kind) for kind in LOSS_KINDS] + COMPOSED_SPECS,
+        ids=lambda s: s.kind + "".join(f"+{p.kind}" for p in s.extra_penalties),
+    )
+    def test_epoch_log_is_compose_value_and_eval_scores(self, spec):
+        # the log evaluates the head once, without a backward; its numbers
+        # must be those of the full objective (dropout with the mask off)
+        data = small_data()
+        r = train(small_model(spec=spec), data, cfg(loss=spec, epochs=2, peak_lr=1e-3))
+        final = r.model.final
+        h = penultimate_features(r.model, data.features)
+        plain = replace(spec, kind="softmax") if spec.kind == "dropout" else spec
+        acc = np.mean(np.argmax(eval_scores(spec, final, h), axis=1) == data.labels)
+        assert r.log[-1].train_loss == compose_loss(plain, final, h, data.labels).value
+        assert r.log[-1].train_acc == float(acc)
 
     def test_learns_separable_data(self):
         data = make_blobs(30, 3, 4, 0.05, seed=8)
