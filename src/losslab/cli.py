@@ -81,7 +81,7 @@ def cmd_report(args) -> int:
     if args.kind == "accuracy":
         paths = harness.report_accuracy(config)
     else:
-        paths = harness.REPORTERS[args.kind](config)
+        paths = harness.REPORTERS[args.kind](config, harness.load_runs(config))
     # the metadata records the settings of the report just rewritten
     harness.write_metadata(config)
     for path in paths:

@@ -14,7 +14,7 @@ differently, easy enough that every run converges.
 
 Every recipe is one ExperimentConfig. An experiment trains all of its runs
 with one harness.train_runs call, one worker per CPU, into a temporary
-directory, then reads what it measures back from the run artifacts.
+directory, then measures the trained models through harness.load_runs.
 """
 
 from __future__ import annotations
@@ -25,17 +25,15 @@ import tempfile
 import numpy as np
 
 from .agreement import agreement_matrix, linkage_dendrogram
+from .calibration import top1_predictions
 from .config import DatasetConfig, ExperimentConfig
 from .harness import (
     load_experiment_data,
-    load_model,
-    read_predictions_csv,
-    run_dir,
+    load_runs,
     train_runs,
     transfer_probe,
 )
 from .losses import LOSS_KINDS, LossSpec
-from .mlp import penultimate_features
 from .probe import ProbeConfig
 from .repr_analysis import class_separation_r2
 
@@ -50,12 +48,12 @@ CONVERGENCE_TASK = DatasetConfig(
 )
 
 
-def _train(recipes, seeds, task: DatasetConfig, output_dir) -> list:
+def _train(recipes, seeds, task: DatasetConfig, output_dir) -> tuple:
     """Train each (name, spec, train knobs) recipe at every seed into
-    output_dir; returns the run summaries, recipe by recipe."""
-    runs = []
-    for name, spec, knobs in recipes:
-        config = ExperimentConfig(
+    output_dir; returns one config per recipe and the run summaries,
+    recipe by recipe."""
+    configs = [
+        ExperimentConfig(
             dataset=task,
             hidden=(64, 64),
             train={"epochs": 40, "batch_size": 128, "peak_lr": 0.05, **knobs},
@@ -64,18 +62,19 @@ def _train(recipes, seeds, task: DatasetConfig, output_dir) -> list:
             analyses=(),
             output_dir=output_dir,
         )
-        runs.extend((config, name, spec, seed) for seed in config.seeds)
-    return train_runs(runs, jobs=min(len(runs), os.cpu_count() or 1))
+        for name, spec, knobs in recipes
+    ]
+    runs = [(c, name, spec, seed) for c in configs
+            for name, spec in c.losses for seed in c.seeds]
+    return configs, train_runs(runs, jobs=min(len(runs), os.cpu_count() or 1))
 
 
-def _model(output_dir, name, seed):
-    return load_model(run_dir(output_dir, name, seed) / "model.npz")
-
-
-def _r2(model, batch, index: str) -> float:
-    """R2 of the model's penultimate features on a labeled batch."""
-    feats = penultimate_features(model, batch.features)
-    return class_separation_r2(feats, batch.labels, index)
+def _r2s(config, batch, index: str) -> np.ndarray:
+    """Per-seed R2 of the config's penultimate features on a labeled batch."""
+    return np.asarray([
+        class_separation_r2(run.features, batch.labels, index)
+        for run in load_runs(config, batch)
+    ])
 
 
 # (name, spec, train knobs): per-loss optimizer settings, tuned so every
@@ -102,12 +101,10 @@ def separation_experiment(seeds=(0, 1, 2, 3, 4), index: str = "cosine") -> dict:
     """
     train_batch, _ = load_experiment_data(SEPARATION_TASK)
     with tempfile.TemporaryDirectory() as tmp:
-        _train(SEPARATION_LOSSES, seeds, SEPARATION_TASK, tmp)
+        configs, _ = _train(SEPARATION_LOSSES, seeds, SEPARATION_TASK, tmp)
         return {
-            name: np.asarray(
-                [_r2(_model(tmp, name, seed), train_batch, index) for seed in seeds]
-            )
-            for name, _, _ in SEPARATION_LOSSES
+            config.losses[0][0]: _r2s(config, train_batch, index)
+            for config in configs
         }
 
 
@@ -151,19 +148,16 @@ def temperature_experiment(
     ]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        _train(recipes, seeds, SEPARATION_TASK, tmp)
-        for tau, (name, _, _) in zip(taus, recipes):
-            r2s, accs = [], []
-            for seed in seeds:
-                model = _model(tmp, name, seed)
-                r2s.append(_r2(model, train_batch, index))
-                moved = penultimate_features(model, transfer_batch.features)
-                accs.append(
-                    transfer_probe(
-                        moved, transfer_batch.labels, merge, probe_cfg
-                    ).test_accuracy
-                )
-            out[tau] = {"r2": np.asarray(r2s), "transfer": np.asarray(accs)}
+        configs, _ = _train(recipes, seeds, SEPARATION_TASK, tmp)
+        for tau, config in zip(taus, configs):
+            accs = [
+                transfer_probe(
+                    run.features, transfer_batch.labels, merge, probe_cfg
+                ).test_accuracy
+                for run in load_runs(config, transfer_batch)
+            ]
+            out[tau] = {"r2": _r2s(config, train_batch, index),
+                        "transfer": np.asarray(accs)}
     return out
 
 
@@ -193,15 +187,11 @@ def agreement_experiment(seeds=(0, 1, 2, 3, 4), variant: str = "same_top1") -> d
     """
     _, eval_batch = load_experiment_data(AGREEMENT_TASK)
     with tempfile.TemporaryDirectory() as tmp:
-        summaries = _train(AGREEMENT_LOSSES, seeds, AGREEMENT_TASK, tmp)
-        preds = [
-            read_predictions_csv(
-                run_dir(tmp, s["loss"], s["seed"]) / "predictions.csv"
-            )[0]
-            for s in summaries
-        ]
-    names = [f"{s['loss']}:seed{s['seed']}" for s in summaries]
-    loss_of = [s["loss"] for s in summaries]
+        configs, _ = _train(AGREEMENT_LOSSES, seeds, AGREEMENT_TASK, tmp)
+        runs = [run for c in configs for run in load_runs(c, eval_batch)]
+    preds = [top1_predictions(run.scores) for run in runs]
+    names = [f"{run.name}:seed{run.seed}" for run in runs]
+    loss_of = [run.name for run in runs]
     mat = agreement_matrix(preds, eval_batch.labels, variant, names=names)
     merges = linkage_dendrogram(1.0 - mat.agree)
 
@@ -244,5 +234,5 @@ def convergence_experiment(seed: int = 0) -> dict:
         for kind, (spec, lr) in CONVERGENCE_RECIPES.items()
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        summaries = _train(recipes, (seed,), CONVERGENCE_TASK, tmp)
+        _, summaries = _train(recipes, (seed,), CONVERGENCE_TASK, tmp)
     return {s["loss"]: s["final_train_acc"] for s in summaries}

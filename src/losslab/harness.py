@@ -1,18 +1,20 @@
 """Config-driven experiment runner.
 
 For each (loss, seed) pair the runner trains a fresh MLP, then persists
-everything the analyses need under ``{out}/runs/{loss}/seed{N}/``:
+its artifacts under ``{out}/runs/{loss}/seed{N}/``:
 
     model.npz         trained weights (EMA shadow when enabled)
     train_log.csv     per-epoch lr / loss / accuracies
-    penultimate.dump  eval-split features + labels (ActivationDump)
-    eval_scores.dump  eval-split score matrix + labels
+    penultimate.dump  export copy: eval-split features + labels
+    eval_scores.dump  export copy: eval-split score matrix + labels
     predictions.csv   example_id, predicted_class, confidence
     run.json          loss line, seed, and final accuracies
 
-Reports under ``{out}/reports/`` are pure views over those artifacts:
-rerunning the same config reproduces every file byte for byte (no
-timestamps, fixed float formatting).
+Reports under ``{out}/reports/`` are pure views over ``model.npz`` and
+``run.json``: load_runs loads each model once and recomputes its features
+and scores on the data split, and no report reads a dump. Rerunning the
+same config reproduces every file byte for byte (no timestamps, fixed
+float formatting).
 
 run_single is the only code in losslab that trains a model; the CLI and
 the blobs experiments reach it through train_runs.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,8 @@ from .calibration import (
 )
 from .config import ExperimentConfig, format_loss_line
 from .data import Batch, load_csv, load_idx, make_blob_split
-from .dumps import read_activation_dump, write_activation_dump
+# read_activation_dump is unused here; perfbench/tracer.py patches it here
+from .dumps import read_activation_dump, write_activation_dump  # noqa: F401
 from .losses import LossSpec, eval_scores
 from .mlp import (
     FinalLayer,
@@ -129,19 +132,6 @@ def write_predictions_csv(path, predicted, confidence) -> None:
             fh.write(f"{i},{int(p)},{FMT % c}\n")
 
 
-def read_predictions_csv(path):
-    pred, conf = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "example_id,predicted_class,confidence":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            _, p, c = line.strip().split(",")
-            pred.append(int(p))
-            conf.append(float(c))
-    return np.asarray(pred, dtype=np.int64), np.asarray(conf)
-
-
 def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
                seed: int) -> dict:
     """Train one (loss, seed) pair and persist its artifact directory."""
@@ -227,11 +217,36 @@ def _run_names(config):
     return [f"{name}:seed{seed}" for name, _, seed in _runs(config)]
 
 
-def load_run_dump(config, name, seed, which):
-    path = run_dir(config.output_dir, name, seed) / which
-    if not path.exists():
-        raise FileNotFoundError(f"missing artifact {path}; run training first")
-    return read_activation_dump(path)
+@dataclass(frozen=True)
+class LoadedRun:
+    """A trained run and its penultimate features and scores on a batch."""
+
+    name: str
+    spec: LossSpec
+    seed: int
+    model: MlpModel
+    batch: Batch
+    features: np.ndarray
+    scores: np.ndarray
+
+
+def load_runs(config, batch: Batch | None = None) -> list:
+    """Every (loss, seed) run of the grid, loaded once from its model.npz.
+
+    batch defaults to the config's eval split; the records share it.
+    """
+    if batch is None:
+        batch = load_experiment_data(config.dataset)[1]
+    runs = []
+    for name, spec, seed in _runs(config):
+        path = run_dir(config.output_dir, name, seed) / "model.npz"
+        if not path.exists():
+            raise FileNotFoundError(f"missing artifact {path}; run training first")
+        model = load_model(path)
+        feats = penultimate_features(model, batch.features)
+        runs.append(LoadedRun(name, spec, seed, model, batch, feats,
+                              eval_scores(spec, model.final, feats)))
+    return runs
 
 
 def _mean_stderr(values) -> tuple:
@@ -268,68 +283,58 @@ def report_accuracy(config) -> tuple:
     return (path,)
 
 
-def report_separation(config) -> tuple:
+def report_separation(config, runs) -> tuple:
     path = reports_dir(config.output_dir) / "separation.csv"
     with open(path, "w") as fh:
         fh.write("loss,index,mean_r2,stderr\n")
         for name, _ in config.losses:
-            per_index = {ix: [] for ix in SEPARATION_INDEXES}
-            for seed in config.seeds:
-                d = load_run_dump(config, name, seed, "penultimate.dump")
-                for ix in SEPARATION_INDEXES:
-                    per_index[ix].append(
-                        class_separation_r2(d.data, d.labels, ix)
-                    )
+            mine = [r for r in runs if r.name == name]
             for ix in SEPARATION_INDEXES:
-                mean, se = _mean_stderr(per_index[ix])
+                mean, se = _mean_stderr(
+                    [class_separation_r2(r.features, r.batch.labels, ix)
+                     for r in mine]
+                )
                 fh.write(f"{name},{ix},{FMT % mean},{_fmt_opt(se)}\n")
     return (path,)
 
 
-def report_cka(config) -> tuple:
-    names = _run_names(config)
-    dumps = [
-        load_run_dump(config, name, seed, "penultimate.dump").data
-        for name, _, seed in _runs(config)
-    ]
-    m = len(dumps)
+def report_cka(config, runs) -> tuple:
+    m = len(runs)
     M = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            M[i, j] = M[j, i] = linear_cka(dumps[i], dumps[j])
+            M[i, j] = M[j, i] = linear_cka(runs[i].features, runs[j].features)
     path = reports_dir(config.output_dir) / "cka.csv"
-    _write_matrix_csv(path, names, M)
+    _write_matrix_csv(path, _run_names(config), M)
     return (path,)
 
 
-def report_sparsity(config) -> tuple:
+def report_sparsity(config, runs) -> tuple:
     """Fraction of active ReLU units per hidden layer on the eval split."""
-    _, eval_batch = load_experiment_data(config.dataset)
     path = reports_dir(config.output_dir) / "sparsity.csv"
     with open(path, "w") as fh:
         fh.write("loss,seed,layer,fraction_active\n")
-        for name, _, seed in _runs(config):
-            model = load_model(run_dir(config.output_dir, name, seed) / "model.npz")
-            acts = forward_hidden(model, eval_batch.features)[1:]
+        for run in runs:
+            acts = forward_hidden(run.model, run.batch.features)[1:]
             for layer, frac in enumerate(sparsity_profile(acts)):
-                fh.write(f"{name},{seed},{layer},{FMT % frac}\n")
+                fh.write(f"{run.name},{run.seed},{layer},{FMT % frac}\n")
     return (path,)
 
 
-def report_calibration(config) -> tuple:
+def report_calibration(config, runs) -> tuple:
     """calibration.json (pre/post temperature) + calibration_bins.csv."""
     rows = []
     table = {}
     for name, spec in config.losses:
         kind = prob_kind(spec)
-        runs = []
-        for seed in config.seeds:
-            d = load_run_dump(config, name, seed, "eval_scores.dump")
-            pre = ece(probs_from_logits(d.data, kind), d.labels)
-            temp, post = fit_temperature(d.data, d.labels, kind)
-            runs.append(
+        fits = []
+        for run in (r for r in runs if r.name == name):
+            labels = run.batch.labels
+            pre = ece(probs_from_logits(run.scores, kind), labels)
+            temp, post = fit_temperature(run.scores, labels, kind)
+            fits.append(
                 {
-                    "seed": seed,
+                    "seed": run.seed,
                     "nll": pre.nll,
                     "ece": pre.ece,
                     "temperature": temp,
@@ -339,13 +344,13 @@ def report_calibration(config) -> tuple:
             )
             for b in pre.bins:
                 rows.append(
-                    (name, seed, b.lower, b.upper, b.count,
+                    (name, run.seed, b.lower, b.upper, b.count,
                      b.accuracy, b.mean_confidence)
                 )
         table[name] = {
-            "runs": runs,
+            "runs": fits,
             "mean": {
-                key: _mean_stderr([r[key] for r in runs])[0]
+                key: _mean_stderr([f[key] for f in fits])[0]
                 for key in ("nll", "ece", "temperature", "nll_scaled", "ece_scaled")
             },
         }
@@ -365,19 +370,12 @@ def report_calibration(config) -> tuple:
     return json_path, bins_path
 
 
-def report_agreement(config) -> tuple:
+def report_agreement(config, runs) -> tuple:
     """Agreement matrix over all runs + average-linkage merge list."""
     names = _run_names(config)
-    preds = []
-    labels = None
-    for name, _, seed in _runs(config):
-        p, _ = read_predictions_csv(
-            run_dir(config.output_dir, name, seed) / "predictions.csv"
-        )
-        preds.append(p)
-        if labels is None:
-            labels = load_run_dump(config, name, seed, "penultimate.dump").labels
-    mat = agreement_matrix(preds, labels, config.agreement_variant, names=names)
+    preds = [top1_predictions(r.scores) for r in runs]
+    mat = agreement_matrix(preds, runs[0].batch.labels, config.agreement_variant,
+                           names=names)
     rdir = reports_dir(config.output_dir)
     mat_path = rdir / f"agreement_{config.agreement_variant}.csv"
     _write_matrix_csv(mat_path, names, mat.agree)
@@ -393,27 +391,25 @@ def report_agreement(config) -> tuple:
     return mat_path, link_path
 
 
-def report_avh(config) -> tuple:
+def report_avh(config, runs) -> tuple:
     path = reports_dir(config.output_dir) / "avh.csv"
     with open(path, "w") as fh:
         fh.write("loss,seed,mean_avh\n")
-        for name, _, seed in _runs(config):
-            model = load_model(run_dir(config.output_dir, name, seed) / "model.npz")
-            d = load_run_dump(config, name, seed, "penultimate.dump")
-            avh = angular_visual_hardness(model.final, d.data, d.labels)
-            fh.write(f"{name},{seed},{FMT % float(avh.mean())}\n")
+        for run in runs:
+            avh = angular_visual_hardness(run.model.final, run.features,
+                                          run.batch.labels)
+            fh.write(f"{run.name},{run.seed},{FMT % float(avh.mean())}\n")
     return (path,)
 
 
-def report_spectra(config) -> tuple:
+def report_spectra(config, runs) -> tuple:
     """Singular values of centered penultimate activations, descending."""
     path = reports_dir(config.output_dir) / "spectra.csv"
     with open(path, "w") as fh:
         fh.write("loss,seed,rank,sigma\n")
-        for name, _, seed in _runs(config):
-            d = load_run_dump(config, name, seed, "penultimate.dump")
-            for rank, s in enumerate(singular_spectrum(d.data, "activations")):
-                fh.write(f"{name},{seed},{rank},{FMT % s}\n")
+        for run in runs:
+            for rank, s in enumerate(singular_spectrum(run.features)):
+                fh.write(f"{run.name},{run.seed},{rank},{FMT % s}\n")
     return (path,)
 
 
@@ -439,28 +435,28 @@ def transfer_probe(features, labels, merge: int, probe_config: ProbeConfig,
     return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
 
 
-def report_transfer(config) -> tuple:
+def report_transfer(config, runs) -> tuple:
     """Coarse-label probe accuracy per run, with whether every fit behind it
     (the lambda path and the refit) converged and its largest gradient norm."""
     path = reports_dir(config.output_dir) / "transfer.csv"
     with open(path, "w") as fh:
         fh.write("loss,seed,merge,probe_acc,converged,max_grad_norm\n")
-        for name, _, seed in _runs(config):
-            d = load_run_dump(config, name, seed, "penultimate.dump")
+        for run in runs:
             res = transfer_probe(
-                d.data, d.labels, config.transfer_merge, ProbeConfig()
+                run.features, run.batch.labels, config.transfer_merge,
+                ProbeConfig(),
             )
             converged = bool(res.converged.all()) and res.refit_converged
             max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
             fh.write(
-                f"{name},{seed},{config.transfer_merge},"
+                f"{run.name},{run.seed},{config.transfer_merge},"
                 f"{FMT % res.test_accuracy},{int(converged)},{FMT % max_gn}\n"
             )
     return (path,)
 
 
-# analysis name -> reporter; like report_accuracy, each returns the tuple
-# of paths it wrote
+# analysis name -> reporter(config, load_runs(config)); like
+# report_accuracy, each returns the tuple of paths it wrote
 REPORTERS = {
     "separation": report_separation,
     "cka": report_cka,
@@ -497,20 +493,12 @@ def write_reports(config) -> list:
     """Accuracy table plus every enabled analysis; returns written paths."""
     reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
     written = list(report_accuracy(config))
-    for analysis in config.analyses:
-        written.extend(REPORTERS[analysis](config))
+    if config.analyses:
+        runs = load_runs(config)
+        for analysis in config.analyses:
+            written.extend(REPORTERS[analysis](config, runs))
     written.append(write_metadata(config))
     return written
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
-    """Full pipeline: train the grid, then write reports after the barrier."""
-    summaries = run_all(config, jobs=jobs)
-    reports = write_reports(config)
-    return {
-        "runs": summaries,
-        "reports": [str(p) for p in reports],
-    }
 
 
 def dump_activations(model_path, dataset: Batch, out_path) -> None:

@@ -13,7 +13,6 @@ import numpy as np
 from .losses import NORM_EPS, DegenerateInputError, FinalLayer
 
 SEPARATION_INDEXES = ("cosine", "cosine_mean_subtracted", "euclidean")
-SPECTRUM_MODES = ("activations", "weights", "class_centroids")
 
 
 def _check_matrix(X, min_rows=1) -> np.ndarray:
@@ -150,21 +149,8 @@ def angular_visual_hardness(layer: FinalLayer, features, labels) -> np.ndarray:
     return A[np.arange(X.shape[0]), y] / denom
 
 
-def singular_spectrum(X, mode: str = "activations", labels=None) -> np.ndarray:
-    """Descending singular values; activations/centroids are mean-centered."""
-    if mode not in SPECTRUM_MODES:
-        raise ValueError(f"mode must be one of {SPECTRUM_MODES}, got {mode!r}")
+def singular_spectrum(X) -> np.ndarray:
+    """Descending singular values of the column-centered matrix."""
     X = _check_matrix(X)
-    if mode == "class_centroids":
-        if labels is None:
-            raise ValueError("class_centroids mode needs labels")
-        y, k, counts = _check_labels(labels, X.shape[0])
-        if k < 2:
-            raise ValueError("need at least 2 classes for centroids")
-        cent = np.zeros((k, X.shape[1]))
-        np.add.at(cent, y, X)
-        X = cent / counts[:, None]
-    if mode in ("activations", "class_centroids"):
-        X = X - X.mean(axis=0)
-    s = np.linalg.svd(X, compute_uv=False)
+    s = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
     return np.sort(s)[::-1]

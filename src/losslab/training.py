@@ -254,23 +254,3 @@ def write_log_csv(log, path) -> None:
                     "" if rec.holdout_acc is None else "%.10g" % rec.holdout_acc,
                 ]
             )
-
-
-def read_log_csv(path) -> list:
-    out = []
-    with open(path) as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["epoch", "lr", "train_loss", "train_acc", "holdout_acc"]:
-            raise ValueError(f"{path}: unexpected log header {header}")
-        for row in r:
-            out.append(
-                EpochRecord(
-                    int(row[0]),
-                    float(row[1]),
-                    float(row[2]),
-                    float(row[3]),
-                    None if row[4] == "" else float(row[4]),
-                )
-            )
-    return out

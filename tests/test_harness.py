@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,18 +15,18 @@ import pytest
 
 from losslab import harness
 from losslab.config import ANALYSES, DatasetConfig, ExperimentConfig
+from losslab.dumps import read_activation_dump
 from losslab.harness import (
     RunFailure,
     load_model,
-    load_run_dump,
+    load_runs,
     merge_labels,
-    read_predictions_csv,
     run_all,
     run_dir,
-    run_experiment,
     save_model,
     train_runs,
     write_predictions_csv,
+    write_reports,
 )
 from losslab.losses import LossSpec
 from losslab.mlp import init_mlp
@@ -59,6 +60,13 @@ def tiny_config(output_dir) -> ExperimentConfig:
     )
 
 
+def read_predictions(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return (np.array([int(r["predicted_class"]) for r in rows]),
+            np.array([float(r["confidence"]) for r in rows]))
+
+
 def tree_digest(root) -> dict:
     out = {}
     for path in sorted(Path(root).rglob("*")):
@@ -72,8 +80,8 @@ def tree_digest(root) -> dict:
 def experiment(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
     config = tiny_config(out)
-    result = run_experiment(config)
-    return config, result
+    summaries = run_all(config)
+    return config, {"runs": summaries, "reports": write_reports(config)}
 
 
 class TestRunArtifacts:
@@ -100,16 +108,19 @@ class TestRunArtifacts:
 
     def test_dump_round_trip(self, experiment):
         config, _ = experiment
-        dump = load_run_dump(config, "plain", 0, "penultimate.dump")
+        d = run_dir(config.output_dir, "plain", 0)
+        dump = read_activation_dump(d / "penultimate.dump")
         assert dump.data.shape == (4 * 10, 16)
         assert dump.labels.shape == (40,)
-        scores = load_run_dump(config, "plain", 0, "eval_scores.dump")
+        scores = read_activation_dump(d / "eval_scores.dump")
         assert scores.data.shape == (40, 4)
 
     def test_missing_dump_names_artifact(self, experiment):
         config, _ = experiment
-        with pytest.raises(FileNotFoundError, match="run training first"):
-            load_run_dump(config, "plain", 7, "penultimate.dump")
+        missing = run_dir(config.output_dir, "plain", 7) / "model.npz"
+        with pytest.raises(FileNotFoundError, match="run training first") as err:
+            load_runs(replace(config, seeds=(7,)))
+        assert str(missing) in str(err.value)
 
     def test_predictions_csv_layout(self, experiment):
         config, _ = experiment
@@ -117,7 +128,7 @@ class TestRunArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "example_id,predicted_class,confidence"
         assert len(lines) == 1 + 40
-        pred, conf = read_predictions_csv(path)
+        pred, conf = read_predictions(path)
         assert pred.shape == conf.shape == (40,)
         assert np.all((conf > 0) & (conf <= 1))
 
@@ -202,11 +213,54 @@ class TestReports:
         assert meta["transfer_merge"] == 5
 
 
+class TestFeaturePath:
+    def test_reports_need_no_dumps(self, experiment, tmp_path):
+        # reports are views over model.npz and run.json: without the dumps
+        # the same eight analyses write the same bytes
+        config, _ = experiment
+        shutil.copytree(Path(config.output_dir) / "runs", tmp_path / "runs")
+        dumps = sorted((tmp_path / "runs").rglob("*.dump"))
+        assert len(dumps) == 4 * 2
+        for path in dumps:
+            path.unlink()
+        write_reports(replace(config, output_dir=str(tmp_path)))
+        assert tree_digest(tmp_path / "reports") == tree_digest(
+            Path(config.output_dir) / "reports"
+        )
+
+    def test_dumps_are_faithful_exports(self, experiment, tmp_path):
+        # the loader recomputes exactly what run_single dumped, also for a
+        # dropout head, a cosine head and an EMA shadow
+        config, _ = experiment
+        base = replace(tiny_config(tmp_path), seeds=(0,))
+        kinds = replace(base, output_dir=str(tmp_path / "kinds"), losses=(
+            ("drop", LossSpec("dropout", keep_prob=0.7)),
+            ("cos", LossSpec("cosine_softmax", temperature=0.05)),
+        ))
+        ema = replace(base, output_dir=str(tmp_path / "ema"),
+                      losses=(("ema", LossSpec("softmax")),),
+                      train={**base.train, "ema_momentum": 0.9})
+        run_all(kinds)
+        run_all(ema)
+        checked = 0
+        for c in (config, kinds, ema):
+            for run in load_runs(c):
+                d = run_dir(c.output_dir, run.name, run.seed)
+                feats = read_activation_dump(d / "penultimate.dump")
+                scores = read_activation_dump(d / "eval_scores.dump")
+                assert np.array_equal(run.features, feats.data)
+                assert np.array_equal(run.scores, scores.data)
+                assert np.array_equal(run.batch.labels, feats.labels)
+                checked += 1
+        assert checked == 4 + 2 + 1
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, experiment, tmp_path):
         config, _ = experiment
         other = tiny_config(tmp_path / "again")
-        run_experiment(other)
+        run_all(other)
+        write_reports(other)
         first = tree_digest(config.output_dir)
         second = tree_digest(other.output_dir)
         assert first == second
@@ -263,7 +317,7 @@ class TestFailurePropagation:
         )
         with pytest.raises(RunFailure, match="loss=boom seed=0"):
             with np.errstate(all="ignore"):
-                run_experiment(boom)
+                run_all(boom)
 
     def test_bad_data_path_names_loss_and_seed(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -277,7 +331,7 @@ class TestFailurePropagation:
             analyses=(), output_dir=str(tmp_path / "lost"),
         )
         with pytest.raises(RunFailure, match="loss=lost seed=4"):
-            run_experiment(bad)
+            run_all(bad)
         with pytest.raises(RunFailure, match="loss=lost seed=4"):
             run_all(bad, jobs=2)
 
@@ -299,7 +353,7 @@ class TestSmallHelpers:
         pred = np.array([0, 2, 1], dtype=np.int64)
         conf = np.array([0.5, 0.75, 1.0])
         write_predictions_csv(tmp_path / "p.csv", pred, conf)
-        p2, c2 = read_predictions_csv(tmp_path / "p.csv")
+        p2, c2 = read_predictions(tmp_path / "p.csv")
         np.testing.assert_array_equal(pred, p2)
         np.testing.assert_allclose(conf, c2)
 

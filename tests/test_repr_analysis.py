@@ -247,41 +247,18 @@ class TestAvh:
 
 
 class TestSpectra:
-    def test_identity_weights_mode(self):
-        np.testing.assert_allclose(
-            singular_spectrum(np.eye(3), "weights"), [1.0, 1.0, 1.0]
-        )
-
     def test_rank_one(self):
         X = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-        s = singular_spectrum(X, "weights")
+        s = singular_spectrum(X)
         assert s[0] > 1e-6
         assert np.all(s[1:] < 1e-10)
 
-    def test_frobenius_identity_uncentered(self):
-        X = np.random.default_rng(13).standard_normal((10, 4))
-        s = singular_spectrum(X, "weights")
-        assert np.sum(s**2) == pytest.approx(np.sum(X**2), abs=1e-8)
-
     def test_activations_mode_centers(self):
         X = np.random.default_rng(14).standard_normal((10, 4))
-        s = singular_spectrum(X, "activations")
+        s = singular_spectrum(X)
         Xc = X - X.mean(axis=0)
         assert np.sum(s**2) == pytest.approx(np.sum(Xc**2), abs=1e-8)
         assert np.all(np.diff(s) <= 1e-15)  # descending
-
-    def test_centroid_mode(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((12, 5))
-        y = np.repeat(np.arange(3), 4)
-        s = singular_spectrum(X, "class_centroids", labels=y)
-        cent = np.stack([X[y == k].mean(0) for k in range(3)])
-        cent = cent - cent.mean(axis=0)
-        np.testing.assert_allclose(s, np.linalg.svd(cent, compute_uv=False), atol=1e-10)
-
-    def test_centroid_mode_needs_labels(self):
-        with pytest.raises(ValueError):
-            singular_spectrum(np.ones((4, 2)), "class_centroids")
 
 
 def test_one_hot_matrix():
