@@ -1,5 +1,8 @@
 """Cross-model prediction agreement, average-linkage clustering.
 
+agreement_matrix returns the (m, m) array of pairwise agreements of m
+prediction vectors, in their order; callers keep their own run names.
+
 Agreement variants:
   same_top1                        equal predictions
   both_correct_or_both_incorrect   matching correctness indicator
@@ -9,8 +12,6 @@ Agreement variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 AGREEMENT_VARIANTS = (
@@ -18,13 +19,6 @@ AGREEMENT_VARIANTS = (
     "both_correct_or_both_incorrect",
     "agree_on_mutual_errors",
 )
-
-
-@dataclass
-class AgreementMatrix:
-    models: list
-    agree: np.ndarray  # (m, m), NaN where undefined
-    variant: str
 
 
 def _pair_agreement(pi, pj, y, variant: str) -> float:
@@ -38,8 +32,8 @@ def _pair_agreement(pi, pj, y, variant: str) -> float:
     return float(np.mean(pi[mutual] == pj[mutual]))
 
 
-def agreement_matrix(predictions, labels, variant: str = "same_top1",
-                     names=None) -> AgreementMatrix:
+def agreement_matrix(predictions, labels, variant: str = "same_top1") -> np.ndarray:
+    """(m, m) symmetric agreement of m prediction vectors, NaN where undefined."""
     if variant not in AGREEMENT_VARIANTS:
         raise ValueError(f"variant must be one of {AGREEMENT_VARIANTS}, got {variant!r}")
     preds = [np.asarray(p, dtype=np.int64).reshape(-1) for p in predictions]
@@ -50,15 +44,11 @@ def agreement_matrix(predictions, labels, variant: str = "same_top1",
         if p.shape != y.shape:
             raise ValueError(f"prediction {i} has length {p.shape[0]}, labels {y.shape[0]}")
     m = len(preds)
-    if names is None:
-        names = [str(i) for i in range(m)]
-    if len(names) != m:
-        raise ValueError(f"{len(names)} names for {m} prediction vectors")
     A = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
             A[i, j] = A[j, i] = _pair_agreement(preds[i], preds[j], y, variant)
-    return AgreementMatrix(list(names), A, variant)
+    return A
 
 
 def linkage_dendrogram(distance) -> np.ndarray:

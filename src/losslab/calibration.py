@@ -2,8 +2,11 @@
 post-hoc temperature scaling.
 
 Probabilities come from softmax rows for every loss kind except sigmoid,
-whose per-class sigmoids are renormalized by the row sum. ECE uses 15
-equal-width right-closed bins on (0, 1]; confidence 0 lands in bin 1.
+whose per-class sigmoids are renormalized by the row sum. Either way
+probs_from_logits returns a plain (n, K) array with entries in [0, 1] and
+rows summing to 1; the unit tests hold it to that, so nothing re-checks it
+per call. nll and ece take any (n, K) array. ECE uses 15 equal-width
+right-closed bins on (0, 1]; confidence 0 lands in bin 1.
 """
 
 from __future__ import annotations
@@ -16,23 +19,6 @@ import numpy as np
 from .losses import sigmoid, softmax_rows
 
 PROB_CLAMP = 1e-12
-
-
-@dataclass
-class ProbabilityBatch:
-    probs: np.ndarray  # (n, K)
-    source: str  # "softmax" | "sigmoid_normalized"
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2:
-            raise ValueError(f"probs must be 2d, got {self.probs.shape}")
-        if self.source not in ("softmax", "sigmoid_normalized"):
-            raise ValueError(f"unknown source {self.source!r}")
-        if np.any(self.probs < 0) or np.any(self.probs > 1):
-            raise ValueError("probabilities outside [0, 1]")
-        if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError("probability rows do not sum to 1")
 
 
 @dataclass
@@ -52,17 +38,23 @@ class CalibrationReport:
     bins: list = field(default_factory=list)
 
 
-def probs_from_logits(logits, loss_kind: str) -> ProbabilityBatch:
+def probs_from_logits(logits, loss_kind: str) -> np.ndarray:
+    """(n, K) probabilities: normalized sigmoids for "sigmoid", else softmax."""
     L = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     if not np.all(np.isfinite(L)):
         raise ValueError("logits contain non-finite entries")
     if loss_kind == "sigmoid":
         s = sigmoid(L)
         denom = s.sum(axis=1, keepdims=True)
-        if np.any(denom <= 0):  # unreachable for finite logits, kept as a guard
-            raise ValueError("sigmoid row sum is zero")
-        return ProbabilityBatch(s / denom, "sigmoid_normalized")
-    return ProbabilityBatch(softmax_rows(L), "softmax")
+        # a row whose sigmoids sum below the normal range (every logit under
+        # about -708) holds e^l up to underflow, since 1 + e^l rounds to 1;
+        # its normalized value is softmax(l), computed without underflow
+        low = denom[:, 0] < np.finfo(np.float64).tiny
+        if low.any():
+            s[low] = softmax_rows(L[low])
+            denom[low] = 1.0
+        return s / denom
+    return softmax_rows(L)
 
 
 def top1_predictions(scores) -> np.ndarray:
@@ -70,14 +62,8 @@ def top1_predictions(scores) -> np.ndarray:
     return np.argmax(np.atleast_2d(scores), axis=1)
 
 
-def _as_probs(probs) -> np.ndarray:
-    if isinstance(probs, ProbabilityBatch):
-        return probs.probs
-    return np.atleast_2d(np.asarray(probs, dtype=np.float64))
-
-
 def nll(probs, labels) -> float:
-    P = _as_probs(probs)
+    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape != (P.shape[0],):
         raise ValueError(f"{y.shape[0]} labels for {P.shape[0]} rows")
@@ -86,7 +72,7 @@ def nll(probs, labels) -> float:
 
 
 def ece(probs, labels, n_bins: int = 15) -> CalibrationReport:
-    P = _as_probs(probs)
+    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = P.shape[0]
     if y.shape != (n,):

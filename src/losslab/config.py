@@ -170,6 +170,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"loss name {name!r} must match {_RUN_NAME.pattern}"
                 )
+        if not self.hidden:
+            raise ValueError("hidden needs at least one width")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         # the knobs are shared by every run, so one TrainConfig checks them all
@@ -177,6 +179,8 @@ class ExperimentConfig:
         for a in self.analyses:
             if a not in ANALYSES:
                 raise ValueError(f"unknown analysis {a!r}; choose from {ANALYSES}")
+        if len(set(self.analyses)) != len(self.analyses):
+            raise ValueError(f"duplicate analyses in {self.analyses}")
         if self.agreement_variant not in AGREEMENT_VARIANTS:
             raise ValueError(
                 f"agreement_variant must be one of {AGREEMENT_VARIANTS}"

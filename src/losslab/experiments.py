@@ -192,17 +192,17 @@ def agreement_experiment(seeds=(0, 1, 2, 3, 4), variant: str = "same_top1") -> d
     preds = [top1_predictions(run.scores) for run in runs]
     names = [f"{run.name}:seed{run.seed}" for run in runs]
     loss_of = [run.name for run in runs]
-    mat = agreement_matrix(preds, eval_batch.labels, variant, names=names)
-    merges = linkage_dendrogram(1.0 - mat.agree)
+    agree = agreement_matrix(preds, eval_batch.labels, variant)
+    merges = linkage_dendrogram(1.0 - agree)
 
     same = np.equal.outer(loss_of, loss_of)
     off = ~np.eye(len(names), dtype=bool)
-    within = float(mat.agree[same & off].mean())
-    cross = float(mat.agree[~same].mean())
+    within = float(agree[same & off].mean())
+    cross = float(agree[~same].mean())
     return {
         "names": names,
         "loss_of": loss_of,
-        "agreement": mat.agree,
+        "agreement": agree,
         "merges": merges,
         "within_mean": within,
         "cross_mean": cross,

@@ -113,10 +113,6 @@ def load_experiment_data(ds) -> tuple:
     )
 
 
-def prob_kind(spec: LossSpec) -> str:
-    return "sigmoid" if spec.kind == "sigmoid" else "softmax"
-
-
 def run_dir(output_dir, loss_name: str, seed: int) -> Path:
     return Path(output_dir) / "runs" / loss_name / f"seed{seed}"
 
@@ -156,7 +152,7 @@ def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
     scores = eval_scores(spec, final_model.final, feats)
     write_activation_dump(out / "eval_scores.dump", scores, eval_batch.labels)
 
-    probs = probs_from_logits(scores, prob_kind(spec)).probs
+    probs = probs_from_logits(scores, spec.kind)
     pred = top1_predictions(scores)
     write_predictions_csv(out / "predictions.csv", pred, probs.max(axis=1))
 
@@ -326,12 +322,11 @@ def report_calibration(config, runs) -> tuple:
     rows = []
     table = {}
     for name, spec in config.losses:
-        kind = prob_kind(spec)
         fits = []
         for run in (r for r in runs if r.name == name):
             labels = run.batch.labels
-            pre = ece(probs_from_logits(run.scores, kind), labels)
-            temp, post = fit_temperature(run.scores, labels, kind)
+            pre = ece(probs_from_logits(run.scores, spec.kind), labels)
+            temp, post = fit_temperature(run.scores, labels, spec.kind)
             fits.append(
                 {
                     "seed": run.seed,
@@ -374,14 +369,13 @@ def report_agreement(config, runs) -> tuple:
     """Agreement matrix over all runs + average-linkage merge list."""
     names = _run_names(config)
     preds = [top1_predictions(r.scores) for r in runs]
-    mat = agreement_matrix(preds, runs[0].batch.labels, config.agreement_variant,
-                           names=names)
+    agree = agreement_matrix(preds, runs[0].batch.labels, config.agreement_variant)
     rdir = reports_dir(config.output_dir)
     mat_path = rdir / f"agreement_{config.agreement_variant}.csv"
-    _write_matrix_csv(mat_path, names, mat.agree)
+    _write_matrix_csv(mat_path, names, agree)
     # cluster on disagreement; the mutual-error variant leaves NaN for
     # pairs with no shared mistakes, so linkage only runs when finite
-    dist = 1.0 - mat.agree
+    dist = 1.0 - agree
     link_path = rdir / "linkage.csv"
     with open(link_path, "w") as fh:
         fh.write("step,id_a,id_b,distance\n")

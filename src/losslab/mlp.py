@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import FinalLayer, LossSpec, eval_scores, sigmoid_bias_init
+from .losses import FinalLayer, LossSpec, sigmoid_bias_init
 
 
 @dataclass
@@ -117,8 +117,3 @@ def forward_hidden(model: MlpModel, X: np.ndarray) -> list:
 
 def penultimate_features(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return forward_hidden(model, X)[-1]
-
-
-def model_scores(model: MlpModel, spec: LossSpec, X: np.ndarray) -> np.ndarray:
-    """Deterministic eval-time scores for a spec (see losses.eval_scores)."""
-    return eval_scores(spec, model.final, penultimate_features(model, X))

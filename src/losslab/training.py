@@ -16,27 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibration import top1_predictions
 from .data import Batch
-from .losses import (
-    LossSpec,
-    compose_loss,
-    evaluate,
-    linear_backward,
-)
-from .mlp import (
-    MlpModel,
-    forward_hidden,
-    model_from_params,
-    model_scores,
-    penultimate_features,
-)
-from .optim import (
-    CosineSchedule,
-    WarmupExponentialSchedule,
-    lr_at,
-    sgd_nesterov_step,
-    weight_decay_grad,
-)
+from .losses import LossSpec, compose_loss, eval_scores, evaluate, linear_backward
+from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
+from .optim import lr_at, sgd_nesterov_step, weight_decay_grad
 
 SCHEDULE_KINDS = ("cosine", "warmup_exp")
 
@@ -106,22 +90,6 @@ class TrainResult:
     log: list = field(default_factory=list)
 
 
-def _top1_acc(scores: np.ndarray, labels: np.ndarray) -> float:
-    # argmax takes the first maximum, i.e. ties resolve to the lower index
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
-
-
-def _build_schedule(config: TrainConfig, steps_per_epoch: int):
-    if config.schedule == "cosine":
-        return CosineSchedule(config.peak_lr)
-    return WarmupExponentialSchedule(
-        config.peak_lr,
-        config.warmup_epochs,
-        config.decay_per_epoch,
-        steps_per_epoch,
-    )
-
-
 def loss_and_grads(
     model: MlpModel,
     spec: LossSpec,
@@ -181,7 +149,6 @@ def train(
     n = dataset.n
     steps_per_epoch = max(1, -(-n // config.batch_size))  # ceil
     total_steps = max(1, config.epochs * steps_per_epoch)
-    schedule = _build_schedule(config, steps_per_epoch)
 
     params = model.params()
     theta = np.concatenate(params, axis=None)
@@ -199,7 +166,7 @@ def train(
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            lr = float(lr_at(schedule, step, total_steps))
+            lr = float(lr_at(config, step, total_steps, steps_per_epoch))
             value, grads = loss_and_grads(
                 model, spec, dataset.features[idx], dataset.labels[idx], dropout_rng
             )
@@ -233,10 +200,13 @@ def train(
 def _epoch_record(model, spec, dataset, holdout, epoch, lr) -> EpochRecord:
     h = penultimate_features(model, dataset.features)
     loss, scores = evaluate(spec, model.final, h, dataset.labels)
-    acc = _top1_acc(scores, dataset.labels)
+    acc = float(np.mean(top1_predictions(scores) == dataset.labels))
     hold = None
     if holdout is not None:
-        hold = _top1_acc(model_scores(model, spec, holdout.features), holdout.labels)
+        hold_scores = eval_scores(
+            spec, model.final, penultimate_features(model, holdout.features)
+        )
+        hold = float(np.mean(top1_predictions(hold_scores) == holdout.labels))
     return EpochRecord(epoch, lr, float(loss), acc, hold)
 
 

@@ -419,7 +419,7 @@ def test_03_metric_oracles():
 
     for _ in range(20):
         n, k = int(rng.integers(5, 80)), int(rng.integers(2, 9))
-        P = probs_from_logits(2.0 * rng.standard_normal((n, k)), "softmax").probs
+        P = probs_from_logits(2.0 * rng.standard_normal((n, k)), "softmax")
         y = rng.integers(0, k, size=n)
         gaps["ece"] = max(gaps["ece"], abs(ece(P, y).ece - _ece_bin_loop(P, y)))
 
@@ -513,8 +513,8 @@ def test_04_calibration_contracts():
         pre_probs = probs_from_logits(L, kind)
         T, rep = fit_temperature(L, y, kind)
         if np.any(
-            top1_predictions(probs_from_logits(L / T, kind).probs)
-            != top1_predictions(pre_probs.probs)
+            top1_predictions(probs_from_logits(L / T, kind))
+            != top1_predictions(pre_probs)
         ):
             flips += 1
         nll_rise = max(nll_rise, rep.nll - nll(pre_probs, y))
@@ -645,7 +645,7 @@ def test_09_probe_mechanics():
     warm_w = warm_b = None
     max_gap = 0.0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         for lam in DEFAULT_GRID:
             warm = fit_logreg(X, y, lam, k, init_weights=warm_w, init_bias=warm_b,
                               tolerance=1e-6, max_iterations=15000)

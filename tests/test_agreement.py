@@ -15,18 +15,18 @@ class TestAgreementMatrix:
         for variant in ("same_top1", "both_correct_or_both_incorrect",
                         "agree_on_mutual_errors"):
             m = agreement_matrix([p, p.copy()], y, variant)
-            assert m.agree[0, 1] == pytest.approx(1.0)
+            assert m[0, 1] == pytest.approx(1.0)
 
     def test_hand_counted_six_example_pair(self):
         y = np.array([0, 1, 2, 0, 1, 2])
         p1 = np.array([0, 1, 2, 0, 0, 0])  # correct at 0..3
         p2 = np.array([0, 1, 2, 1, 0, 1])  # correct at 0..2
-        same = agreement_matrix([p1, p2], y, "same_top1").agree[0, 1]
+        same = agreement_matrix([p1, p2], y, "same_top1")[0, 1]
         assert same == pytest.approx(4 / 6)
         both = agreement_matrix([p1, p2], y, "both_correct_or_both_incorrect")
-        assert both.agree[0, 1] == pytest.approx(5 / 6)
+        assert both[0, 1] == pytest.approx(5 / 6)
         # mutual errors at indices 4, 5; equal prediction only at 4
-        mut = agreement_matrix([p1, p2], y, "agree_on_mutual_errors").agree[0, 1]
+        mut = agreement_matrix([p1, p2], y, "agree_on_mutual_errors")[0, 1]
         assert mut == pytest.approx(1 / 2)
 
     def test_no_mutual_errors_is_nan(self):
@@ -34,16 +34,16 @@ class TestAgreementMatrix:
         p1 = np.array([0, 1])  # all correct
         p2 = np.array([1, 1])
         m = agreement_matrix([p1, p2], y, "agree_on_mutual_errors")
-        assert np.isnan(m.agree[0, 1])
+        assert np.isnan(m[0, 1])
 
     def test_same_top1_is_similarity(self):
         rng = np.random.default_rng(0)
         y = rng.integers(0, 3, 40)
         preds = [rng.integers(0, 3, 40) for _ in range(4)]
         m = agreement_matrix(preds, y, "same_top1")
-        np.testing.assert_allclose(m.agree, m.agree.T)
-        np.testing.assert_allclose(np.diag(m.agree), 1.0)
-        assert np.all((m.agree >= 0) & (m.agree <= 1))
+        np.testing.assert_allclose(m, m.T)
+        np.testing.assert_allclose(np.diag(m), 1.0)
+        assert np.all((m >= 0) & (m <= 1))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losslab.calibration import (
-    ProbabilityBatch,
     ece,
     fit_temperature,
     nll,
@@ -21,29 +20,32 @@ class TestProbs:
     def test_zero_logits_uniform_both_kinds(self):
         for kind in ("softmax", "sigmoid"):
             p = probs_from_logits(np.zeros((2, 5)), kind)
-            np.testing.assert_allclose(p.probs, 0.2, atol=1e-12)
+            np.testing.assert_allclose(p, 0.2, atol=1e-12)
 
     def test_sigmoid_hand_value(self):
         # sigma(ln 3) = 0.75, sigma(0) = 0.5 -> normalized [0.6, 0.4]
         p = probs_from_logits(np.array([[math.log(3.0), 0.0]]), "sigmoid")
-        np.testing.assert_allclose(p.probs[0], [0.6, 0.4], atol=1e-12)
-        assert p.source == "sigmoid_normalized"
+        np.testing.assert_allclose(p[0], [0.6, 0.4], atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
+        # both kinds, on wide draws, on logits at +-800 (exp overflows
+        # unshifted) and on rows whose maximum is tied
         rng = np.random.default_rng(0)
-        p = probs_from_logits(30 * rng.standard_normal((40, 7)), "softmax")
-        np.testing.assert_allclose(p.probs.sum(axis=1), 1.0, atol=1e-12)
-        assert p.source == "softmax"
+        tied = np.array([[800.0, 800.0, -800.0], [-800.0, -800.0, -800.0],
+                         [3.0, 3.0, 3.0], [800.0, -800.0, 800.0]])
+        batches = (30 * rng.standard_normal((40, 7)),
+                   800 * rng.choice([-1.0, 1.0], size=(40, 7)),
+                   tied)
+        for kind in ("softmax", "sigmoid"):
+            for L in batches:
+                p = probs_from_logits(L, kind)
+                assert p.shape == L.shape
+                assert np.all((p >= 0.0) & (p <= 1.0)), kind
+                assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12, kind
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             probs_from_logits(np.array([[np.inf, 0.0]]), "softmax")
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            ProbabilityBatch(np.array([[0.7, 0.7]]), "softmax")
-        with pytest.raises(ValueError):
-            ProbabilityBatch(np.array([[1.2, -0.2]]), "softmax")
 
 
 class TestTopk:
@@ -63,7 +65,7 @@ class TestNll:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        P = probs_from_logits(rng.standard_normal((12, 5)), "softmax").probs
+        P = probs_from_logits(rng.standard_normal((12, 5)), "softmax")
         y = rng.integers(0, 5, 12)
         expect = sum(-math.log(P[i, y[i]]) for i in range(12)) / 12
         assert nll(P, y) == pytest.approx(expect, abs=1e-12)
@@ -128,14 +130,14 @@ class TestEce:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
-        P = probs_from_logits(2 * rng.standard_normal((60, 4)), "softmax").probs
+        P = probs_from_logits(2 * rng.standard_normal((60, 4)), "softmax")
         y = rng.integers(0, 4, 60)
         rep = ece(P, y)
         assert rep.ece == pytest.approx(ece_loop_oracle(P, y), abs=1e-10)
 
     def test_permutation_and_duplication_invariance(self):
         rng = np.random.default_rng(5)
-        P = probs_from_logits(rng.standard_normal((30, 3)), "softmax").probs
+        P = probs_from_logits(rng.standard_normal((30, 3)), "softmax")
         y = rng.integers(0, 3, 30)
         base = ece(P, y).ece
         perm = rng.permutation(30)
@@ -146,7 +148,7 @@ class TestEce:
 
     def test_bin_counts_sum_to_n(self):
         rng = np.random.default_rng(6)
-        P = probs_from_logits(rng.standard_normal((25, 5)), "softmax").probs
+        P = probs_from_logits(rng.standard_normal((25, 5)), "softmax")
         rep = ece(P, rng.integers(0, 5, 25))
         assert sum(b.count for b in rep.bins) == 25
 
@@ -193,9 +195,13 @@ class TestTemperature:
         rng = np.random.default_rng(10)
         L = 4 * rng.standard_normal((50, 3))
         y = rng.integers(0, 3, 50)
-        pre = nll(probs_from_logits(L, "sigmoid"), y)
-        _, rep = fit_temperature(L, y, "sigmoid")
-        assert rep.nll <= pre + 1e-9
+        # rows near -6 whose top logit is always right: the fit sharpens
+        # toward T = e^-5, where every scaled sigmoid of a row underflows
+        low = -6.0 + 0.025 * L
+        for logits, labels in ((L, y), (low, top1_predictions(low))):
+            pre = nll(probs_from_logits(logits, "sigmoid"), labels)
+            _, rep = fit_temperature(logits, labels, "sigmoid")
+            assert rep.nll <= pre + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

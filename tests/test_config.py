@@ -190,6 +190,8 @@ class TestLoadConfig:
          "warmup_epochs = nan", "warmup_epochs must be finite and >= 0"),
         ("peak_lr = 0.05", "peak_lr = 0.05\nweight_decay = nan",
          "weight_decay_product must be finite and >= 0"),
+        ("hidden = 16, 16", "hidden =", "hidden needs at least one width"),
+        ("separation, calibration", "spectra, spectra", "duplicate analyses"),
     ])
     def test_bad_train_or_model_value_rejected(self, tmp_path, good, bad, match):
         with pytest.raises(ValueError, match=match):

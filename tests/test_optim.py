@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from losslab.optim import (
-    CosineSchedule,
-    WarmupExponentialSchedule,
-    lr_at,
-    sgd_nesterov_step,
-    weight_decay_grad,
-)
+from losslab.losses import LossSpec
+from losslab.optim import lr_at, sgd_nesterov_step, weight_decay_grad
+from losslab.training import TrainConfig
+
+
+def schedule(peak_lr, **knobs):
+    return TrainConfig(loss=LossSpec("softmax"), epochs=1, batch_size=1,
+                       peak_lr=peak_lr, **knobs)
 
 
 class TestNesterov:
@@ -58,45 +59,35 @@ class TestWeightDecay:
             sgd_nesterov_step(p, g, v, lr, 0.0)
             assert p[0] == pytest.approx(3.0 * (1 - lam), rel=1e-14)
 
-    def test_zero_lr_rejected(self):
-        with pytest.raises(ValueError):
-            weight_decay_grad(np.ones(2), 0.01, 0.0)
-
     def test_negative_decay_rejected(self):
-        with pytest.raises(ValueError):
-            weight_decay_grad(np.ones(2), -0.01, 0.1)
+        # checked once, where the knob enters, not on every step
+        with pytest.raises(ValueError, match="weight_decay_product"):
+            schedule(0.1, weight_decay_product=-0.01)
 
 
 class TestSchedules:
     def test_cosine_endpoints_and_midpoint(self):
-        s = CosineSchedule(peak_lr=2.0)
-        assert lr_at(s, 0, 100) == pytest.approx(2.0)
-        assert lr_at(s, 50, 100) == pytest.approx(1.0)
-        assert lr_at(s, 100, 100) == pytest.approx(0.0, abs=1e-15)
+        s = schedule(2.0)
+        assert lr_at(s, 0, 100, 1) == pytest.approx(2.0)
+        assert lr_at(s, 50, 100, 1) == pytest.approx(1.0)
+        assert lr_at(s, 100, 100, 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_cosine_monotone_decreasing(self):
-        s = CosineSchedule(peak_lr=1.0)
-        vals = [lr_at(s, i, 200) for i in range(201)]
+        s = schedule(1.0)
+        vals = [lr_at(s, i, 200, 1) for i in range(201)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_warmup_linear_then_staircase(self):
-        s = WarmupExponentialSchedule(1.6, warmup_epochs=10, decay_per_epoch=0.975,
-                                      steps_per_epoch=1)
-        assert lr_at(s, 5, 1000) == pytest.approx(0.8)
-        assert lr_at(s, 10, 1000) == pytest.approx(1.6)
-        assert lr_at(s, 12, 1000) == pytest.approx(1.6 * 0.975**2)
+        s = schedule(1.6, schedule="warmup_exp", warmup_epochs=10,
+                     decay_per_epoch=0.975)
+        assert lr_at(s, 5, 1000, 1) == pytest.approx(0.8)
+        assert lr_at(s, 10, 1000, 1) == pytest.approx(1.6)
+        assert lr_at(s, 12, 1000, 1) == pytest.approx(1.6 * 0.975**2)
 
     def test_warmup_staircase_is_constant_within_epoch(self):
-        s = WarmupExponentialSchedule(1.0, warmup_epochs=2, decay_per_epoch=0.5,
-                                      steps_per_epoch=10)
+        s = schedule(1.0, schedule="warmup_exp", warmup_epochs=2,
+                     decay_per_epoch=0.5)
         # epoch 3 (steps 20..29) sits at decay^0, epoch 4 at decay^1
-        assert lr_at(s, 20, 100) == pytest.approx(1.0)
-        assert lr_at(s, 29, 100) == pytest.approx(1.0)
-        assert lr_at(s, 30, 100) == pytest.approx(0.5)
-
-    def test_step_bounds(self):
-        s = CosineSchedule(1.0)
-        with pytest.raises(ValueError):
-            lr_at(s, -1, 10)
-        with pytest.raises(ValueError):
-            lr_at(s, 11, 10)
+        assert lr_at(s, 20, 100, 10) == pytest.approx(1.0)
+        assert lr_at(s, 29, 100, 10) == pytest.approx(1.0)
+        assert lr_at(s, 30, 100, 10) == pytest.approx(0.5)

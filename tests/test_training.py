@@ -13,10 +13,9 @@ from losslab.mlp import (
     forward_hidden,
     init_for_spec,
     init_mlp,
-    model_scores,
     penultimate_features,
 )
-from losslab.optim import CosineSchedule, lr_at
+from losslab.optim import lr_at
 from losslab.training import (
     TrainConfig,
     TrainingDiverged,
@@ -219,6 +218,16 @@ class TestWeightDecayInTrainer:
         ) + float(np.sum(model.final.weights**2))
         assert norm(decayed.model) < norm(plain.model)
 
+    def test_zero_lr_step_skips_decay(self):
+        # warmup_exp starts at lr 0 and product-form decay divides by lr,
+        # so the one step of this run must skip decay and move nothing
+        data = small_data()
+        m = small_model()
+        r = train(m, data, cfg(epochs=1, batch_size=data.n, schedule="warmup_exp",
+                               weight_decay_product=5e-3))
+        for a, b in zip(r.model.params(), m.params(), strict=True):
+            assert np.array_equal(a, b)
+
 
 class TestEmaInTrainer:
     def test_ema_model_present_and_distinct(self):
@@ -244,7 +253,6 @@ def reference_train(model, data, config):
     dropout_rng = np.random.default_rng(dropout_ss)
     steps_per_epoch = -(-data.n // config.batch_size)
     total = config.epochs * steps_per_epoch
-    schedule = CosineSchedule(config.peak_lr)
     mu, m = config.momentum, config.ema_momentum
     nh = len(model.hidden_weights)
 
@@ -260,7 +268,7 @@ def reference_train(model, data, config):
         perm = shuffle_rng.permutation(data.n)
         for start in range(0, data.n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            lr = float(lr_at(schedule, step, total))
+            lr = float(lr_at(config, step, total, steps_per_epoch))
             _, grads = loss_and_grads(as_model(params), config.loss,
                                       data.features[idx], data.labels[idx],
                                       dropout_rng)
