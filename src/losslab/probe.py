@@ -6,11 +6,13 @@ Objective (sum form, bias unregularized):
 
 minimized by damped Newton on (W, b) jointly. With augmented features
 x~ = [x, 1] the Hessian is sum_i (diag(p_i) - p_i p_i^T) kron x~_i x~_i^T
-plus lambda on the weight diagonal. It is factorized by Cholesky, and
-Armijo backtracking along the Newton direction keeps the objective from
-rising. The regularization path sweeps 45 log-spaced lambdas ascending
-with warm starts, picks the best validation accuracy (ties to the larger
-lambda), then refits on the full training set.
+plus lambda on the weight diagonal. It is factorized by a block Cholesky
+over its K x K grid of (d+1) x (d+1) class blocks; a Hessian that is not
+positive definite ends the fit, reported as not converged. Armijo
+backtracking along the Newton direction keeps the objective from rising.
+The regularization path sweeps 45 log-spaced lambdas ascending with warm
+starts, picks the best validation accuracy (ties to the larger lambda),
+then refits on the full training set.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ class ProbeConfig:
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
-        if grid[0] < 0:
-            raise ValueError("lambdas must be >= 0")
+        if grid[0] < 0 or not np.all(np.isfinite(grid)):
+            raise ValueError("lambdas must be finite and >= 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        if self.max_iterations < 1 or self.tolerance <= 0:
-            raise ValueError("need max_iterations >= 1 and tolerance > 0")
+        if self.max_iterations < 1 or not 0 < self.tolerance < np.inf:
+            raise ValueError("need max_iterations >= 1 and finite tolerance > 0")
         object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -90,7 +92,19 @@ def _objective_and_grad(theta, Xa, y, lam):
 
 
 def _newton_direction(P, Xa, lam, G):
-    """-H^{-1} G by Cholesky; raises LinAlgError if H is not positive definite.
+    """-H^{-1} G by block Cholesky; raises LinAlgError if H is not positive definite.
+
+    H is a K x K grid of D x D class blocks, D = d + 1. It is assembled
+    once, -A^T A from one matmul plus the diagonal blocks through an einsum
+    view, and factorized H = L L^T one block column at a time: column j,
+    less the products of the factor columns left of it, has the Schur block
+    S_j on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError
+    when S_j is not positive definite, which happens exactly when H is not.
+    L_jj^{-1} turns the blocks below S_j into L's column j and carries the
+    forward substitution; the last block needs no column below it, so its
+    share of the direction is S_{K-1}^{-1} times its forward residual. The
+    back substitution climbs through the stored L_jj^{-1}. LAPACK sees only
+    D x D blocks, and the bulk of the work is matmul.
 
     The bias is unpenalized, so H is singular along b -> b + c 1, where J
     is flat. Adding e e^T, with e the unit all-ones direction on the bias
@@ -102,13 +116,29 @@ def _newton_direction(P, Xa, lam, G):
     A = (P[:, :, None] * Xa[:, None, :]).reshape(n, K * D)
     H = -(A.T @ A)
     blocks = H.reshape(K, D, K, D)  # a view: writes land in H
-    ks = np.arange(K)
-    blocks[ks, :, ks, :] += A.reshape(n, K, D).transpose(1, 2, 0) @ Xa
-    blocks[ks, :-1, ks, :-1] += lam * np.eye(D - 1)
+    diag_blocks = np.einsum("kakb->kab", blocks)
+    diag_blocks += A.reshape(n, K, D).transpose(1, 2, 0) @ Xa
+    np.einsum("kaka->ka", blocks)[:, :-1] += lam
     blocks[:, -1, :, -1] += 1.0 / K
-    L = np.linalg.cholesky(H)
-    u = np.linalg.solve(L, G.reshape(-1))
-    return -np.linalg.solve(L.T, u).reshape(K, D)
+    # L overwrites the lower blocks of H; x goes from G through L^-1 G to H^-1 G
+    x = G.reshape(-1).copy()
+    inverses = []
+    for j in range(K):
+        s, left, below = slice(j * D, (j + 1) * D), slice(0, j * D), slice((j + 1) * D, None)
+        C = H[j * D:, s] - H[j * D:, left] @ H[s, left].T
+        L = np.linalg.cholesky(C[:D])
+        r = x[s] - H[s, left] @ x[left]
+        if j == K - 1:
+            x[s] = np.linalg.solve(C[:D], r)
+            break
+        M = np.linalg.inv(L)
+        inverses.append(M)
+        H[below, s] = C[D:] @ M.T
+        x[s] = M @ r
+    for j in reversed(range(K - 1)):
+        s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
+        x[s] = inverses[j].T @ (x[s] - H[below, s].T @ x[below])
+    return -x.reshape(K, D)
 
 
 def fit_logreg(
@@ -127,8 +157,10 @@ def fit_logreg(
         raise ValueError("features must be (n, d) with matching labels")
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite entries")
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    if not np.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     K = num_classes if num_classes is not None else int(y.max()) + 1
     d = X.shape[1]
     W = np.zeros((K, d)) if init_weights is None else np.array(init_weights, dtype=np.float64)
@@ -220,6 +252,7 @@ def sweep_and_retrain(
     if np.unique(y[tr]).size < K:
         raise ValueError("a class is missing from the probe training split")
 
+    Xtr, ytr, Xva, yva = X[tr], y[tr], X[va], y[va]
     grid = config.lambda_grid
     val_acc = np.zeros(len(grid))
     norms = np.zeros(len(grid))
@@ -227,14 +260,14 @@ def sweep_and_retrain(
     fits = []
     for i, lam in enumerate(grid):
         fit = fit_logreg(
-            X[tr], y[tr], lam, K,
+            Xtr, ytr, lam, K,
             init_weights=W, init_bias=b,
             tolerance=config.tolerance,
             max_iterations=config.max_iterations,
         )
         W, b = fit.weights, fit.bias
         fits.append(fit)
-        val_acc[i] = probe_accuracy(W, b, X[va], y[va])
+        val_acc[i] = probe_accuracy(W, b, Xva, yva)
         norms[i] = float(np.linalg.norm(W))
 
     # ties go to the larger lambda: scan ascending, keep >=

@@ -9,6 +9,7 @@ from scipy.special import logsumexp, softmax
 
 from losslab.probe import (
     ProbeConfig,
+    _newton_direction,
     fit_logreg,
     probe_accuracy,
     stratified_split,
@@ -38,6 +39,42 @@ def reference_objective(theta, X, y, lam, k):
     R[np.arange(n), y] -= 1.0
     grad = np.concatenate([(R.T @ X + lam * W).ravel(), R.sum(axis=0)])
     return value + 0.5 * lam * np.sum(W * W), grad
+
+
+def dense_hessian(P, Xa, lam):
+    """The Newton system's matrix, assembled one class block at a time.
+
+    Block (k, l) is sum_i (p_ik [k == l] - p_ik p_il) x~_i x~_i^T, plus
+    lambda on the weight diagonal of the diagonal blocks and 1/K on every
+    bias-bias entry (the e e^T that fixes the shared bias shift).
+    """
+    n, K = P.shape
+    D = Xa.shape[1]
+    H = np.zeros((K * D, K * D))
+    for k in range(K):
+        for l in range(K):
+            w = P[:, k] * ((k == l) - P[:, l])
+            block = (Xa * w[:, None]).T @ Xa
+            if k == l:
+                block[:-1, :-1] += lam * np.eye(D - 1)
+            block[-1, -1] += 1.0 / K
+            H[k * D:(k + 1) * D, l * D:(l + 1) * D] = block
+    return H
+
+
+def newton_case(K, seed, n=60, d=6):
+    """Softmax rows P, augmented features and the cross-entropy gradient G.
+
+    Each row of P - onehot(y) sums to 0, so G's class rows sum to 0, as
+    every gradient of J at lambda = 0 does: G has no part along the shared
+    shift W -> W + 1 w^T, where a small lambda leaves H nearly singular.
+    """
+    rng = np.random.default_rng(seed)
+    Xa = np.hstack([rng.standard_normal((n, d)), np.ones((n, 1))])
+    P = softmax(rng.standard_normal((n, K)), axis=1)
+    R = P.copy()
+    R[np.arange(n), np.arange(n) % K] -= 1.0
+    return P, Xa, R.T @ Xa
 
 
 def two_blob_features(rng, n_per=40, gap=6.0):
@@ -151,6 +188,16 @@ class TestFitLogreg:
         np.testing.assert_allclose(fit.bias - fit.bias.mean(),
                                    b_ref - b_ref.mean(), atol=1e-7)
 
+    @pytest.mark.parametrize("lam,tol", [
+        (np.nan, 1e-4), (np.inf, 1e-4), (0.1, np.nan), (0.1, np.inf),
+    ])
+    def test_non_finite_lambda_or_tolerance_rejected(self, lam, tol):
+        # an infinite tolerance would report any start as converged, and
+        # a nan lambda gives a nan gradient
+        X, y, _, _ = acceptance_blobs()
+        with pytest.raises(ValueError, match="finite"):
+            fit_logreg(X, y, lam, 3, tolerance=tol)
+
     def test_gradient_norm_reported_below_tolerance(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((50, 4))
@@ -158,6 +205,32 @@ class TestFitLogreg:
         fit = fit_logreg(X, y, 0.5, 3, max_iterations=2000, tolerance=1e-6)
         assert fit.converged
         assert fit.grad_norm < 1e-6
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2, 1e3])
+    @pytest.mark.parametrize("K", [2, 3, 5, 10])
+    def test_matches_dense_solve(self, K, lam):
+        P, Xa, G = newton_case(K, seed=K)
+        ref = -np.linalg.solve(dense_hessian(P, Xa, lam), G.reshape(-1))
+        got = _newton_direction(P, Xa, lam, G)
+        assert got.shape == G.shape
+        rel = np.linalg.norm(got.reshape(-1) - ref) / np.linalg.norm(ref)
+        # at lambda = 1e-6, cond(H) is about 3e7 here: a dense Cholesky
+        # and this LU solve already differ by up to about 4e-9
+        assert rel < 1e-8
+
+    def test_singular_last_class_block_raises(self):
+        # a zero last column: at lambda = 0 the last class's weight rows
+        # of H are zero, while the leading K-1 class blocks, whose rows of
+        # P now sum below 1, stay positive definite. The factorization gets
+        # through them and fails at the last Schur block.
+        K, D = 4, 7
+        P, Xa, G = newton_case(K, seed=20)
+        P[:, -1] = 0.0
+        np.linalg.cholesky(dense_hessian(P, Xa, 0.0)[:-D, :-D])
+        with pytest.raises(np.linalg.LinAlgError):
+            _newton_direction(P, Xa, 0.0, G)
 
 
 class TestSplit:
@@ -281,3 +354,14 @@ class TestSweep:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             ProbeConfig(lambda_grid=(1.0, 0.5))
+
+    @pytest.mark.parametrize("bad", [
+        dict(lambda_grid=(1e-3, np.nan)),
+        dict(lambda_grid=(1e-3, np.inf)),
+        dict(lambda_grid=(np.nan,)),
+        dict(tolerance=np.nan),
+        dict(tolerance=np.inf),
+    ])
+    def test_non_finite_config_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProbeConfig(**bad)
