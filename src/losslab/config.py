@@ -38,6 +38,7 @@ grid fails fast instead of silently training with defaults.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 
@@ -136,8 +137,13 @@ class DatasetConfig:
                 raise ValueError("blobs need classes >= 2 and features >= 1")
             if self.per_class < 1 or self.eval_per_class < 1:
                 raise ValueError("blobs need per_class and eval_per_class >= 1")
-            if self.spread < 0:
-                raise ValueError(f"spread must be >= 0, got {self.spread}")
+            # the comparison is False on nan, so it also rejects nan
+            if not 0.0 <= self.spread < math.inf:
+                raise ValueError(
+                    f"spread must be finite and >= 0, got {self.spread}"
+                )
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
         else:
             if not self.path or not self.eval_path:
                 raise ValueError(f"{self.kind} datasets need path and eval_path")
@@ -150,8 +156,8 @@ class ExperimentConfig:
     train: dict  # TrainConfig knobs minus loss and seed
     seeds: tuple
     losses: tuple  # ((name, LossSpec), ...)
-    analyses: tuple
     output_dir: str
+    analyses: tuple = ()
     agreement_variant: str = "same_top1"
     transfer_merge: int = 5
 
@@ -160,6 +166,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate seeds")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         if not self.losses:
             raise ValueError("need at least one loss")
         names = [name for name, _ in self.losses]
@@ -284,14 +292,7 @@ def load_config(path) -> ExperimentConfig:
         (name, parse_loss_line(line)) for name, line in parser.items("losses")
     )
 
-    return ExperimentConfig(
-        dataset=DatasetConfig(**ds),
-        hidden=model["hidden"],
-        train=train,
-        seeds=exp["seeds"],
-        losses=losses,
-        analyses=exp.get("analyses", ()),
-        output_dir=exp["output"],
-        agreement_variant=exp.get("agreement_variant", "same_top1"),
-        transfer_merge=exp.get("transfer_merge", 5),
-    )
+    # keys the file leaves out take ExperimentConfig's defaults
+    exp["output_dir"] = exp.pop("output")
+    return ExperimentConfig(dataset=DatasetConfig(**ds), hidden=model["hidden"],
+                            train=train, losses=losses, **exp)

@@ -7,6 +7,7 @@ big-endian binary format with magic 0x00000803 (images, rank 3) or
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,6 +123,8 @@ def load_csv(path, num_classes: int | None = None) -> Batch:
                 feats = [float(v) for v in parts[1:]]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad feature value") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
             if lab < 0:
                 raise ValueError(f"{path}: line {lineno}: negative label")
             labels.append(lab)
@@ -198,6 +201,8 @@ def load_idx(images_path, labels_path=None, num_classes: int | None = None) -> B
             f"{labels_path}: {labs.shape[0]} labels for {imgs.shape[0]} rows"
         )
     feats = imgs.reshape(imgs.shape[0], -1).astype(np.float64)
+    if not np.isfinite(feats).all():
+        raise ValueError(f"{images_path}: non-finite feature value")
     labs = labs.astype(np.int64)
     k = num_classes if num_classes is not None else int(labs.max()) + 1
     return Batch(feats, labs, k)

@@ -58,7 +58,7 @@ from .repr_analysis import (
     singular_spectrum,
     sparsity_profile,
 )
-from .training import TrainConfig, train, write_log_csv
+from .training import TrainConfig, train
 
 FMT = "%.10g"
 
@@ -121,11 +121,43 @@ def reports_dir(output_dir) -> Path:
     return Path(output_dir) / "reports"
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, (str, int, np.integer)) else FMT % value
+
+
+def _write_csv(path, header, rows) -> None:
+    """Every CSV of a run or a report: the header, then one line per row,
+    each ending in a bare line feed. None is written empty, str and ints
+    with str(), and any other value as FMT. The file is opened only once
+    every row is built, so a row that raises leaves the file as it was."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    Path(path).write_text(text, newline="")
+
+
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          newline="")
+
+
+def _artifact(path) -> Path:
+    """path, or FileNotFoundError naming it when training has not made it."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"missing artifact {path}; run training first")
+    return path
+
+
 def write_predictions_csv(path, predicted, confidence) -> None:
-    with open(path, "w") as fh:
-        fh.write("example_id,predicted_class,confidence\n")
-        for i, (p, c) in enumerate(zip(predicted, confidence)):
-            fh.write(f"{i},{int(p)},{FMT % c}\n")
+    _write_csv(path, ("example_id", "predicted_class", "confidence"),
+               zip(range(len(predicted)), predicted, confidence))
+
+
+def write_log_csv(log, path) -> None:
+    _write_csv(path, ("epoch", "lr", "train_loss", "train_acc", "holdout_acc"),
+               ((r.epoch, r.lr, r.train_loss, r.train_acc, r.holdout_acc)
+                for r in log))
 
 
 def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
@@ -165,9 +197,7 @@ def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
         "final_train_acc": result.log[-1].train_acc if result.log else None,
         "eval_acc": eval_acc,
     }
-    with open(out / "run.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "run.json", summary)
     return summary
 
 
@@ -235,9 +265,7 @@ def load_runs(config, batch: Batch | None = None) -> list:
         batch = load_experiment_data(config.dataset)[1]
     runs = []
     for name, spec, seed in _runs(config):
-        path = run_dir(config.output_dir, name, seed) / "model.npz"
-        if not path.exists():
-            raise FileNotFoundError(f"missing artifact {path}; run training first")
+        path = _artifact(run_dir(config.output_dir, name, seed) / "model.npz")
         model = load_model(path)
         feats = penultimate_features(model, batch.features)
         runs.append(LoadedRun(name, spec, seed, model, batch, feats,
@@ -253,44 +281,29 @@ def _mean_stderr(values) -> tuple:
     return mean, float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def _fmt_opt(x) -> str:
-    return "" if x is None else FMT % x
-
-
-def _write_matrix_csv(path, names, matrix) -> None:
-    with open(path, "w") as fh:
-        fh.write("name," + ",".join(names) + "\n")
-        for name, row in zip(names, matrix):
-            fh.write(name + "," + ",".join(FMT % v for v in row) + "\n")
-
-
 def report_accuracy(config) -> tuple:
     """Per-loss eval accuracy, mean and standard error over seeds."""
+    rows = []
+    for name, _ in config.losses:
+        accs = []
+        for seed in config.seeds:
+            path = _artifact(run_dir(config.output_dir, name, seed) / "run.json")
+            accs.append(json.loads(path.read_text())["eval_acc"])
+        rows.append((name, *_mean_stderr(accs), len(accs)))
     path = reports_dir(config.output_dir) / "accuracy.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,mean_eval_acc,stderr,n_seeds\n")
-        for name, _ in config.losses:
-            accs = []
-            for seed in config.seeds:
-                with open(run_dir(config.output_dir, name, seed) / "run.json") as rf:
-                    accs.append(json.load(rf)["eval_acc"])
-            mean, se = _mean_stderr(accs)
-            fh.write(f"{name},{FMT % mean},{_fmt_opt(se)},{len(accs)}\n")
+    _write_csv(path, ("loss", "mean_eval_acc", "stderr", "n_seeds"), rows)
     return (path,)
 
 
 def report_separation(config, runs) -> tuple:
     path = reports_dir(config.output_dir) / "separation.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,index,mean_r2,stderr\n")
-        for name, _ in config.losses:
-            mine = [r for r in runs if r.name == name]
-            for ix in SEPARATION_INDEXES:
-                mean, se = _mean_stderr(
-                    [class_separation_r2(r.features, r.batch.labels, ix)
-                     for r in mine]
-                )
-                fh.write(f"{name},{ix},{FMT % mean},{_fmt_opt(se)}\n")
+    _write_csv(path, ("loss", "index", "mean_r2", "stderr"), (
+        (name, ix, *_mean_stderr(
+            [class_separation_r2(r.features, r.batch.labels, ix)
+             for r in runs if r.name == name]))
+        for name, _ in config.losses
+        for ix in SEPARATION_INDEXES
+    ))
     return (path,)
 
 
@@ -300,20 +313,22 @@ def report_cka(config, runs) -> tuple:
     for i in range(m):
         for j in range(i + 1, m):
             M[i, j] = M[j, i] = linear_cka(runs[i].features, runs[j].features)
+    names = _run_names(config)
     path = reports_dir(config.output_dir) / "cka.csv"
-    _write_matrix_csv(path, _run_names(config), M)
+    _write_csv(path, ("name", *names),
+               ((n, *row) for n, row in zip(names, M)))
     return (path,)
 
 
 def report_sparsity(config, runs) -> tuple:
     """Fraction of active ReLU units per hidden layer on the eval split."""
     path = reports_dir(config.output_dir) / "sparsity.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,seed,layer,fraction_active\n")
-        for run in runs:
-            acts = forward_hidden(run.model, run.batch.features)[1:]
-            for layer, frac in enumerate(sparsity_profile(acts)):
-                fh.write(f"{run.name},{run.seed},{layer},{FMT % frac}\n")
+    _write_csv(path, ("loss", "seed", "layer", "fraction_active"), (
+        (run.name, run.seed, layer, frac)
+        for run in runs
+        for layer, frac in enumerate(sparsity_profile(
+            forward_hidden(run.model, run.batch.features)[1:]))
+    ))
     return (path,)
 
 
@@ -337,11 +352,11 @@ def report_calibration(config, runs) -> tuple:
                     "ece_scaled": post.ece,
                 }
             )
-            for b in pre.bins:
-                rows.append(
-                    (name, run.seed, b.lower, b.upper, b.count,
-                     b.accuracy, b.mean_confidence)
-                )
+            rows.extend(
+                (name, run.seed, b.lower, b.upper, b.count,
+                 b.accuracy, b.mean_confidence)
+                for b in pre.bins
+            )
         table[name] = {
             "runs": fits,
             "mean": {
@@ -351,17 +366,10 @@ def report_calibration(config, runs) -> tuple:
         }
     rdir = reports_dir(config.output_dir)
     json_path = rdir / "calibration.json"
-    with open(json_path, "w") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, table)
     bins_path = rdir / "calibration_bins.csv"
-    with open(bins_path, "w") as fh:
-        fh.write("loss,seed,lower,upper,count,accuracy,mean_confidence\n")
-        for name, seed, lo, hi, count, acc, conf in rows:
-            fh.write(
-                f"{name},{seed},{FMT % lo},{FMT % hi},{count},"
-                f"{_fmt_opt(acc)},{_fmt_opt(conf)}\n"
-            )
+    _write_csv(bins_path, ("loss", "seed", "lower", "upper", "count",
+                           "accuracy", "mean_confidence"), rows)
     return json_path, bins_path
 
 
@@ -372,38 +380,38 @@ def report_agreement(config, runs) -> tuple:
     agree = agreement_matrix(preds, runs[0].batch.labels, config.agreement_variant)
     rdir = reports_dir(config.output_dir)
     mat_path = rdir / f"agreement_{config.agreement_variant}.csv"
-    _write_matrix_csv(mat_path, names, agree)
+    _write_csv(mat_path, ("name", *names),
+               ((n, *row) for n, row in zip(names, agree)))
     # cluster on disagreement; the mutual-error variant leaves NaN for
     # pairs with no shared mistakes, so linkage only runs when finite
     dist = 1.0 - agree
+    merges = linkage_dendrogram(dist) if np.all(np.isfinite(dist)) else ()
     link_path = rdir / "linkage.csv"
-    with open(link_path, "w") as fh:
-        fh.write("step,id_a,id_b,distance\n")
-        if np.all(np.isfinite(dist)):
-            for step, (a, b, d) in enumerate(linkage_dendrogram(dist)):
-                fh.write(f"{step},{int(a)},{int(b)},{FMT % d}\n")
+    _write_csv(link_path, ("step", "id_a", "id_b", "distance"), (
+        (step, int(a), int(b), d) for step, (a, b, d) in enumerate(merges)
+    ))
     return mat_path, link_path
 
 
 def report_avh(config, runs) -> tuple:
     path = reports_dir(config.output_dir) / "avh.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,seed,mean_avh\n")
-        for run in runs:
-            avh = angular_visual_hardness(run.model.final, run.features,
-                                          run.batch.labels)
-            fh.write(f"{run.name},{run.seed},{FMT % float(avh.mean())}\n")
+    _write_csv(path, ("loss", "seed", "mean_avh"), (
+        (run.name, run.seed,
+         angular_visual_hardness(run.model.final, run.features,
+                                 run.batch.labels).mean())
+        for run in runs
+    ))
     return (path,)
 
 
 def report_spectra(config, runs) -> tuple:
     """Singular values of centered penultimate activations, descending."""
     path = reports_dir(config.output_dir) / "spectra.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,seed,rank,sigma\n")
-        for run in runs:
-            for rank, s in enumerate(singular_spectrum(run.features)):
-                fh.write(f"{run.name},{run.seed},{rank},{FMT % s}\n")
+    _write_csv(path, ("loss", "seed", "rank", "sigma"), (
+        (run.name, run.seed, rank, s)
+        for run in runs
+        for rank, s in enumerate(singular_spectrum(run.features))
+    ))
     return (path,)
 
 
@@ -432,20 +440,18 @@ def transfer_probe(features, labels, merge: int, probe_config: ProbeConfig,
 def report_transfer(config, runs) -> tuple:
     """Coarse-label probe accuracy per run, with whether every fit behind it
     (the lambda path and the refit) converged and its largest gradient norm."""
+    rows = []
+    for run in runs:
+        res = transfer_probe(
+            run.features, run.batch.labels, config.transfer_merge, ProbeConfig(),
+        )
+        converged = bool(res.converged.all()) and res.refit_converged
+        max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
+        rows.append((run.name, run.seed, config.transfer_merge,
+                     res.test_accuracy, int(converged), max_gn))
     path = reports_dir(config.output_dir) / "transfer.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,seed,merge,probe_acc,converged,max_grad_norm\n")
-        for run in runs:
-            res = transfer_probe(
-                run.features, run.batch.labels, config.transfer_merge,
-                ProbeConfig(),
-            )
-            converged = bool(res.converged.all()) and res.refit_converged
-            max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
-            fh.write(
-                f"{run.name},{run.seed},{config.transfer_merge},"
-                f"{FMT % res.test_accuracy},{int(converged)},{FMT % max_gn}\n"
-            )
+    _write_csv(path, ("loss", "seed", "merge", "probe_acc", "converged",
+                      "max_grad_norm"), rows)
     return (path,)
 
 
@@ -477,9 +483,7 @@ def write_metadata(config) -> Path:
         "dataset": asdict(config.dataset),
     }
     meta_path = reports_dir(config.output_dir) / "metadata.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, meta)
     return meta_path
 
 

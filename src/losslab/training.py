@@ -11,7 +11,6 @@ itself checks nothing but finiteness.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,18 +208,3 @@ def _epoch_record(model, spec, dataset, holdout, epoch, lr) -> EpochRecord:
         hold = float(np.mean(top1_predictions(hold_scores) == holdout.labels))
     return EpochRecord(epoch, lr, float(loss), acc, hold)
 
-
-def write_log_csv(log, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "lr", "train_loss", "train_acc", "holdout_acc"])
-        for rec in log:
-            w.writerow(
-                [
-                    rec.epoch,
-                    "%.10g" % rec.lr,
-                    "%.10g" % rec.train_loss,
-                    "%.10g" % rec.train_acc,
-                    "" if rec.holdout_acc is None else "%.10g" % rec.holdout_acc,
-                ]
-            )

@@ -175,6 +175,14 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_analyze_before_sweep_names_artifact(self, tmp_path, capsys):
+        ini = tmp_path / "untrained.ini"
+        ini.write_text(INI.format(out=tmp_path / "out"))
+        assert main(["analyze", "--config", str(ini)]) == 1
+        missing = tmp_path / "out" / "runs" / "plain" / "seed0" / "run.json"
+        assert f"missing artifact {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "reports" / "accuracy.csv").exists()
+
     def test_failed_run_names_pair(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(INI.format(out=tmp_path / "out").replace(

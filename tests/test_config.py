@@ -192,6 +192,10 @@ class TestLoadConfig:
          "weight_decay_product must be finite and >= 0"),
         ("hidden = 16, 16", "hidden =", "hidden needs at least one width"),
         ("separation, calibration", "spectra, spectra", "duplicate analyses"),
+        ("spread = 0.8", "spread = nan", "spread must be finite and >= 0"),
+        ("spread = 0.8", "spread = inf", "spread must be finite and >= 0"),
+        ("seed = 3", "seed = -1", "seed must be >= 0"),
+        ("seeds = 0, 1", "seeds = -1", "seeds must be >= 0"),
     ])
     def test_bad_train_or_model_value_rejected(self, tmp_path, good, bad, match):
         with pytest.raises(ValueError, match=match):

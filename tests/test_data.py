@@ -1,5 +1,6 @@
 """Dataset generation and file-format tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -93,6 +94,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(p)
 
+    def test_non_finite_feature_reports_line_number(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("0,1.0\n1,nan\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: non-finite")):
+            load_csv(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
@@ -159,6 +166,14 @@ class TestIdx:
         p.write_bytes(b"\x01\x02\x03\x04" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_idx(p, p)
+
+    def test_non_finite_feature_names_file(self, tmp_path):
+        ip = tmp_path / "a-images-idx3"
+        lp = tmp_path / "a-labels-idx1"
+        write_idx_images(ip, np.array([[[0.0, np.inf]], [[1.0, 2.0]]]))
+        write_idx_labels(lp, [0, 1])
+        with pytest.raises(ValueError, match=re.escape(f"{ip}: non-finite")):
+            load_idx(ip, lp)
 
     def test_label_count_mismatch(self, tmp_path):
         ip = tmp_path / "a-images-idx3"

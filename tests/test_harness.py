@@ -17,10 +17,12 @@ from losslab import harness
 from losslab.config import ANALYSES, DatasetConfig, ExperimentConfig
 from losslab.dumps import read_activation_dump
 from losslab.harness import (
+    LoadedRun,
     RunFailure,
     load_model,
     load_runs,
     merge_labels,
+    report_separation,
     run_all,
     run_dir,
     save_model,
@@ -28,7 +30,8 @@ from losslab.harness import (
     write_predictions_csv,
     write_reports,
 )
-from losslab.losses import LossSpec
+from losslab.data import Batch
+from losslab.losses import DegenerateInputError, LossSpec
 from losslab.mlp import init_mlp
 from losslab.probe import ProbeConfig
 
@@ -211,6 +214,71 @@ class TestReports:
         assert meta["seeds"] == [0, 1]
         assert meta["losses"]["plain"] == "softmax"
         assert meta["transfer_merge"] == 5
+
+
+RUN_NAMES = "plain:seed0,plain:seed1,smooth:seed0,smooth:seed1"
+CSV_HEADERS = {
+    "train_log.csv": "epoch,lr,train_loss,train_acc,holdout_acc",
+    "predictions.csv": "example_id,predicted_class,confidence",
+    "accuracy.csv": "loss,mean_eval_acc,stderr,n_seeds",
+    "separation.csv": "loss,index,mean_r2,stderr",
+    "cka.csv": "name," + RUN_NAMES,
+    "sparsity.csv": "loss,seed,layer,fraction_active",
+    "calibration_bins.csv":
+        "loss,seed,lower,upper,count,accuracy,mean_confidence",
+    "agreement_same_top1.csv": "name," + RUN_NAMES,
+    "linkage.csv": "step,id_a,id_b,distance",
+    "avh.csv": "loss,seed,mean_avh",
+    "spectra.csv": "loss,seed,rank,sigma",
+    "transfer.csv": "loss,seed,merge,probe_acc,converged,max_grad_norm",
+}
+
+
+def is_float_cell(cell) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+    return False
+
+
+class TestCsvFormat:
+    def test_every_csv_has_header_newlines_and_float_format(self, experiment):
+        config, _ = experiment
+        paths = sorted(Path(config.output_dir).rglob("*.csv"))
+        assert {p.name for p in paths} == set(CSV_HEADERS)
+        assert len(paths) == 4 * 2 + len(CSV_HEADERS) - 2
+        floats = 0
+        for path in paths:
+            raw = path.read_bytes()
+            assert b"\r" not in raw, path
+            text = raw.decode()
+            assert text.startswith(CSV_HEADERS[path.name] + "\n"), path
+            for line in text.splitlines()[1:]:
+                for cell in line.split(","):
+                    if is_float_cell(cell):
+                        assert cell == "%.10g" % float(cell), (path, cell)
+                        floats += 1
+        assert floats > 0
+
+    def test_failed_reporter_writes_no_file(self, tmp_path):
+        config = replace(tiny_config(tmp_path),
+                         losses=(("plain", LossSpec("softmax")),), seeds=(0,))
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(4), 10)
+        features = rng.standard_normal((40, 16))
+        features[3] = 0.0
+        run = LoadedRun("plain", LossSpec("softmax"), 0, None,
+                        Batch(features, labels, 4), features, None)
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        with pytest.raises(DegenerateInputError):
+            report_separation(config, [run])
+        assert not (reports / "separation.csv").exists()
 
 
 class TestFeaturePath:

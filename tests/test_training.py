@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from losslab.data import make_blobs
+from losslab.harness import write_log_csv
 from losslab.losses import LOSS_KINDS, FinalLayer, LossSpec, compose_loss, eval_scores
 from losslab.mlp import (
     MlpModel,
@@ -22,7 +23,6 @@ from losslab.training import (
     TrainResult,
     loss_and_grads,
     train,
-    write_log_csv,
 )
 from test_gradients import COMPOSED_SPECS
 
