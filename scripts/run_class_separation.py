@@ -10,12 +10,12 @@ softmax < label smoothing < cosine softmax < squared error.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from losslab.experiments import separation_experiment
+from losslab.harness import _write_csv
 from losslab.repr_analysis import SEPARATION_INDEXES
 
 # weakest collapse first; gaps are checked pairwise along this order
@@ -54,12 +54,9 @@ def main(argv=None) -> int:
               f"{'ok' if good else 'NOT SEPARATED'}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["loss", "seed", "r2"])
-            for name in ORDER:
-                for seed, r2 in enumerate(results[name]):
-                    writer.writerow([name, seed, f"{r2:.10g}"])
+        _write_csv(args.out, ("loss", "seed", "r2"),
+                   ((name, seed, r2) for name in ORDER
+                    for seed, r2 in enumerate(results[name])))
         print(f"wrote {args.out}")
 
     return 0 if ok else 1

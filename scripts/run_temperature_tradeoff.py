@@ -11,12 +11,12 @@ blobs task family (data seed 11, so new class means), not the training task.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from losslab.experiments import temperature_experiment
+from losslab.harness import _write_csv
 
 
 def ranks(values) -> np.ndarray:
@@ -57,13 +57,11 @@ def main(argv=None) -> int:
     print(f"spearman(tau, transfer) = {rho_tr:+.2f} (want -1)")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "seed", "r2", "transfer"])
-            for t in taus:
-                rows = zip(results[t]["r2"], results[t]["transfer"])
-                for seed, (a, b) in enumerate(rows):
-                    writer.writerow([t, seed, f"{a:.10g}", f"{b:.10g}"])
+        rows = []
+        for t in taus:
+            pairs = zip(results[t]["r2"], results[t]["transfer"])
+            rows += [(t, seed, a, b) for seed, (a, b) in enumerate(pairs)]
+        _write_csv(args.out, ("tau", "seed", "r2", "transfer"), rows)
         print(f"wrote {args.out}")
 
     return 0 if (rho_r2 == 1.0 and rho_tr == -1.0) else 1

@@ -32,7 +32,8 @@ names to loss lines:
     cos05 = cosine_softmax temperature=0.05 +logit_penalty=6e-4
 
 Unknown sections or keys are hard errors so a typo in a hyperparameter
-grid fails fast instead of silently training with defaults.
+grid fails fast instead of silently training with defaults. So is a
+[dataset] key that its kind does not read, such as spread for a csv.
 """
 
 from __future__ import annotations
@@ -232,17 +233,18 @@ def _opt_float(raw):
     return None if raw.strip() in ("", "none") else float(raw)
 
 
-_DATASET_KEYS = {
-    "kind": str,
+_BLOBS_KEYS = {
     "classes": int,
     "features": int,
     "per_class": int,
     "eval_per_class": int,
     "spread": float,
     "seed": int,
-    "path": str,
-    "eval_path": str,
 }
+_FILE_KEYS = {"path": str, "eval_path": str}
+_DATASET_KEYS = {"kind": str, **_BLOBS_KEYS, **_FILE_KEYS}
+# the [dataset] keys each kind reads besides kind; any other key is an error
+_KIND_KEYS = {"blobs": _BLOBS_KEYS, "csv": _FILE_KEYS, "idx": _FILE_KEYS}
 _MODEL_KEYS = {"hidden": _int_list}
 _TRAIN_KEYS = {
     "epochs": int,
@@ -277,6 +279,14 @@ def load_config(path) -> ExperimentConfig:
             )
 
     ds = _parse_section(parser, "dataset", _DATASET_KEYS)
+    kind = ds.get("kind", DatasetConfig.kind)
+    for key in ds:
+        # an unknown kind is DatasetConfig's error
+        if kind in _KIND_KEYS and key not in ("kind", *_KIND_KEYS[kind]):
+            raise ValueError(
+                f"[dataset] key {key!r} is not read by kind = {kind}; "
+                f"choose from {tuple(_KIND_KEYS[kind])}"
+            )
     model = _parse_section(parser, "model", _MODEL_KEYS, required=("hidden",))
     train = _parse_section(parser, "train", _TRAIN_KEYS,
                            required=("epochs", "batch_size", "peak_lr"))

@@ -100,8 +100,13 @@ def init_for_spec(
     return init_mlp(input_dim, hidden_widths, num_classes, rng, final_bias=bias)
 
 
-def forward_hidden(model: MlpModel, X: np.ndarray) -> list:
-    """All post-ReLU activations, input included: [X, H_1, ..., H_p]."""
+def forward_hidden(model: MlpModel, X: np.ndarray, out=None) -> list:
+    """All post-ReLU activations, input included: [X, H_1, ..., H_p].
+
+    out, if given, holds one (n, width_i) float64 array per hidden layer,
+    and H_i is computed in out[i], so a caller that keeps those arrays
+    across calls allocates nothing here. The values are the same either way.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
@@ -109,11 +114,13 @@ def forward_hidden(model: MlpModel, X: np.ndarray) -> list:
         )
     acts = [X]
     h = X
-    for w, b in zip(model.hidden_weights, model.hidden_biases):
-        h = np.maximum(h @ w.T + b, 0.0)
+    for i, (w, b) in enumerate(zip(model.hidden_weights, model.hidden_biases)):
+        h = np.matmul(h, w.T, out=None if out is None else out[i])
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
 
-def penultimate_features(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    return forward_hidden(model, X)[-1]
+def penultimate_features(model: MlpModel, X: np.ndarray, out=None) -> np.ndarray:
+    return forward_hidden(model, X, out)[-1]

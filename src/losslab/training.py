@@ -134,10 +134,13 @@ def train(
     config: TrainConfig,
     holdout: Batch | None = None,
 ) -> TrainResult:
-    if dataset.num_classes != model.num_classes:
-        raise ValueError(
-            f"dataset has {dataset.num_classes} classes, model {model.num_classes}"
-        )
+    for name, batch in (("dataset", dataset), ("holdout", holdout)):
+        shape = None if batch is None else (batch.dim, batch.num_classes)
+        if shape not in (None, (model.input_dim, model.num_classes)):
+            raise ValueError(
+                f"{name} has {shape[0]} features and {shape[1]} classes, "
+                f"model {model.input_dim} and {model.num_classes}"
+            )
     spec = config.loss
 
     ss = np.random.SeedSequence(config.seed)
@@ -157,6 +160,10 @@ def train(
     decay = np.concatenate([np.full(p.size, p.ndim == 2) for p in params])
     ema_m = config.ema_momentum
     ema = theta.copy() if ema_m is not None else None
+    # the epoch log's forward writes each split into leading rows of these,
+    # instead of faulting in fresh (n, width) layers every epoch
+    rows = max(n, holdout.n if holdout is not None else 0)
+    buffers = [np.empty((rows, w.shape[0])) for w in model.hidden_weights]
 
     log = []
     step = 0
@@ -190,21 +197,23 @@ def train(
                 ema += (1.0 - ema_m) * theta
             step += 1
 
-        log.append(_epoch_record(model, spec, dataset, holdout, epoch, lr))
+        log.append(_epoch_record(model, spec, dataset, holdout, epoch, lr, buffers))
 
     ema_model = model_from_params(model, ema) if ema is not None else None
     return TrainResult(model=model, ema_model=ema_model, log=log)
 
 
-def _epoch_record(model, spec, dataset, holdout, epoch, lr) -> EpochRecord:
-    h = penultimate_features(model, dataset.features)
+def _epoch_record(model, spec, dataset, holdout, epoch, lr, buffers) -> EpochRecord:
+    h = penultimate_features(model, dataset.features,
+                             [b[: dataset.n] for b in buffers])
     loss, scores = evaluate(spec, model.final, h, dataset.labels)
     acc = float(np.mean(top1_predictions(scores) == dataset.labels))
     hold = None
     if holdout is not None:
-        hold_scores = eval_scores(
-            spec, model.final, penultimate_features(model, holdout.features)
-        )
+        # reuses the train split's buffers, whose features are no longer read
+        h = penultimate_features(model, holdout.features,
+                                 [b[: holdout.n] for b in buffers])
+        hold_scores = eval_scores(spec, model.final, h)
         hold = float(np.mean(top1_predictions(hold_scores) == holdout.labels))
     return EpochRecord(epoch, lr, float(loss), acc, hold)
 

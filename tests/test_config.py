@@ -201,6 +201,30 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=match):
             load_config(write_ini(tmp_path, GOOD_INI.replace(good, bad)))
 
+    def test_csv_dataset_rejects_blobs_keys(self, tmp_path):
+        # spread = nan used to pass and reach metadata.json as the token NaN
+        ini = GOOD_INI.replace(GOOD_INI.split("\n\n")[0], (
+            "[dataset]\nkind = csv\npath = train.csv\neval_path = eval.csv\n"
+            "spread = nan"))
+        with pytest.raises(ValueError, match="'spread' is not read by kind = csv"):
+            load_config(write_ini(tmp_path, ini))
+        good = load_config(write_ini(tmp_path, ini.replace("spread = nan\n", "")))
+        assert good.dataset.path == "train.csv"
+
+    @pytest.mark.parametrize("kind, key", [
+        *(("idx", k) for k in ("classes", "features", "per_class",
+                               "eval_per_class", "spread", "seed")),
+        ("blobs", "path"),
+        ("blobs", "eval_path"),
+    ])
+    def test_dataset_key_unread_by_kind_rejected(self, tmp_path, kind, key):
+        lines = {"blobs": "kind = blobs",
+                 "idx": "kind = idx\npath = a.idx\neval_path = b.idx"}
+        ini = GOOD_INI.replace(GOOD_INI.split("\n\n")[0], (
+            f"[dataset]\n{lines[kind]}\n{key} = 1"))
+        with pytest.raises(ValueError, match=f"'{key}' is not read by kind = {kind}"):
+            load_config(write_ini(tmp_path, ini))
+
     def test_weight_decay_key_renamed_for_trainer(self, tmp_path):
         ini = GOOD_INI.replace("peak_lr = 0.05", "peak_lr = 0.05\nweight_decay = 0.99")
         cfg = load_config(write_ini(tmp_path, ini))

@@ -81,6 +81,32 @@ def test_class_separation_offers_every_index(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_script_csv_ends_lines_in_bare_line_feeds(monkeypatch, tmp_path, capsys):
+    # --out goes through the harness's one CSV writer, like every artifact
+    sep = load_script("run_class_separation")
+    monkeypatch.setattr(sep, "separation_experiment", lambda seeds, index: {
+        name: np.array([0.1 * i, 0.1 * i + 0.01]) for i, name in enumerate(sep.ORDER)
+    })
+    temp = load_script("run_temperature_tradeoff")
+    monkeypatch.setattr(temp, "temperature_experiment", lambda seeds, merge: {
+        t: {"r2": np.full(len(seeds), i + 1.0),
+            "transfer": np.full(len(seeds), 0.5 - i / 8)}
+        for i, t in enumerate((0.01, 0.03, 0.05))
+    })
+    sep_csv, temp_csv = tmp_path / "r2.csv", tmp_path / "sweep.csv"
+    assert sep.main(["--seeds", "2", "--out", str(sep_csv)]) == 0
+    assert temp.main(["--seeds", "2", "--out", str(temp_csv)]) == 0
+    capsys.readouterr()
+    sep_text = sep_csv.read_bytes().decode()
+    temp_text = temp_csv.read_bytes().decode()
+    assert "\r" not in sep_text and "\r" not in temp_text
+    assert sep_text.splitlines()[:3] == ["loss,seed,r2", "softmax,0,0", "softmax,1,0.01"]
+    assert temp_text.splitlines() == [
+        "tau,seed,r2,transfer", "0.01,0,1,0.5", "0.01,1,1,0.5",
+        "0.03,0,2,0.375", "0.03,1,2,0.375", "0.05,0,3,0.25", "0.05,1,3,0.25",
+    ]
+
+
 def test_tracer_finds_every_patch_point(tmp_path):
     # install() looks up each traced function before the CLI parses its
     # arguments, so a renamed or deleted one fails even a --help run

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from losslab import training
 from losslab.data import make_blobs
 from losslab.harness import write_log_csv
 from losslab.losses import LOSS_KINDS, FinalLayer, LossSpec, compose_loss, eval_scores
@@ -82,6 +83,26 @@ class TestInit:
         m = small_model()
         X = np.random.default_rng(1).standard_normal((11, 4))
         assert np.all(penultimate_features(m, X) >= 0.0)
+
+
+class TestBufferedForward:
+    @pytest.mark.parametrize("hidden", [(16,), (16, 8), (16, 8, 12)])
+    @pytest.mark.parametrize("spare_rows", [0, 23])
+    def test_out_matches_fresh_forward(self, hidden, spare_rows):
+        # out may be leading-row views of larger buffers, as in the epoch log
+        m = init_mlp(4, hidden, 3, np.random.default_rng(5))
+        X = np.random.default_rng(6).standard_normal((37, 4))
+        big = [np.full((37 + spare_rows, w), np.nan) for w in hidden]
+        out = [b[:37] for b in big]
+        acts = forward_hidden(m, X, out)
+        fresh = forward_hidden(m, X)
+        h = X
+        for i, (w, b) in enumerate(zip(m.hidden_weights, m.hidden_biases)):
+            h = np.maximum(h @ w.T + b, 0.0)  # the unbuffered formula
+            assert np.array_equal(acts[i + 1], fresh[i + 1])
+            assert np.array_equal(acts[i + 1], h)
+            assert np.shares_memory(acts[i + 1], big[i])
+        assert np.array_equal(penultimate_features(m, X, out), fresh[-1])
 
 
 class TestDeterminism:
@@ -191,10 +212,48 @@ class TestLogging:
         assert r.log[-1].train_loss == compose_loss(plain, final, h, data.labels).value
         assert r.log[-1].train_acc == float(acc)
 
+    def test_holdout_larger_than_train_split(self):
+        # both splits share the log's buffers, sized to the larger one
+        data = small_data()
+        hold = make_blobs(40, 3, 4, 0.2, seed=77)
+        assert hold.n > data.n
+        r = train(small_model(), data, cfg(epochs=3), holdout=hold)
+        final = r.model.final
+
+        def acc(batch):
+            scores = eval_scores(
+                LossSpec("softmax"), final,
+                penultimate_features(r.model, batch.features),
+            )
+            return float(np.mean(np.argmax(scores, axis=1) == batch.labels))
+
+        assert r.log[-1].holdout_acc == acc(hold)
+        assert r.log[-1].train_acc == acc(data)
+
     def test_learns_separable_data(self):
         data = make_blobs(30, 3, 4, 0.05, seed=8)
         r = train(small_model(seed=1), data, cfg(epochs=30, peak_lr=0.2))
         assert r.log[-1].train_acc > 0.95
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("which, batch, match", [
+        ("holdout", make_blobs(5, 3, 5, 0.2, seed=77), "holdout has 5 features and 3"),
+        ("holdout", make_blobs(5, 4, 4, 0.2, seed=77), "holdout has 4 features and 4"),
+        ("dataset", make_blobs(5, 3, 5, 0.2, seed=77), "dataset has 5 features and 3"),
+        ("dataset", make_blobs(5, 4, 4, 0.2, seed=77), "dataset has 4 features and 4"),
+    ])
+    def test_mismatched_split_rejected_before_first_step(
+        self, monkeypatch, which, batch, match
+    ):
+        def no_step(*args, **kwargs):
+            raise AssertionError("trained before checking its inputs")
+
+        monkeypatch.setattr(training, "loss_and_grads", no_step)
+        splits = {"dataset": small_data(), "holdout": small_data(seed=1)}
+        splits[which] = batch
+        with pytest.raises(ValueError, match=match):
+            train(small_model(), splits["dataset"], cfg(), splits["holdout"])
 
 
 class TestDivergence:
