@@ -101,10 +101,11 @@ def ece(probs, labels, n_bins: int = 15) -> CalibrationReport:
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+LOG_T_TOL = 1e-6  # the search stops when the log T bracket is this narrow
 
 
 def fit_temperature(
-    logits, labels, loss_kind: str = "softmax", tol: float = 1e-6
+    logits, labels, loss_kind: str = "softmax"
 ) -> tuple[float, CalibrationReport]:
     """Golden-section search for T minimizing NLL of probs(logits / T).
 
@@ -126,7 +127,7 @@ def fit_temperature(
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > LOG_T_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

@@ -77,14 +77,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_report(args) -> int:
     config = _experiment(args)
-    harness.reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
-    if args.kind == "accuracy":
-        paths = harness.report_accuracy(config)
-    else:
-        paths = harness.REPORTERS[args.kind](config, harness.load_runs(config))
-    # the metadata records the settings of the report just rewritten
-    harness.write_metadata(config)
-    for path in paths:
+    # metadata.json, written last, records the settings of this report
+    for path in harness.write_reports(config, (args.kind,))[:-1]:
         print(path)
     return 0
 

@@ -93,7 +93,7 @@ def make_blob_split(
     )
 
 
-def load_csv(path, num_classes: int | None = None) -> Batch:
+def load_csv(path) -> Batch:
     labels = []
     rows = []
     width = None
@@ -132,8 +132,7 @@ def load_csv(path, num_classes: int | None = None) -> Batch:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     labels = np.array(labels, dtype=np.int64)
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Batch(np.array(rows), labels, k)
+    return Batch(np.array(rows), labels, int(labels.max()) + 1)
 
 
 _IDX_DTYPES = {
@@ -183,7 +182,7 @@ def derive_idx_labels_path(images_path) -> Path:
     return p.with_name(name)
 
 
-def load_idx(images_path, labels_path=None, num_classes: int | None = None) -> Batch:
+def load_idx(images_path, labels_path=None) -> Batch:
     imgs = _read_idx(images_path)
     if imgs.ndim < 2:
         raise ValueError(f"{images_path}: rank-{imgs.ndim} payload is not features")
@@ -204,5 +203,4 @@ def load_idx(images_path, labels_path=None, num_classes: int | None = None) -> B
     if not np.isfinite(feats).all():
         raise ValueError(f"{images_path}: non-finite feature value")
     labs = labs.astype(np.int64)
-    k = num_classes if num_classes is not None else int(labs.max()) + 1
-    return Batch(feats, labs, k)
+    return Batch(feats, labs, int(labs.max()) + 1)

@@ -12,9 +12,11 @@ its artifacts under ``{out}/runs/{loss}/seed{N}/``:
 
 Reports under ``{out}/reports/`` are pure views over ``model.npz`` and
 ``run.json``: load_runs loads each model once and recomputes its features
-and scores on the data split, and no report reads a dump. Rerunning the
-same config reproduces every file byte for byte (no timestamps, fixed
-float formatting).
+and scores on the data split, and no report reads a dump. Each reporter
+returns its tables and writes nothing; write_reports is the one function
+that writes ``reports/``, for ``losslab analyze`` and ``losslab report``
+alike. Rerunning the same config reproduces every file byte for byte (no
+timestamps, fixed float formatting).
 
 run_single is the only code in losslab that trains a model; the CLI and
 the blobs experiments reach it through train_runs.
@@ -281,7 +283,7 @@ def _mean_stderr(values) -> tuple:
     return mean, float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def report_accuracy(config) -> tuple:
+def report_accuracy(config) -> dict:
     """Per-loss eval accuracy, mean and standard error over seeds."""
     rows = []
     for name, _ in config.losses:
@@ -290,49 +292,41 @@ def report_accuracy(config) -> tuple:
             path = _artifact(run_dir(config.output_dir, name, seed) / "run.json")
             accs.append(json.loads(path.read_text())["eval_acc"])
         rows.append((name, *_mean_stderr(accs), len(accs)))
-    path = reports_dir(config.output_dir) / "accuracy.csv"
-    _write_csv(path, ("loss", "mean_eval_acc", "stderr", "n_seeds"), rows)
-    return (path,)
+    return {"accuracy.csv": (("loss", "mean_eval_acc", "stderr", "n_seeds"), rows)}
 
 
-def report_separation(config, runs) -> tuple:
-    path = reports_dir(config.output_dir) / "separation.csv"
-    _write_csv(path, ("loss", "index", "mean_r2", "stderr"), (
+def report_separation(config, runs) -> dict:
+    return {"separation.csv": (("loss", "index", "mean_r2", "stderr"), [
         (name, ix, *_mean_stderr(
             [class_separation_r2(r.features, r.batch.labels, ix)
              for r in runs if r.name == name]))
         for name, _ in config.losses
         for ix in SEPARATION_INDEXES
-    ))
-    return (path,)
+    ])}
 
 
-def report_cka(config, runs) -> tuple:
+def report_cka(config, runs) -> dict:
     m = len(runs)
     M = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
             M[i, j] = M[j, i] = linear_cka(runs[i].features, runs[j].features)
     names = _run_names(config)
-    path = reports_dir(config.output_dir) / "cka.csv"
-    _write_csv(path, ("name", *names),
-               ((n, *row) for n, row in zip(names, M)))
-    return (path,)
+    return {"cka.csv": (("name", *names),
+                        [(n, *row) for n, row in zip(names, M)])}
 
 
-def report_sparsity(config, runs) -> tuple:
+def report_sparsity(config, runs) -> dict:
     """Fraction of active ReLU units per hidden layer on the eval split."""
-    path = reports_dir(config.output_dir) / "sparsity.csv"
-    _write_csv(path, ("loss", "seed", "layer", "fraction_active"), (
+    return {"sparsity.csv": (("loss", "seed", "layer", "fraction_active"), [
         (run.name, run.seed, layer, frac)
         for run in runs
         for layer, frac in enumerate(sparsity_profile(
             forward_hidden(run.model, run.batch.features)[1:]))
-    ))
-    return (path,)
+    ])}
 
 
-def report_calibration(config, runs) -> tuple:
+def report_calibration(config, runs) -> dict:
     """calibration.json (pre/post temperature) + calibration_bins.csv."""
     rows = []
     table = {}
@@ -364,55 +358,47 @@ def report_calibration(config, runs) -> tuple:
                 for key in ("nll", "ece", "temperature", "nll_scaled", "ece_scaled")
             },
         }
-    rdir = reports_dir(config.output_dir)
-    json_path = rdir / "calibration.json"
-    _write_json(json_path, table)
-    bins_path = rdir / "calibration_bins.csv"
-    _write_csv(bins_path, ("loss", "seed", "lower", "upper", "count",
-                           "accuracy", "mean_confidence"), rows)
-    return json_path, bins_path
+    return {
+        "calibration.json": table,
+        "calibration_bins.csv": (("loss", "seed", "lower", "upper", "count",
+                                  "accuracy", "mean_confidence"), rows),
+    }
 
 
-def report_agreement(config, runs) -> tuple:
+def report_agreement(config, runs) -> dict:
     """Agreement matrix over all runs + average-linkage merge list."""
     names = _run_names(config)
     preds = [top1_predictions(r.scores) for r in runs]
     agree = agreement_matrix(preds, runs[0].batch.labels, config.agreement_variant)
-    rdir = reports_dir(config.output_dir)
-    mat_path = rdir / f"agreement_{config.agreement_variant}.csv"
-    _write_csv(mat_path, ("name", *names),
-               ((n, *row) for n, row in zip(names, agree)))
     # cluster on disagreement; the mutual-error variant leaves NaN for
     # pairs with no shared mistakes, so linkage only runs when finite
     dist = 1.0 - agree
     merges = linkage_dendrogram(dist) if np.all(np.isfinite(dist)) else ()
-    link_path = rdir / "linkage.csv"
-    _write_csv(link_path, ("step", "id_a", "id_b", "distance"), (
-        (step, int(a), int(b), d) for step, (a, b, d) in enumerate(merges)
-    ))
-    return mat_path, link_path
+    return {
+        f"agreement_{config.agreement_variant}.csv": (
+            ("name", *names), [(n, *row) for n, row in zip(names, agree)]),
+        "linkage.csv": (("step", "id_a", "id_b", "distance"), [
+            (step, int(a), int(b), d) for step, (a, b, d) in enumerate(merges)
+        ]),
+    }
 
 
-def report_avh(config, runs) -> tuple:
-    path = reports_dir(config.output_dir) / "avh.csv"
-    _write_csv(path, ("loss", "seed", "mean_avh"), (
+def report_avh(config, runs) -> dict:
+    return {"avh.csv": (("loss", "seed", "mean_avh"), [
         (run.name, run.seed,
          angular_visual_hardness(run.model.final, run.features,
                                  run.batch.labels).mean())
         for run in runs
-    ))
-    return (path,)
+    ])}
 
 
-def report_spectra(config, runs) -> tuple:
+def report_spectra(config, runs) -> dict:
     """Singular values of centered penultimate activations, descending."""
-    path = reports_dir(config.output_dir) / "spectra.csv"
-    _write_csv(path, ("loss", "seed", "rank", "sigma"), (
+    return {"spectra.csv": (("loss", "seed", "rank", "sigma"), [
         (run.name, run.seed, rank, s)
         for run in runs
         for rank, s in enumerate(singular_spectrum(run.features))
-    ))
-    return (path,)
+    ])}
 
 
 def merge_labels(labels, merge: int) -> np.ndarray:
@@ -420,11 +406,11 @@ def merge_labels(labels, merge: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64) % merge
 
 
-def transfer_probe(features, labels, merge: int, probe_config: ProbeConfig,
-                   split_seed: int = 0) -> ProbeResult:
+def transfer_probe(features, labels, merge: int,
+                   probe_config: ProbeConfig) -> ProbeResult:
     """Probe on coarse labels: per-class half train / half test."""
     y = merge_labels(labels, merge)
-    rng = np.random.default_rng(split_seed)
+    rng = np.random.default_rng(0)
     tr_idx, te_idx = [], []
     for k in np.unique(y):
         idx = rng.permutation(np.where(y == k)[0])
@@ -437,7 +423,7 @@ def transfer_probe(features, labels, merge: int, probe_config: ProbeConfig,
     return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
 
 
-def report_transfer(config, runs) -> tuple:
+def report_transfer(config, runs) -> dict:
     """Coarse-label probe accuracy per run, with whether every fit behind it
     (the lambda path and the refit) converged and its largest gradient norm."""
     rows = []
@@ -449,14 +435,13 @@ def report_transfer(config, runs) -> tuple:
         max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
         rows.append((run.name, run.seed, config.transfer_merge,
                      res.test_accuracy, int(converged), max_gn))
-    path = reports_dir(config.output_dir) / "transfer.csv"
-    _write_csv(path, ("loss", "seed", "merge", "probe_acc", "converged",
-                      "max_grad_norm"), rows)
-    return (path,)
+    return {"transfer.csv": (("loss", "seed", "merge", "probe_acc", "converged",
+                              "max_grad_norm"), rows)}
 
 
-# analysis name -> reporter(config, load_runs(config)); like
-# report_accuracy, each returns the tuple of paths it wrote
+# analysis name (config.ANALYSES, in order) -> reporter(config, runs). Like
+# report_accuracy(config), each writes nothing and returns {file name in
+# reports/: table}: the object for a .json name, else (header, rows).
 REPORTERS = {
     "separation": report_separation,
     "cka": report_cka,
@@ -469,9 +454,33 @@ REPORTERS = {
 }
 
 
-def write_metadata(config) -> Path:
-    """reports/metadata.json: the grid and the settings of every report."""
-    meta = {
+def write_reports(config, kinds=None) -> list:
+    """The only writer of reports/: each kind's tables as its reporter
+    returns them (default: accuracy, then the config's analyses), then
+    metadata.json, the grid and every report's settings. Returns the paths
+    in that order. The runs load once, after accuracy, and only for an
+    analysis; reporters are looked up per call, so a patched one runs."""
+    rdir = reports_dir(config.output_dir)
+    rdir.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def write(tables):
+        for name, table in tables.items():
+            path = rdir / name
+            if path.suffix == ".json":
+                _write_json(path, table)
+            else:
+                _write_csv(path, *table)
+            written.append(path)
+
+    runs = None
+    for kind in ("accuracy", *config.analyses) if kinds is None else kinds:
+        if kind == "accuracy":
+            write(report_accuracy(config))
+        else:
+            runs = load_runs(config) if runs is None else runs
+            write(REPORTERS[kind](config, runs))
+    write({"metadata.json": {
         "runs": _run_names(config),
         "losses": {name: format_loss_line(spec) for name, spec in config.losses},
         "seeds": list(config.seeds),
@@ -481,21 +490,7 @@ def write_metadata(config) -> Path:
         "spectra_mode": "activations",
         "transfer_merge": config.transfer_merge,
         "dataset": asdict(config.dataset),
-    }
-    meta_path = reports_dir(config.output_dir) / "metadata.json"
-    _write_json(meta_path, meta)
-    return meta_path
-
-
-def write_reports(config) -> list:
-    """Accuracy table plus every enabled analysis; returns written paths."""
-    reports_dir(config.output_dir).mkdir(parents=True, exist_ok=True)
-    written = list(report_accuracy(config))
-    if config.analyses:
-        runs = load_runs(config)
-        for analysis in config.analyses:
-            written.extend(REPORTERS[analysis](config, runs))
-    written.append(write_metadata(config))
+    }})
     return written
 
 

@@ -281,6 +281,32 @@ class TestCsvFormat:
         assert not (reports / "separation.csv").exists()
 
 
+class TestPureReporters:
+    def test_reporters_compute_and_write_reports_writes(self, experiment,
+                                                         tmp_path):
+        # every reporter returns its tables and writes nothing; write_reports
+        # of one kind then writes the bytes the full analyze wrote
+        config, _ = experiment
+        assert tuple(harness.REPORTERS) == ANALYSES
+        shutil.copytree(Path(config.output_dir) / "runs", tmp_path / "runs")
+        copy = replace(config, output_dir=str(tmp_path))
+        before = tree_digest(tmp_path)
+        runs = load_runs(copy)
+        tables = {"accuracy": harness.report_accuracy(copy)}
+        for kind, reporter in harness.REPORTERS.items():
+            tables[kind] = reporter(copy, runs)
+        assert tree_digest(tmp_path) == before
+        assert not (tmp_path / "reports").exists()
+        expected = Path(config.output_dir) / "reports"
+        for kind, kind_tables in tables.items():
+            written = write_reports(copy, (kind,))
+            names = [*kind_tables, "metadata.json"]
+            assert written == [tmp_path / "reports" / n for n in names]
+            for path in written:
+                assert path.read_bytes() == (expected / path.name).read_bytes()
+        assert tree_digest(tmp_path / "reports") == tree_digest(expected)
+
+
 class TestFeaturePath:
     def test_reports_need_no_dumps(self, experiment, tmp_path):
         # reports are views over model.npz and run.json: without the dumps

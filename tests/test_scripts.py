@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from losslab.cli import main as losslab_main
+from losslab.config import ANALYSES
 from losslab.repr_analysis import SEPARATION_INDEXES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +49,30 @@ def test_spearman_matches_scipy_with_ties():
             continue
         assert mod.spearman(a, b) == pytest.approx(spearmanr(a, b).statistic,
                                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_spearman_of_a_perfect_ordering_is_exact(n):
+    # Pearson's r of float ranks reads +-0.9999999999999999 at these n
+    mod = load_script("run_temperature_tradeoff")
+    x = np.linspace(0.01, 0.1, n)
+    assert mod.spearman(x, x ** 2) == 1.0
+    assert mod.spearman(x, -x) == -1.0
+
+
+def test_temperature_script_passes_on_five_ordered_temperatures(monkeypatch,
+                                                                capsys):
+    mod = load_script("run_temperature_tradeoff")
+    taus = (0.01, 0.03, 0.05, 0.08, 0.1)
+    monkeypatch.setattr(mod, "temperature_experiment", lambda seeds, merge: {
+        t: {"r2": np.full(len(seeds), 0.5 + i / 10),
+            "transfer": np.full(len(seeds), 0.9 - i / 10)}
+        for i, t in enumerate(taus)
+    })
+    assert mod.main(["--seeds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "spearman(tau, R2) = +1.00" in out
+    assert "spearman(tau, transfer) = -1.00" in out
 
 
 def test_temperature_script_exit_code(monkeypatch, capsys):
@@ -165,3 +191,27 @@ def test_tracer_spans_every_step(tmp_path):
     assert names.count("losses.compose_loss") == steps
     assert names.count("mlp.forward_hidden") == steps
     assert names.count("training.epoch_log") == 6
+
+
+def test_tracer_spans_every_report(tmp_path):
+    # the benchmark's per-layer report metrics are the spans of this path:
+    # one per reporter, and one probe sweep per run inside transfer
+    ini = tmp_path / "exp.ini"
+    # all eight analyses, and a second run for the agreement linkage
+    text = TRACE_INI.replace(
+        "output = {out}\n", "output = {out}\nanalyses = " + ", ".join(ANALYSES) + "\n"
+    ).format(out=tmp_path / "out")
+    ini.write_text(text + "cos = cosine_softmax temperature=0.05\n")
+    assert losslab_main(["sweep", "--config", str(ini)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    trace = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
+         "analyze", "--config", str(ini)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[2] for span in json.loads(trace.read_text())["spans"]]
+    for kind in ("accuracy",) + ANALYSES:
+        assert names.count(f"harness.report_{kind}") == 1, kind
+    assert names.count("probe.sweep_and_retrain") == 2
