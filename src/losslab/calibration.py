@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import sigmoid, softmax_rows
+from .losses import row_max, sigmoid, softmax_rows
 
 PROB_CLAMP = 1e-12
 
@@ -38,11 +38,20 @@ class CalibrationReport:
     bins: list = field(default_factory=list)
 
 
-def probs_from_logits(logits, loss_kind: str) -> np.ndarray:
-    """(n, K) probabilities: normalized sigmoids for "sigmoid", else softmax."""
+def _finite_logits(logits) -> np.ndarray:
     L = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     if not np.all(np.isfinite(L)):
         raise ValueError("logits contain non-finite entries")
+    return L
+
+
+def probs_from_logits(logits, loss_kind: str) -> np.ndarray:
+    """(n, K) probabilities: normalized sigmoids for "sigmoid", else softmax."""
+    return _probs(_finite_logits(logits), loss_kind)
+
+
+def _probs(L: np.ndarray, loss_kind: str) -> np.ndarray:
+    """probs_from_logits on a finite 2-d float64 L, without the checks."""
     if loss_kind == "sigmoid":
         s = sigmoid(L)
         denom = s.sum(axis=1, keepdims=True)
@@ -79,7 +88,7 @@ def ece(probs, labels, n_bins: int = 15) -> CalibrationReport:
         raise ValueError(f"{y.shape[0]} labels for {n} rows")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    conf = P.max(axis=1)
+    conf = row_max(P)[:, 0]
     correct = top1_predictions(P) == y
     # right-closed bins on (0, 1]; conf 0 goes to the first bin
     idx = np.clip(np.ceil(conf * n_bins).astype(int) - 1, 0, n_bins - 1)
@@ -112,13 +121,15 @@ def fit_temperature(
     The search runs on log T over [-5, 5]; NLL in log T is unimodal for
     fixed logits. Returns (T, post-scaling report with temperature set).
     """
-    L = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    L = _finite_logits(logits)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape != (L.shape[0],):
         raise ValueError(f"{y.shape[0]} labels for {L.shape[0]} rows")
 
+    # L is checked once, here; a logit that overflows once divided by T
+    # gives a non-finite NLL below
     def f(u: float) -> float:
-        v = nll(probs_from_logits(L / math.exp(u), loss_kind), y)
+        v = nll(_probs(L / math.exp(u), loss_kind), y)
         if not math.isfinite(v):
             raise RuntimeError(f"non-finite NLL at log T = {u:g}")
         return v
@@ -138,6 +149,6 @@ def fit_temperature(
             fd = f(d)
     u = (a + b) / 2.0
     T = math.exp(u)
-    report = ece(probs_from_logits(L / T, loss_kind), y)
+    report = ece(_probs(L / T, loss_kind), y)
     report.temperature = T
     return T, report

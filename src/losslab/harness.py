@@ -43,7 +43,7 @@ from .config import ExperimentConfig, format_loss_line
 from .data import Batch, load_csv, load_idx, make_blob_split
 # read_activation_dump is unused here; perfbench/tracer.py patches it here
 from .dumps import read_activation_dump, write_activation_dump  # noqa: F401
-from .losses import LossSpec, eval_scores
+from .losses import DegenerateInputError, LossSpec, eval_scores
 from .mlp import (
     FinalLayer,
     MlpModel,
@@ -55,11 +55,14 @@ from .probe import ProbeConfig, ProbeResult, sweep_and_retrain
 from .repr_analysis import (
     SEPARATION_INDEXES,
     angular_visual_hardness,
+    cka_matrix,
     class_separation_r2,
-    linear_cka,
     singular_spectrum,
     sparsity_profile,
 )
+# linear_cka is unused here too (report_cka calls cka_matrix); the tracer
+# patches it here
+from .repr_analysis import linear_cka  # noqa: F401
 from .training import TrainConfig, train
 
 FMT = "%.10g"
@@ -258,17 +261,31 @@ class LoadedRun:
     scores: np.ndarray
 
 
+def _eval_split(ds, num_classes: int) -> Batch:
+    """The eval split of a DatasetConfig, with the class count training
+    used. A csv or idx dataset reads its eval file alone; blobs draw both
+    splits in one generator call, so the train split is drawn too."""
+    if ds.kind == "blobs":
+        return load_experiment_data(ds)[1]
+    ev = (load_csv if ds.kind == "csv" else load_idx)(ds.eval_path)
+    return Batch(ev.features, ev.labels, num_classes)
+
+
 def load_runs(config, batch: Batch | None = None) -> list:
     """Every (loss, seed) run of the grid, loaded once from its model.npz.
 
-    batch defaults to the config's eval split; the records share it.
+    batch defaults to the config's eval split, with the class count of the
+    trained models' final layers; the records share it.
     """
+    grid = list(_runs(config))
+    models = [
+        load_model(_artifact(run_dir(config.output_dir, name, seed) / "model.npz"))
+        for name, _, seed in grid
+    ]
     if batch is None:
-        batch = load_experiment_data(config.dataset)[1]
+        batch = _eval_split(config.dataset, models[0].final.num_classes)
     runs = []
-    for name, spec, seed in _runs(config):
-        path = _artifact(run_dir(config.output_dir, name, seed) / "model.npz")
-        model = load_model(path)
+    for (name, spec, seed), model in zip(grid, models):
         feats = penultimate_features(model, batch.features)
         runs.append(LoadedRun(name, spec, seed, model, batch, feats,
                               eval_scores(spec, model.final, feats)))
@@ -295,10 +312,21 @@ def report_accuracy(config) -> dict:
     return {"accuracy.csv": (("loss", "mean_eval_acc", "stderr", "n_seeds"), rows)}
 
 
+def _naming_run(runs, fn, *args):
+    """fn(*args) for one run, or for all of runs at once. A
+    DegenerateInputError keeps its type and text, prefixed by the name of
+    the run that raised it: the only one, or runs[err.index]."""
+    try:
+        return fn(*args)
+    except DegenerateInputError as err:
+        run = runs[getattr(err, "index", 0)]
+        raise DegenerateInputError(f"{run.name}:seed{run.seed}: {err}") from err
+
+
 def report_separation(config, runs) -> dict:
     return {"separation.csv": (("loss", "index", "mean_r2", "stderr"), [
         (name, ix, *_mean_stderr(
-            [class_separation_r2(r.features, r.batch.labels, ix)
+            [_naming_run([r], class_separation_r2, r.features, r.batch.labels, ix)
              for r in runs if r.name == name]))
         for name, _ in config.losses
         for ix in SEPARATION_INDEXES
@@ -306,11 +334,7 @@ def report_separation(config, runs) -> dict:
 
 
 def report_cka(config, runs) -> dict:
-    m = len(runs)
-    M = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            M[i, j] = M[j, i] = linear_cka(runs[i].features, runs[j].features)
+    M = _naming_run(runs, cka_matrix, [r.features for r in runs])
     names = _run_names(config)
     return {"cka.csv": (("name", *names),
                         [(n, *row) for n, row in zip(names, M)])}
@@ -386,8 +410,8 @@ def report_agreement(config, runs) -> dict:
 def report_avh(config, runs) -> dict:
     return {"avh.csv": (("loss", "seed", "mean_avh"), [
         (run.name, run.seed,
-         angular_visual_hardness(run.model.final, run.features,
-                                 run.batch.labels).mean())
+         _naming_run([run], angular_visual_hardness, run.model.final,
+                     run.features, run.batch.labels).mean())
         for run in runs
     ])}
 

@@ -41,22 +41,43 @@ def _check_labels(labels, n, num_classes=None, require_all=True):
 
 
 def linear_cka(X, Y) -> float:
-    """Linear CKA in the feature-space form.
+    """Linear CKA of two representations of the same rows: cka_matrix's
+    off-diagonal entry for the pair."""
+    return float(cka_matrix([X, Y])[0, 1])
 
-    ||Yc' Xc||_F^2 / (||Xc' Xc||_F ||Yc' Yc||_F), columns mean-centered.
+
+def cka_matrix(features_list) -> np.ndarray:
+    """Linear CKA between every pair of representations, in the feature-space
+    form ||Yc' Xc||_F^2 / (||Xc' Xc||_F ||Yc' Yc||_F), columns mean-centered.
+
+    Each representation is checked, and its column mean and ||Xc' Xc||_F
+    computed, once; a pair then costs one centering and one product. Only
+    two centered copies are alive at a time. A constant representation
+    raises DegenerateInputError whose ``index`` is its position in the list.
     """
-    X = _check_matrix(X, min_rows=2)
-    Y = _check_matrix(Y, min_rows=2)
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(f"row counts differ: {X.shape[0]} vs {Y.shape[0]}")
-    Xc = X - X.mean(axis=0)
-    Yc = Y - Y.mean(axis=0)
-    num = np.sum((Yc.T @ Xc) ** 2)
-    dx = np.linalg.norm(Xc.T @ Xc)
-    dy = np.linalg.norm(Yc.T @ Yc)
-    if dx <= NORM_EPS or dy <= NORM_EPS:
-        raise DegenerateInputError("constant representation has no CKA")
-    return float(num / (dx * dy))
+    mats = [_check_matrix(X, min_rows=2) for X in features_list]
+    for X in mats[1:]:
+        if X.shape[0] != mats[0].shape[0]:
+            raise ValueError(
+                f"row counts differ: {mats[0].shape[0]} vs {X.shape[0]}")
+    means, norms = [], []
+    for i, X in enumerate(mats):
+        means.append(X.mean(axis=0))
+        Xc = X - means[-1]
+        norms.append(np.linalg.norm(Xc.T @ Xc))
+        if norms[-1] <= NORM_EPS:
+            err = DegenerateInputError("constant representation has no CKA")
+            err.index = i
+            raise err
+    m = len(mats)
+    M = np.eye(m)
+    for i in range(m - 1):
+        Xc = mats[i] - means[i]
+        for j in range(i + 1, m):
+            Yc = mats[j] - means[j]
+            num = np.sum((Yc.T @ Xc) ** 2)
+            M[i, j] = M[j, i] = num / (norms[i] * norms[j])
+    return M
 
 
 def one_hot_matrix(labels, num_classes=None) -> np.ndarray:
@@ -72,6 +93,18 @@ def _normalize_rows(X) -> np.ndarray:
     if np.any(norms <= NORM_EPS):
         raise DegenerateInputError("zero-norm row; cosine distance undefined")
     return X / norms
+
+
+def _class_sums(X, y, k) -> np.ndarray:
+    """Per-class sums of the rows of X (of its entries when X is 1-d), each
+    added in row order, so they equal np.add.at's sums bit for bit. A 1-d
+    X or a single column goes through np.bincount; wider X takes one axis-0
+    sum per class, which numpy adds row after row (it sums a single column
+    pairwise)."""
+    if X.ndim == 1 or X.shape[1] == 1:
+        sums = np.bincount(y, weights=X.reshape(-1), minlength=k)
+        return sums.reshape(k, *X.shape[1:])
+    return np.stack([X[y == c].sum(axis=0) for c in range(k)])
 
 
 def class_separation_r2(
@@ -96,23 +129,15 @@ def class_separation_r2(
 
     if index == "cosine_mean_subtracted":
         X = X - X.mean(axis=0)
-    if index in ("cosine", "cosine_mean_subtracted"):
-        Xn = _normalize_rows(X)
-        means = np.zeros((k, X.shape[1]))
-        np.add.at(means, y, Xn)
-        means /= counts[:, None]
+    cosine = index != "euclidean"
+    means = _class_sums(_normalize_rows(X) if cosine else X, y, k) / counts[:, None]
+    grand = means.mean(axis=0)
+    if cosine:
         within = float(np.mean(1.0 - np.sum(means**2, axis=1)))
-        grand = means.mean(axis=0)
         overall = 1.0 - float(np.sum(grand**2))
     else:
-        means = np.zeros((k, X.shape[1]))
-        np.add.at(means, y, X)
-        means /= counts[:, None]
-        sq = np.zeros(k)
-        np.add.at(sq, y, np.sum(X**2, axis=1))
-        q = sq / counts
+        q = _class_sums(np.sum(X**2, axis=1), y, k) / counts
         within = float(np.mean(2.0 * (q - np.sum(means**2, axis=1))))
-        grand = means.mean(axis=0)
         overall = 2.0 * (float(np.mean(q)) - float(np.sum(grand**2)))
 
     if overall <= NORM_EPS:

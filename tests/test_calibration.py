@@ -204,6 +204,62 @@ class TestTemperature:
             assert rep.nll <= pre + 1e-9
 
 
+def reference_fit_temperature(L, y, kind):
+    """The golden-section search on log T over [-5, 5], through the checked
+    probs_from_logits at every step."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(u):
+        return nll(probs_from_logits(L / math.exp(u), kind), y)
+
+    a, b = -5.0, 5.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-6:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    T = math.exp((a + b) / 2.0)
+    report = ece(probs_from_logits(L / T, kind), y)
+    report.temperature = T
+    return T, report
+
+
+class TestTemperatureIsExact:
+    """fit_temperature checks its logits once and then runs unchecked; its
+    temperature and report equal the checked search's, bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(23)
+        L = 3.0 * rng.standard_normal((60, 5))
+        y = rng.integers(0, 5, 60)
+        yield "softmax", L, y
+        yield "sigmoid", L, y
+        # every sigmoid of the last row underflows at every T in the range,
+        # so each step takes the softmax branch of probs_from_logits
+        under = np.vstack([L[:, :3], [-2.0e5, -2.1e5, -1.9e5]])
+        yield "sigmoid", under, np.append(y % 3, 2)
+        low = -6.0 + 0.025 * L
+        yield "sigmoid", low, top1_predictions(low)
+
+    def test_equals_checked_search(self):
+        for kind, L, y in self.cases():
+            T, report = fit_temperature(L, y, kind)
+            T_ref, ref = reference_fit_temperature(L, y, kind)
+            assert T == T_ref, kind
+            assert report == ref, kind
+
+    def test_nonfinite_rejected_on_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_temperature(np.array([[np.nan, 0.0]]), [0], "sigmoid")
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_temperature_never_changes_accuracy(seed):

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,57 @@ class TestErrorPaths:
             code = main(["train", "--config", str(ini), "--loss", "plain"])
         assert code == 1
         assert "loss=plain seed=0" in capsys.readouterr().err
+
+
+class TestDegenerateRun:
+    def test_error_names_the_run(self, workspace, tmp_path, capsys):
+        # a dead last hidden layer makes every penultimate row of one run
+        # zero; each analysis that cannot use it says which run it was
+        ini, out = workspace
+        shutil.copytree(out / "runs", tmp_path / "runs")
+        path = tmp_path / "runs" / "smooth" / "seed1" / "model.npz"
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["hidden_b_1"] = np.full_like(arrays["hidden_b_1"], -100.0)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: smooth:seed1: zero-norm row; cosine distance undefined\n")
+        for kind, text in (("cka", "constant representation has no CKA"),
+                           ("avh", "zero-norm vector; angles undefined")):
+            assert main(["report", "--config", str(ini), "--out", str(tmp_path),
+                         "--kind", kind]) == 1
+            assert capsys.readouterr().err == f"error: smooth:seed1: {text}\n"
+
+
+class TestCsvData:
+    def test_analyze_reads_only_the_eval_file(self, tmp_path, capsys):
+        # the eval file lacks the last class, so the class count must come
+        # from the trained models once the train file is gone
+        rng = np.random.default_rng(25)
+        means = rng.standard_normal((4, 8))
+        for name, per, classes in (("train.csv", 30, 4), ("eval.csv", 10, 3)):
+            labels = np.repeat(np.arange(classes), per)
+            feats = means[labels] + 0.8 * rng.standard_normal((labels.size, 8))
+            (tmp_path / name).write_text("".join(
+                f"{k}," + ",".join(map(repr, row)) + "\n"
+                for k, row in zip(labels, feats.tolist())))
+        blobs = INI[:INI.index("[model]")]
+        ini = tmp_path / "csv.ini"
+        ini.write_text(INI.replace(blobs, (
+            f"[dataset]\nkind = csv\npath = {tmp_path / 'train.csv'}\n"
+            f"eval_path = {tmp_path / 'eval.csv'}\n\n"
+        )).replace(", transfer", "").format(out=tmp_path / "out"))
+        assert main(["sweep", "--config", str(ini)]) == 0
+        assert main(["analyze", "--config", str(ini)]) == 0
+        reports = tmp_path / "out" / "reports"
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        shutil.rmtree(reports)
+        (tmp_path / "train.csv").unlink()
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(ini)]) == 0, capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

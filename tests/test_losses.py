@@ -32,6 +32,7 @@ from losslab.losses import (
     logit_norm_xent,
     logit_penalty_xent,
     logsumexp_rows,
+    row_max,
     sigmoid,
     sigmoid_bias_init,
     sigmoid_xent,
@@ -475,6 +476,47 @@ class TestEvalScores:
 
 # ---------------------------------------------------------------------------
 # the one-pass kernels give the bits of the separate passes they replaced
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestRowMax:
+    """row_max picks what np.max(..., axis=-1) picks; where a zero maximum
+    is tied between +0.0 and -0.0 its sign may differ, and the softmax and
+    logsumexp rows built on it keep every bit."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(24)
+        yield rng.standard_normal((50, 10))
+        yield rng.integers(-2, 2, size=(50, 9)).astype(float)  # ties
+        zeros = rng.choice([-0.0, 0.0], size=(50, 17))
+        yield zeros
+        yield np.where(rng.random((50, 17)) < 0.5, zeros, -3.0)
+        yield rng.standard_normal((3, 4, 5))
+
+    def test_values_equal_np_max(self):
+        for A in self.matrices():
+            ref = np.max(A, axis=-1, keepdims=True)
+            ours = row_max(A)
+            assert ours.shape == ref.shape
+            assert np.array_equal(ours, ref)
+
+    def test_one_d_input_keeps_every_bit(self):
+        for A in self.matrices():
+            for row in A.reshape(-1, A.shape[-1]):
+                assert same_bits(row_max(row), np.max(row, axis=-1, keepdims=True))
+
+    def test_softmax_and_logsumexp_keep_every_bit(self):
+        for A in self.matrices():
+            m = np.max(A, axis=-1, keepdims=True)
+            e = np.exp(A - m)
+            assert same_bits(softmax_rows(A), e / np.sum(e, axis=-1, keepdims=True))
+            assert same_bits(logsumexp_rows(A),
+                             (m + np.log(np.sum(e, axis=-1, keepdims=True)))[..., 0])
 
 
 def reference_xent_rows(Z, t):

@@ -5,7 +5,10 @@ import pytest
 
 from losslab.losses import DegenerateInputError, FinalLayer
 from losslab.repr_analysis import (
+    SEPARATION_INDEXES,
+    _class_sums,
     angular_visual_hardness,
+    cka_matrix,
     class_separation_r2,
     linear_cka,
     one_hot_matrix,
@@ -73,6 +76,44 @@ class TestLinearCka:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             linear_cka(np.zeros((4, 2)), np.zeros((5, 2)))
+
+
+class TestCkaMatrix:
+    """cka_matrix is bit-identical to the per-pair formula it replaces."""
+
+    @staticmethod
+    def runs(rng):
+        # same rows, different widths and scales
+        return [s * rng.standard_normal((40, d)) + rng.standard_normal(d)
+                for s, d in ((1.0, 6), (3.0, 4), (0.1, 9), (7.0, 6))]
+
+    def test_equals_literal_formula_and_linear_cka(self):
+        feats = self.runs(np.random.default_rng(20))
+        M = cka_matrix(feats)
+        assert np.array_equal(np.diag(M), np.ones(len(feats)))
+        for i in range(len(feats)):
+            for j in range(i + 1, len(feats)):
+                Xc = feats[i] - feats[i].mean(axis=0)
+                Yc = feats[j] - feats[j].mean(axis=0)
+                num = np.sum((Yc.T @ Xc) ** 2)
+                expect = num / (np.linalg.norm(Xc.T @ Xc)
+                                * np.linalg.norm(Yc.T @ Yc))
+                assert M[i, j] == expect and M[j, i] == expect, (i, j)
+                assert linear_cka(feats[i], feats[j]) == expect, (i, j)
+
+    def test_constant_run_rejected_with_its_position(self):
+        feats = self.runs(np.random.default_rng(21))
+        feats[2] = np.ones((40, 3))
+        with pytest.raises(DegenerateInputError,
+                           match="constant representation") as err:
+            cka_matrix(feats)
+        assert err.value.index == 2
+
+    def test_row_count_mismatch(self):
+        feats = self.runs(np.random.default_rng(22))
+        feats[1] = feats[1][:-1]
+        with pytest.raises(ValueError, match="row counts differ"):
+            cka_matrix(feats)
 
 
 def r2_double_loop_oracle(X, y, index):
@@ -183,6 +224,61 @@ class TestClassSeparation:
         X = np.ones((6, 3))
         with pytest.raises(DegenerateInputError):
             class_separation_r2(X, [0, 0, 0, 1, 1, 1], "euclidean")
+
+
+def add_at_class_means(X, y, k):
+    """Class means summed by np.add.at, as class_separation_r2 once did."""
+    sums = np.zeros((k, *X.shape[1:]))
+    np.add.at(sums, y, X)
+    counts = np.bincount(y, minlength=k)
+    return sums / counts.reshape(k, *([1] * (X.ndim - 1)))
+
+
+def add_at_r2(X, y, index):
+    """class_separation_r2 as it was written with np.add.at."""
+    k = int(y.max()) + 1
+    if index == "cosine_mean_subtracted":
+        X = X - X.mean(axis=0)
+    if index in ("cosine", "cosine_mean_subtracted"):
+        means = add_at_class_means(X / np.linalg.norm(X, axis=1, keepdims=True),
+                                   y, k)
+        within = float(np.mean(1.0 - np.sum(means**2, axis=1)))
+        overall = 1.0 - float(np.sum(means.mean(axis=0) ** 2))
+    else:
+        means = add_at_class_means(X, y, k)
+        q = add_at_class_means(np.sum(X**2, axis=1), y, k)
+        within = float(np.mean(2.0 * (q - np.sum(means**2, axis=1))))
+        overall = 2.0 * (float(np.mean(q)) - float(np.sum(means.mean(axis=0) ** 2)))
+    return float(1.0 - within / overall)
+
+
+class TestClassSums:
+    """The class sums are np.add.at's, bit for bit: shuffled labels,
+    unequal class sizes, and every matrix the three indexes average."""
+
+    @staticmethod
+    def data(d, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.repeat(np.arange(4), [3, 50, 17, 130]))
+        scale = 10.0 ** rng.integers(-4, 5, size=(y.size, 1))
+        return scale * rng.standard_normal((y.size, d)) + 0.5, y
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_means_equal_add_at(self, d):
+        X, y = self.data(d, 30 + d)
+        counts = np.bincount(y)
+        Xm = X - X.mean(axis=0)
+        for Z in (X / np.linalg.norm(X, axis=1, keepdims=True),
+                  Xm / np.linalg.norm(Xm, axis=1, keepdims=True),
+                  X, np.sum(X**2, axis=1)):
+            ours = _class_sums(Z, y, 4) / counts.reshape(4, *([1] * (Z.ndim - 1)))
+            assert np.array_equal(ours, add_at_class_means(Z, y, 4))
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    @pytest.mark.parametrize("index", SEPARATION_INDEXES)
+    def test_r2_equals_add_at(self, d, index):
+        X, y = self.data(d, 40 + d)
+        assert class_separation_r2(X, y, index) == add_at_r2(X, y, index)
 
 
 class TestSparsity:

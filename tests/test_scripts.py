@@ -215,3 +215,34 @@ def test_tracer_spans_every_report(tmp_path):
     for kind in ("accuracy",) + ANALYSES:
         assert names.count(f"harness.report_{kind}") == 1, kind
     assert names.count("probe.sweep_and_retrain") == 2
+
+
+def test_tracer_spans_the_analysis_layers(tmp_path):
+    # the benchmark's per-layer analysis metrics are spans inside three
+    # reporters: a count of zero would read as a layer that costs nothing
+    ini = tmp_path / "exp.ini"
+    cheap = [kind for kind in ANALYSES if kind != "transfer"]
+    text = TRACE_INI.replace(
+        "seeds = 0\n", "seeds = 0, 1\n"
+    ).replace(
+        "output = {out}\n", "output = {out}\nanalyses = " + ", ".join(cheap) + "\n"
+    ).format(out=tmp_path / "out")
+    ini.write_text(text + "cos = cosine_softmax temperature=0.05\n")
+    assert losslab_main(["sweep", "--config", str(ini)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    trace = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
+         "analyze", "--config", str(ini)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[2] for span in json.loads(trace.read_text())["spans"]]
+    runs = 4
+    assert names.count("repr_analysis.class_separation_r2") == (
+        len(SEPARATION_INDEXES) * runs)
+    assert names.count("calibration.fit_temperature") == runs
+    assert names.count("agreement.agreement_matrix") == 1
+    # report_cka computes every pair in one cka_matrix call, which the
+    # tracer does not patch, so the linear_cka span no longer occurs
+    assert names.count("repr_analysis.linear_cka") == 0
