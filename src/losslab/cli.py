@@ -61,10 +61,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_dump(args) -> int:
     config = _experiment(args)
-    train_batch, eval_batch = harness.load_experiment_data(config.dataset)
-    batch = train_batch if args.split == "train" else eval_batch
-    harness.dump_activations(args.model, batch, args.dump_out)
-    print(f"wrote {args.dump_out}: {batch.n} x penultimate features")
+    n = harness.dump_activations(args.model, config.dataset, args.split, args.dump_out)
+    print(f"wrote {args.dump_out}: {n} x penultimate features")
     return 0
 
 

@@ -261,14 +261,15 @@ class LoadedRun:
     scores: np.ndarray
 
 
-def _eval_split(ds, num_classes: int) -> Batch:
-    """The eval split of a DatasetConfig, with the class count training
-    used. A csv or idx dataset reads its eval file alone; blobs draw both
-    splits in one generator call, so the train split is drawn too."""
+def _data_split(ds, split: str, num_classes: int) -> Batch:
+    """The "train" or "eval" split of a DatasetConfig, with the class count
+    training used. A csv or idx dataset reads that split's file alone;
+    blobs draw both splits in one generator call, so both are drawn."""
     if ds.kind == "blobs":
-        return load_experiment_data(ds)[1]
-    ev = (load_csv if ds.kind == "csv" else load_idx)(ds.eval_path)
-    return Batch(ev.features, ev.labels, num_classes)
+        return load_experiment_data(ds)[split == "eval"]
+    path = ds.eval_path if split == "eval" else ds.path
+    data = (load_csv if ds.kind == "csv" else load_idx)(path)
+    return Batch(data.features, data.labels, num_classes)
 
 
 def load_runs(config, batch: Batch | None = None) -> list:
@@ -283,7 +284,7 @@ def load_runs(config, batch: Batch | None = None) -> list:
         for name, _, seed in grid
     ]
     if batch is None:
-        batch = _eval_split(config.dataset, models[0].final.num_classes)
+        batch = _data_split(config.dataset, "eval", models[0].final.num_classes)
     runs = []
     for (name, spec, seed), model in zip(grid, models):
         feats = penultimate_features(model, batch.features)
@@ -324,12 +325,14 @@ def _naming_run(runs, fn, *args):
 
 
 def report_separation(config, runs) -> dict:
+    """Per loss and index, R2 mean and standard error over seeds; each run's
+    three indexes come from one class_separation_r2 call."""
+    r2 = [_naming_run([r], class_separation_r2, r.features, r.batch.labels,
+                      SEPARATION_INDEXES) for r in runs]
     return {"separation.csv": (("loss", "index", "mean_r2", "stderr"), [
-        (name, ix, *_mean_stderr(
-            [_naming_run([r], class_separation_r2, r.features, r.batch.labels, ix)
-             for r in runs if r.name == name]))
+        (name, ix, *_mean_stderr([v[i] for r, v in zip(runs, r2) if r.name == name]))
         for name, _ in config.losses
-        for ix in SEPARATION_INDEXES
+        for i, ix in enumerate(SEPARATION_INDEXES)
     ])}
 
 
@@ -518,8 +521,11 @@ def write_reports(config, kinds=None) -> list:
     return written
 
 
-def dump_activations(model_path, dataset: Batch, out_path) -> None:
-    """Penultimate features + labels of a saved model on a dataset."""
+def dump_activations(model_path, ds, split: str, out_path) -> int:
+    """Penultimate features + labels of a saved model on one split of a
+    DatasetConfig, read alone (see _data_split); returns the row count."""
     model = load_model(model_path)
-    feats = penultimate_features(model, dataset.features)
-    write_activation_dump(out_path, feats, dataset.labels)
+    batch = _data_split(ds, split, model.final.num_classes)
+    feats = penultimate_features(model, batch.features)
+    write_activation_dump(out_path, feats, batch.labels)
+    return batch.n

@@ -10,9 +10,16 @@ plus lambda on the weight diagonal. It is factorized by a block Cholesky
 over its K x K grid of (d+1) x (d+1) class blocks; a Hessian that is not
 positive definite ends the fit, reported as not converged. Armijo
 backtracking along the Newton direction keeps the objective from rising.
+Every Newton direction assembles H in place in a workspace that the fit,
+or the sweep for all its fits, allocates once, so directions do not
+allocate (and page-fault) fresh Hessians.
+
 The regularization path sweeps 45 log-spaced lambdas ascending with warm
-starts, picks the best validation accuracy (ties to the larger lambda),
-then refits on the full training set.
+starts. From the third lambda on, a fit starts from the last solution or
+from its secant prediction 2 theta_i - theta_{i-1}, whichever has the
+lower objective at the new lambda. The path picks the best validation
+accuracy (ties to the larger lambda), then refits on the full training
+set from that lambda's solution.
 """
 
 from __future__ import annotations
@@ -91,13 +98,23 @@ def _objective_and_grad(theta, Xa, y, lam):
     return value, G, P
 
 
-def _newton_direction(P, Xa, lam, G):
+def _newton_workspace(n, K, D):
+    """(A3, H): the buffers _newton_direction assembles into, (n, K, D)
+    and (K D, K D). A fit, or a whole sweep, reuses them for every
+    direction."""
+    return np.empty((n, K, D)), np.empty((K * D, K * D))
+
+
+def _newton_direction(P, Xa, lam, G, work=None):
     """-H^{-1} G by block Cholesky; raises LinAlgError if H is not positive definite.
 
     H is a K x K grid of D x D class blocks, D = d + 1. It is assembled
-    once, -A^T A from one matmul plus the diagonal blocks through an einsum
-    view, and factorized H = L L^T one block column at a time: column j,
-    less the products of the factor columns left of it, has the Schur block
+    once, in place in the buffers of work (from _newton_workspace; fresh
+    ones when None): -A^T A from one matmul plus the diagonal blocks
+    through an einsum view. Both buffers are overwritten whole before they
+    are read, so nothing carries over from one call to the next. H is
+    factorized H = L L^T one block column at a time: column j, less the
+    products of the factor columns left of it, has the Schur block
     S_j on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError
     when S_j is not positive definite, which happens exactly when H is not.
     L_jj^{-1} turns the blocks below S_j into L's column j and carries the
@@ -113,11 +130,14 @@ def _newton_direction(P, Xa, lam, G):
     """
     n, K = P.shape
     D = Xa.shape[1]
-    A = (P[:, :, None] * Xa[:, None, :]).reshape(n, K * D)
-    H = -(A.T @ A)
+    A3, H = _newton_workspace(n, K, D) if work is None else work
+    np.multiply(P[:, :, None], Xa[:, None, :], out=A3)
+    A = A3.reshape(n, K * D)  # a view of A3
+    np.matmul(A.T, A, out=H)
+    np.negative(H, out=H)
     blocks = H.reshape(K, D, K, D)  # a view: writes land in H
     diag_blocks = np.einsum("kakb->kab", blocks)
-    diag_blocks += A.reshape(n, K, D).transpose(1, 2, 0) @ Xa
+    diag_blocks += A3.transpose(1, 2, 0) @ Xa
     np.einsum("kaka->ka", blocks)[:, :-1] += lam
     blocks[:, -1, :, -1] += 1.0 / K
     # L overwrites the lower blocks of H; x goes from G through L^-1 G to H^-1 G
@@ -150,7 +170,15 @@ def fit_logreg(
     init_bias=None,
     tolerance: float = 1e-4,
     max_iterations: int = 2000,
+    work=None,
 ) -> LogRegFit:
+    """Damped Newton from (init_weights, init_bias), zeros by default.
+
+    work is a _newton_workspace with at least as many rows as features
+    has; every Newton direction assembles into its leading rows. None allocates
+    one for this fit. A sweep passes one workspace to all of its fits, so
+    no fit allocates (and page-faults) a fresh Hessian.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -174,9 +202,12 @@ def fit_logreg(
     trace = [value]
     it = 0
     gn = float(np.linalg.norm(G))
+    n, D = Xa.shape
+    A3, H = _newton_workspace(n, K, D) if work is None else work
+    work = (A3[:n], H)
     while gn > tolerance and it < max_iterations:
         try:
-            direction = _newton_direction(P, Xa, lam, G)
+            direction = _newton_direction(P, Xa, lam, G, work)
         except np.linalg.LinAlgError:
             break  # Hessian not positive definite: reported as not converged
         slope = float(np.sum(G * direction))
@@ -234,6 +265,20 @@ def stratified_split(labels, val_fraction: float, seed: int):
     return np.sort(train_idx), np.sort(val_idx)
 
 
+def _path_start(fits, Xa, y, lam):
+    """The start, [W, b], of the path fit at lam after fits: the last
+    solution theta_i, or the secant prediction 2 theta_i - theta_{i-1} when
+    that has the lower objective at lam. The grid is uniform in log lambda,
+    so the secant extrapolates theta linearly along it."""
+    last = np.hstack([fits[-1].weights, fits[-1].bias[:, None]])
+    if len(fits) < 2:
+        return last
+    guess = 2.0 * last - np.hstack([fits[-2].weights, fits[-2].bias[:, None]])
+    if _objective_and_grad(guess, Xa, y, lam)[0] < _objective_and_grad(last, Xa, y, lam)[0]:
+        return guess
+    return last
+
+
 def sweep_and_retrain(
     features_train,
     labels_train,
@@ -253,17 +298,20 @@ def sweep_and_retrain(
         raise ValueError("a class is missing from the probe training split")
 
     Xtr, ytr, Xva, yva = X[tr], y[tr], X[va], y[va]
+    Xa = np.hstack([Xtr, np.ones((Xtr.shape[0], 1))])
     grid = config.lambda_grid
     val_acc = np.zeros(len(grid))
     norms = np.zeros(len(grid))
-    W, b = None, None
+    work = _newton_workspace(X.shape[0], K, Xa.shape[1])  # the refit's rows
     fits = []
     for i, lam in enumerate(grid):
+        start = _path_start(fits, Xa, ytr, lam) if fits else np.zeros((K, Xa.shape[1]))
         fit = fit_logreg(
             Xtr, ytr, lam, K,
-            init_weights=W, init_bias=b,
+            init_weights=start[:, :-1], init_bias=start[:, -1],
             tolerance=config.tolerance,
             max_iterations=config.max_iterations,
+            work=work,
         )
         W, b = fit.weights, fit.bias
         fits.append(fit)
@@ -281,6 +329,7 @@ def sweep_and_retrain(
         X, y, best_lambda, K,
         init_weights=fits[best_i].weights, init_bias=fits[best_i].bias,
         tolerance=config.tolerance, max_iterations=config.max_iterations,
+        work=work,
     )
     return ProbeResult(
         best_lambda=best_lambda,

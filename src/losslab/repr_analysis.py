@@ -88,8 +88,9 @@ def one_hot_matrix(labels, num_classes=None) -> np.ndarray:
     return out
 
 
-def _normalize_rows(X) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+def _normalize_rows(X, sq) -> np.ndarray:
+    """X with each row divided by its norm; sq holds the squared norms."""
+    norms = np.sqrt(sq)[:, None]
     if np.any(norms <= NORM_EPS):
         raise DegenerateInputError("zero-norm row; cosine distance undefined")
     return X / norms
@@ -108,8 +109,8 @@ def _class_sums(X, y, k) -> np.ndarray:
 
 
 def class_separation_r2(
-    X, labels, index: str = "cosine", num_classes: int | None = None
-) -> float:
+    X, labels, index="cosine", num_classes: int | None = None
+):
     """One minus within-class over overall mean pairwise distance.
 
     Pair sums include self-pairs. Classes are weighted 1/(K N_k^2) in the
@@ -121,22 +122,36 @@ def class_separation_r2(
 
     with m_k the class mean (of row-normalized X for cosine indexes) and
     q_k the class mean of squared row norms.
+
+    index may also be a tuple of index names. X and labels are then checked,
+    and X's squared row norms (shared by cosine and euclidean) computed,
+    once for all of them, and the values come back as a tuple in that
+    order, each equal to the single-index call's.
     """
-    if index not in SEPARATION_INDEXES:
-        raise ValueError(f"index must be one of {SEPARATION_INDEXES}, got {index!r}")
+    indexes = (index,) if isinstance(index, str) else tuple(index)
+    for ix in indexes:
+        if ix not in SEPARATION_INDEXES:
+            raise ValueError(f"index must be one of {SEPARATION_INDEXES}, got {ix!r}")
     X = _check_matrix(X)
     y, k, counts = _check_labels(labels, X.shape[0], num_classes)
+    sq = np.sum(X * X, axis=1)
+    values = tuple(_separation(X, sq, y, k, counts, ix) for ix in indexes)
+    return values[0] if isinstance(index, str) else values
 
+
+def _separation(X, sq, y, k, counts, index) -> float:
+    """class_separation_r2 of one index on checked X and labels."""
     if index == "cosine_mean_subtracted":
         X = X - X.mean(axis=0)
+        sq = np.sum(X * X, axis=1)
     cosine = index != "euclidean"
-    means = _class_sums(_normalize_rows(X) if cosine else X, y, k) / counts[:, None]
+    means = _class_sums(_normalize_rows(X, sq) if cosine else X, y, k) / counts[:, None]
     grand = means.mean(axis=0)
     if cosine:
         within = float(np.mean(1.0 - np.sum(means**2, axis=1)))
         overall = 1.0 - float(np.sum(grand**2))
     else:
-        q = _class_sums(np.sum(X**2, axis=1), y, k) / counts
+        q = _class_sums(sq, y, k) / counts
         within = float(np.mean(2.0 * (q - np.sum(means**2, axis=1))))
         overall = 2.0 * (float(np.mean(q)) - float(np.sum(grand**2)))
 

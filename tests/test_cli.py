@@ -217,25 +217,31 @@ class TestDegenerateRun:
             assert capsys.readouterr().err == f"error: smooth:seed1: {text}\n"
 
 
+def csv_grid(tmp_path):
+    """The INI grid on train.csv and eval.csv in tmp_path, trained. The eval
+    file lacks the last class, so once the train file is gone the class
+    count must come from the trained models."""
+    rng = np.random.default_rng(25)
+    means = rng.standard_normal((4, 8))
+    for name, per, classes in (("train.csv", 30, 4), ("eval.csv", 10, 3)):
+        labels = np.repeat(np.arange(classes), per)
+        feats = means[labels] + 0.8 * rng.standard_normal((labels.size, 8))
+        (tmp_path / name).write_text("".join(
+            f"{k}," + ",".join(map(repr, row)) + "\n"
+            for k, row in zip(labels, feats.tolist())))
+    blobs = INI[:INI.index("[model]")]
+    ini = tmp_path / "csv.ini"
+    ini.write_text(INI.replace(blobs, (
+        f"[dataset]\nkind = csv\npath = {tmp_path / 'train.csv'}\n"
+        f"eval_path = {tmp_path / 'eval.csv'}\n\n"
+    )).replace(", transfer", "").format(out=tmp_path / "out"))
+    assert main(["sweep", "--config", str(ini)]) == 0
+    return ini
+
+
 class TestCsvData:
     def test_analyze_reads_only_the_eval_file(self, tmp_path, capsys):
-        # the eval file lacks the last class, so the class count must come
-        # from the trained models once the train file is gone
-        rng = np.random.default_rng(25)
-        means = rng.standard_normal((4, 8))
-        for name, per, classes in (("train.csv", 30, 4), ("eval.csv", 10, 3)):
-            labels = np.repeat(np.arange(classes), per)
-            feats = means[labels] + 0.8 * rng.standard_normal((labels.size, 8))
-            (tmp_path / name).write_text("".join(
-                f"{k}," + ",".join(map(repr, row)) + "\n"
-                for k, row in zip(labels, feats.tolist())))
-        blobs = INI[:INI.index("[model]")]
-        ini = tmp_path / "csv.ini"
-        ini.write_text(INI.replace(blobs, (
-            f"[dataset]\nkind = csv\npath = {tmp_path / 'train.csv'}\n"
-            f"eval_path = {tmp_path / 'eval.csv'}\n\n"
-        )).replace(", transfer", "").format(out=tmp_path / "out"))
-        assert main(["sweep", "--config", str(ini)]) == 0
+        ini = csv_grid(tmp_path)
         assert main(["analyze", "--config", str(ini)]) == 0
         reports = tmp_path / "out" / "reports"
         before = {p.name: p.read_bytes() for p in reports.iterdir()}
@@ -244,6 +250,21 @@ class TestCsvData:
         capsys.readouterr()
         assert main(["analyze", "--config", str(ini)]) == 0, capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
+    def test_dump_eval_reads_only_the_eval_file(self, tmp_path, capsys):
+        ini = csv_grid(tmp_path)
+        model = tmp_path / "out" / "runs" / "plain" / "seed0" / "model.npz"
+        target = tmp_path / "eval.dump"
+        argv = ["dump", "--config", str(ini), "--model", str(model),
+                "--split", "eval", "--dump-out", str(target)]
+        assert main(argv) == 0
+        before = target.read_bytes()
+        target.unlink()
+        (tmp_path / "train.csv").unlink()
+        capsys.readouterr()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert target.read_bytes() == before
+        assert read_activation_dump(target).data.shape == (30, 16)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -7,9 +7,11 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
+from losslab import probe
 from losslab.probe import (
     ProbeConfig,
     _newton_direction,
+    _newton_workspace,
     fit_logreg,
     probe_accuracy,
     stratified_split,
@@ -233,6 +235,57 @@ class TestNewtonDirection:
             _newton_direction(P, Xa, 0.0, G)
 
 
+    def test_reused_workspace_matches_fresh_buffers(self):
+        # two calls in a row through one workspace, pre-filled with nan, at
+        # different P and lambda: each must equal a call with fresh buffers
+        K, n, d = 3, 60, 6
+        work = _newton_workspace(n, K, d + 1)
+        for buf in work:
+            buf.fill(np.nan)
+        for seed, lam in ((3, 1e-2), (4, 1e3)):
+            P, Xa, G = newton_case(K, seed=seed, n=n, d=d)
+            fresh = _newton_direction(P, Xa, lam, G)
+            assert np.array_equal(_newton_direction(P, Xa, lam, G, work), fresh)
+
+    def test_one_fit_passes_one_workspace_to_every_direction(self, monkeypatch):
+        seen = []
+
+        def spy(P, Xa, lam, G, work=None):
+            seen.append(work)
+            return _newton_direction(P, Xa, lam, G, work)
+
+        monkeypatch.setattr(probe, "_newton_direction", spy)
+        X, y, _, _ = acceptance_blobs()
+        fit = fit_logreg(X, y, 1.0, 3, tolerance=1e-8)
+        assert fit.converged and fit.n_iter >= 3
+        assert len(seen) == fit.n_iter
+        assert seen[0] is not None and all(w is seen[0] for w in seen)
+
+    def test_sweep_shares_one_workspace_across_its_fits(self, monkeypatch):
+        # a workspace with spare rows, pre-filled with nan, gives the fit
+        # of fresh buffers bit for bit; the sweep's fits share one Hessian
+        X, y, Xt, yt = acceptance_blobs()
+        work = _newton_workspace(X.shape[0] + 7, 3, X.shape[1] + 1)
+        for buf in work:
+            buf.fill(np.nan)
+        for lam in (1e-2, 1e2):
+            shared = fit_logreg(X, y, lam, 3, tolerance=1e-8, work=work)
+            fresh = fit_logreg(X, y, lam, 3, tolerance=1e-8)
+            assert shared.n_iter == fresh.n_iter and shared.n_iter > 0
+            assert np.array_equal(shared.weights, fresh.weights)
+            assert np.array_equal(shared.bias, fresh.bias)
+        seen = []
+
+        def spy(P, Xa, lam, G, work=None):
+            seen.append(work[1])
+            return _newton_direction(P, Xa, lam, G, work)
+
+        monkeypatch.setattr(probe, "_newton_direction", spy)
+        res = sweep_and_retrain(X, y, Xt, yt, ProbeConfig(tolerance=1e-6))
+        assert len(seen) == res.n_iter.sum() + res.refit_n_iter
+        assert all(H is seen[0] for H in seen)
+
+
 class TestSplit:
     def test_stratified_counts(self):
         y = np.array([0] * 30 + [1] * 10)
@@ -341,6 +394,30 @@ class TestSweep:
         assert res.converged.all() and res.refit_converged
         assert np.all(res.grad_norm <= 1e-6) and res.refit_grad_norm <= 1e-6
         assert np.all(res.n_iter >= 0) and res.refit_n_iter >= 0
+
+    def test_predicted_starts_match_plain_warm_starts(self):
+        # the path against a chain of fits each started from the last
+        # solution: the same accuracies and choice, in fewer Newton steps
+        X, y, Xt, yt = acceptance_blobs()
+        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sweep_and_retrain(X, y, Xt, yt, cfg)
+            tr, va = stratified_split(y, cfg.val_fraction, cfg.seed)
+            W = b = None
+            val_acc, n_iter = [], []
+            for lam in cfg.lambda_grid:
+                fit = fit_logreg(X[tr], y[tr], lam, 3, init_weights=W, init_bias=b,
+                                 tolerance=cfg.tolerance,
+                                 max_iterations=cfg.max_iterations)
+                W, b = fit.weights, fit.bias
+                val_acc.append(probe_accuracy(W, b, X[va], y[va]))
+                n_iter.append(fit.n_iter)
+        assert res.converged.all()
+        assert np.array_equal(res.val_accuracy, val_acc)
+        best = max(i for i, a in enumerate(val_acc) if a == max(val_acc))
+        assert res.best_lambda == cfg.lambda_grid[best]
+        assert res.n_iter.sum() < sum(n_iter)
 
     def test_missing_train_class_rejected(self):
         Xtr = np.random.default_rng(0).standard_normal((20, 3))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from losslab import repr_analysis
 from losslab.losses import DegenerateInputError, FinalLayer
 from losslab.repr_analysis import (
     SEPARATION_INDEXES,
@@ -279,6 +280,26 @@ class TestClassSums:
     def test_r2_equals_add_at(self, d, index):
         X, y = self.data(d, 40 + d)
         assert class_separation_r2(X, y, index) == add_at_r2(X, y, index)
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_index_tuple_equals_single_calls(self, d, monkeypatch):
+        # report_separation's one call per run: X checked once, and each
+        # value bit for bit the single-index call's (and np.add.at's)
+        X, y = self.data(d, 50 + d)
+        single = tuple(class_separation_r2(X, y, ix) for ix in SEPARATION_INDEXES)
+        assert single == tuple(add_at_r2(X, y, ix) for ix in SEPARATION_INDEXES)
+        checks = []
+        check = repr_analysis._check_matrix
+        monkeypatch.setattr(repr_analysis, "_check_matrix",
+                            lambda *a: checks.append(1) or check(*a))
+        assert class_separation_r2(X, y, SEPARATION_INDEXES) == single
+        assert len(checks) == 1
+        assert class_separation_r2(X, y, ("euclidean", "cosine")) == single[::-2]
+
+    def test_unknown_index_in_tuple_rejected(self):
+        X, y = self.data(2, 60)
+        with pytest.raises(ValueError, match="'manhattan'"):
+            class_separation_r2(X, y, ("cosine", "manhattan"))
 
 
 class TestSparsity:
