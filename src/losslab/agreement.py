@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import check_labels, check_matrix
+
 AGREEMENT_VARIANTS = (
     "same_top1",
     "both_correct_or_both_incorrect",
@@ -36,14 +38,9 @@ def agreement_matrix(predictions, labels, variant: str = "same_top1") -> np.ndar
     """(m, m) symmetric agreement of m prediction vectors, NaN where undefined."""
     if variant not in AGREEMENT_VARIANTS:
         raise ValueError(f"variant must be one of {AGREEMENT_VARIANTS}, got {variant!r}")
-    preds = [np.asarray(p, dtype=np.int64).reshape(-1) for p in predictions]
-    if not preds:
-        raise ValueError("need at least one prediction vector")
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    for i, p in enumerate(preds):
-        if p.shape != y.shape:
-            raise ValueError(f"prediction {i} has length {p.shape[0]}, labels {y.shape[0]}")
-    m = len(preds)
+    preds = check_matrix(predictions, "predictions").astype(np.int64)
+    m, n = preds.shape
+    y, _ = check_labels(labels, n)
     A = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):

@@ -5,8 +5,11 @@ Probabilities come from softmax rows for every loss kind except sigmoid,
 whose per-class sigmoids are renormalized by the row sum. Either way
 probs_from_logits returns a plain (n, K) array with entries in [0, 1] and
 rows summing to 1; the unit tests hold it to that, so nothing re-checks it
-per call. nll and ece take any (n, K) array. ECE uses 15 equal-width
-right-closed bins on (0, 1]; confidence 0 lands in bin 1.
+per call. nll and ece take any finite (n, K) array with labels in [0, K);
+every public function checks its input once, on entry, through
+``losslab.checks``, and the temperature search calls the unchecked _probs
+and _nll. ECE uses 15 equal-width right-closed bins on (0, 1]; confidence
+0 lands in bin 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_labels, check_matrix, check_range
 from .losses import row_max, sigmoid, softmax_rows
 
 PROB_CLAMP = 1e-12
@@ -38,16 +42,16 @@ class CalibrationReport:
     bins: list = field(default_factory=list)
 
 
-def _finite_logits(logits) -> np.ndarray:
-    L = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    if not np.all(np.isfinite(L)):
-        raise ValueError("logits contain non-finite entries")
-    return L
+def _checked(a, labels=None, name="logits") -> tuple:
+    """(A, y): a as a finite (n, K) matrix (a (K,) row is n = 1) and labels
+    as n ints in [0, K), or None without labels."""
+    A = check_matrix(np.atleast_2d(a), name)
+    return A, None if labels is None else check_labels(labels, *A.shape)[0]
 
 
 def probs_from_logits(logits, loss_kind: str) -> np.ndarray:
     """(n, K) probabilities: normalized sigmoids for "sigmoid", else softmax."""
-    return _probs(_finite_logits(logits), loss_kind)
+    return _probs(_checked(logits)[0], loss_kind)
 
 
 def _probs(L: np.ndarray, loss_kind: str) -> np.ndarray:
@@ -72,22 +76,19 @@ def top1_predictions(scores) -> np.ndarray:
 
 
 def nll(probs, labels) -> float:
-    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape != (P.shape[0],):
-        raise ValueError(f"{y.shape[0]} labels for {P.shape[0]} rows")
+    return _nll(*_checked(probs, labels, "probs"))
+
+
+def _nll(P: np.ndarray, y: np.ndarray) -> float:
+    """nll on a checked P and labels."""
     picked = np.clip(P[np.arange(P.shape[0]), y], PROB_CLAMP, None)
     return float(np.mean(-np.log(picked)))
 
 
 def ece(probs, labels, n_bins: int = 15) -> CalibrationReport:
-    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    P, y = _checked(probs, labels, "probs")
+    check_range("n_bins", n_bins, ">= 1")
     n = P.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"{y.shape[0]} labels for {n} rows")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     conf = row_max(P)[:, 0]
     correct = top1_predictions(P) == y
     # right-closed bins on (0, 1]; conf 0 goes to the first bin
@@ -106,7 +107,7 @@ def ece(probs, labels, n_bins: int = 15) -> CalibrationReport:
         mc = float(np.mean(conf[mask]))
         total += count / n * abs(acc - mc)
         bins.append(CalibrationBin(lo, hi, count, acc, mc))
-    return CalibrationReport(nll=nll(P, y), ece=float(total), bins=bins)
+    return CalibrationReport(nll=_nll(P, y), ece=float(total), bins=bins)
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -121,15 +122,12 @@ def fit_temperature(
     The search runs on log T over [-5, 5]; NLL in log T is unimodal for
     fixed logits. Returns (T, post-scaling report with temperature set).
     """
-    L = _finite_logits(logits)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape != (L.shape[0],):
-        raise ValueError(f"{y.shape[0]} labels for {L.shape[0]} rows")
+    L, y = _checked(logits, labels)
 
-    # L is checked once, here; a logit that overflows once divided by T
-    # gives a non-finite NLL below
+    # L and y are checked once, here; a logit that overflows once divided
+    # by T gives a non-finite NLL below
     def f(u: float) -> float:
-        v = nll(_probs(L / math.exp(u), loss_kind), y)
+        v = _nll(_probs(L / math.exp(u), loss_kind), y)
         if not math.isfinite(v):
             raise RuntimeError(f"non-finite NLL at log T = {u:g}")
         return v

@@ -39,11 +39,11 @@ grid fails fast instead of silently training with defaults. So is a
 from __future__ import annotations
 
 import configparser
-import math
 import re
 from dataclasses import dataclass
 
 from .agreement import AGREEMENT_VARIANTS
+from .checks import check_range, check_ranges
 from .losses import LOSS_KINDS, LOSS_PARAMS, PENALTY_KINDS, LossSpec, PenaltySpec
 from .training import TrainConfig
 
@@ -116,6 +116,17 @@ def format_loss_line(spec: LossSpec) -> str:
     return " ".join(toks)
 
 
+# blobs DatasetConfig field -> checks.RANGES key
+_BLOBS_RANGES = {
+    "classes": ">= 2",
+    "features": ">= 1",
+    "per_class": ">= 1",
+    "eval_per_class": ">= 1",
+    "spread": "finite and >= 0",
+    "seed": ">= 0",
+}
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "blobs"
@@ -134,17 +145,7 @@ class DatasetConfig:
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}")
         if self.kind == "blobs":
-            if self.classes < 2 or self.features < 1:
-                raise ValueError("blobs need classes >= 2 and features >= 1")
-            if self.per_class < 1 or self.eval_per_class < 1:
-                raise ValueError("blobs need per_class and eval_per_class >= 1")
-            # the comparison is False on nan, so it also rejects nan
-            if not 0.0 <= self.spread < math.inf:
-                raise ValueError(
-                    f"spread must be finite and >= 0, got {self.spread}"
-                )
-            if self.seed < 0:
-                raise ValueError(f"seed must be >= 0, got {self.seed}")
+            check_ranges(self, _BLOBS_RANGES)
         else:
             if not self.path or not self.eval_path:
                 raise ValueError(f"{self.kind} datasets need path and eval_path")
@@ -167,8 +168,7 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate seeds")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        check_range("seeds", min(self.seeds), ">= 0")
         if not self.losses:
             raise ValueError("need at least one loss")
         names = [name for name, _ in self.losses]
@@ -181,8 +181,7 @@ class ExperimentConfig:
                 )
         if not self.hidden:
             raise ValueError("hidden needs at least one width")
-        if any(width < 1 for width in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        check_range("hidden widths", min(self.hidden), ">= 1")
         # the knobs are shared by every run, so one TrainConfig checks them all
         TrainConfig(loss=self.losses[0][1], seed=self.seeds[0], **self.train)
         for a in self.analyses:
@@ -194,8 +193,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"agreement_variant must be one of {AGREEMENT_VARIANTS}"
             )
-        if self.transfer_merge < 2:
-            raise ValueError("transfer_merge must be >= 2")
+        check_range("transfer_merge", self.transfer_merge, ">= 2")
 
 
 def _parse_section(parser, section, converters, required=()):

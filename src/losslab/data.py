@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_labels, check_matrix, check_range
+
 
 @dataclass
 class Batch:
@@ -22,21 +24,9 @@ class Batch:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2d, got {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError(
-                f"{self.labels.shape[0] if self.labels.ndim == 1 else self.labels.shape} "
-                f"labels for {self.features.shape[0]} rows"
-            )
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_classes
-        ):
-            raise ValueError("labels out of range")
+        check_range("num_classes", self.num_classes, ">= 1")
+        self.features = check_matrix(self.features, "features", min_rows=0)
+        self.labels, _ = check_labels(self.labels, self.n, self.num_classes)
 
     @property
     def n(self) -> int:
@@ -59,10 +49,10 @@ def make_blobs(
     spread=0 collapses every class onto its mean. Classes come out in label
     order (the trainer shuffles); balanced by construction.
     """
-    if n_per_class < 1 or num_classes < 2 or feature_dim < 1:
-        raise ValueError("need n_per_class >= 1, num_classes >= 2, feature_dim >= 1")
-    if spread < 0:
-        raise ValueError(f"spread must be >= 0, got {spread}")
+    check_range("n_per_class", n_per_class, ">= 1")
+    check_range("num_classes", num_classes, ">= 2")
+    check_range("feature_dim", feature_dim, ">= 1")
+    check_range("spread", spread, "finite and >= 0")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_classes, feature_dim))
     feats = np.repeat(means, n_per_class, axis=0)
@@ -80,8 +70,8 @@ def make_blob_split(
     seed: int,
 ) -> tuple:
     """(train, eval) blob batches drawn around one shared set of class means."""
-    if n_train_per_class < 1 or n_eval_per_class < 1:
-        raise ValueError("need >= 1 train and eval examples per class")
+    check_range("n_train_per_class", n_train_per_class, ">= 1")
+    check_range("n_eval_per_class", n_eval_per_class, ">= 1")
     total = n_train_per_class + n_eval_per_class
     full = make_blobs(total, num_classes, feature_dim, spread, seed)
     rows = np.arange(full.n).reshape(num_classes, total)

@@ -397,10 +397,11 @@ def report_agreement(config, runs) -> dict:
     names = _run_names(config)
     preds = [top1_predictions(r.scores) for r in runs]
     agree = agreement_matrix(preds, runs[0].batch.labels, config.agreement_variant)
-    # cluster on disagreement; the mutual-error variant leaves NaN for
-    # pairs with no shared mistakes, so linkage only runs when finite
+    # cluster on disagreement; linkage needs two runs or more, and the
+    # mutual-error variant leaves NaN for pairs with no shared mistakes
     dist = 1.0 - agree
-    merges = linkage_dendrogram(dist) if np.all(np.isfinite(dist)) else ()
+    clusterable = len(runs) >= 2 and np.all(np.isfinite(dist))
+    merges = linkage_dendrogram(dist) if clusterable else ()
     return {
         f"agreement_{config.agreement_variant}.csv": (
             ("name", *names), [(n, *row) for n, row in zip(names, agree)]),

@@ -15,9 +15,9 @@ kinds of part, each written once:
 
 ``LOSS_PARAMS`` lists each kind's parameters once; ``LossSpec``, the
 public objective functions and ``config``'s loss lines read it. Inputs
-are validated once, by the public functions; the kernels behind them
-trust their arguments. Everything is plain numpy and deterministic
-(dropout takes an explicit seed or Generator).
+are validated once, by the public functions, through ``losslab.checks``;
+the kernels behind them trust their arguments. Everything is plain numpy
+and deterministic (dropout takes an explicit seed or Generator).
 
 Conventions used throughout:
 
@@ -33,23 +33,16 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .checks import check_labels, check_matrix, check_range
+
 NORM_EPS = 1e-12
 
-_IN_RANGE = {
-    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
-    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
-    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
-    "finite and > 0": lambda v: 0.0 < v < math.inf,
-    "finite": math.isfinite,
-}
-
-# kind -> ((name in a loss line, LossSpec field, valid range), ...)
+# kind -> ((name in a loss line, LossSpec field, checks.RANGES key), ...)
 LOSS_PARAMS = {
     "softmax": (),
     "label_smoothing": (("alpha", "alpha", "in [0, 1)"),),
@@ -115,8 +108,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if not np.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"penalty value must be finite and >= 0, got {self.value}")
+        check_range("penalty value", self.value, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,9 +136,7 @@ class LossSpec:
         if self.kind not in LOSS_PARAMS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         for _, name, valid in LOSS_PARAMS[self.kind]:
-            value = getattr(self, name)
-            if not _IN_RANGE[valid](value):
-                raise ValueError(f"{name} must be {valid}, got {value}")
+            check_range(name, getattr(self, name), valid)
         object.__setattr__(self, "extra_penalties", tuple(self.extra_penalties))
 
 
@@ -226,34 +216,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid_bias_init(num_classes: int) -> float:
     """Bias so an all-zero-logit sigmoid model starts near chance mass 1/K."""
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    check_range("num_classes", num_classes, ">= 1")
     return -float(np.log(num_classes))
-
-
-# ---------------------------------------------------------------------------
-# input checks, made once by the public functions
-
-
-def _as_rows(a, what: str, dim: int | None = None) -> tuple[np.ndarray, bool]:
-    """``a`` as a finite (n, d) float64 batch; True when it was one (d,) row."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{what} must be 1d or 2d, got shape {arr.shape}")
-    if dim is not None and arr.shape[-1] != dim:
-        raise ValueError(f"{what} have dim {arr.shape[-1]}, layer expects {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contain non-finite entries")
-    return np.atleast_2d(arr), arr.ndim == 1
-
-
-def _as_target(target, n: int, num_classes: int) -> np.ndarray:
-    t = np.asarray(target, dtype=np.int64).reshape(-1)
-    if t.shape != (n,):
-        raise ValueError(f"target shape {t.shape} does not match batch of {n}")
-    if np.any(t < 0) or np.any(t >= num_classes):
-        raise ValueError(f"target out of range for {num_classes} classes")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +466,9 @@ def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng,
 
 
 def _on_logits(spec: LossSpec, logits, target) -> LossResult:
-    L, squeeze = _as_rows(logits, "logits")
-    t = _as_target(target, *L.shape)
+    squeeze = np.ndim(logits) == 1
+    L = check_matrix(np.atleast_2d(logits) if squeeze else logits, "logits")
+    t, _ = check_labels(target, *L.shape, name="target")
     kind, beta, _ = _folded(spec)
     value, G = _mean_loss(kind, spec, beta, L, t)
     return LossResult(value=value, grad_logits=G[0] if squeeze else G)
@@ -626,11 +591,12 @@ def compose_loss(
     gradient. Results carry total weight/bias/feature gradients whenever
     the spec involves cosine softmax, dropout, or an extra final-layer L2.
     """
-    X, squeeze = _as_rows(features, "features", layer.feature_dim)
-    t = _as_target(target, X.shape[0], layer.num_classes)
+    squeeze = np.ndim(features) == 1
+    X = check_matrix(np.atleast_2d(features) if squeeze else features,
+                     "features", layer.feature_dim)
+    t, _ = check_labels(target, X.shape[0], layer.num_classes, "target")
     if spec.kind == "dropout":
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        check_range("n_samples", n_samples, ">= 1")
         if rng is None:
             if seed is None:
                 raise ValueError("dropout needs an explicit seed or rng")
@@ -659,7 +625,9 @@ def eval_scores(spec: LossSpec, layer: FinalLayer, features) -> np.ndarray:
     logits; cosine_softmax reports sim/tau + b; everything else reports the
     raw logits W x + b.
     """
-    X, squeeze = _as_rows(features, "features", layer.feature_dim)
+    squeeze = np.ndim(features) == 1
+    X = check_matrix(np.atleast_2d(features) if squeeze else features,
+                     "features", layer.feature_dim)
     Z = _reported(spec, _clean_head(spec, layer, X)[0])
     return Z[0] if squeeze else Z
 
@@ -669,8 +637,10 @@ def evaluate(spec: LossSpec, layer: FinalLayer, features, target):
 
     The loss is compose_loss's value, with a dropout spec's mask off.
     """
-    X, squeeze = _as_rows(features, "features", layer.feature_dim)
-    t = _as_target(target, X.shape[0], layer.num_classes)
+    squeeze = np.ndim(features) == 1
+    X = check_matrix(np.atleast_2d(features) if squeeze else features,
+                     "features", layer.feature_dim)
+    t, _ = check_labels(target, X.shape[0], layer.num_classes, "target")
     value, _, _, Z = _compose(spec, layer, X, t, 1, None, backward=False)
     Z = _reported(spec, Z)
     return value, Z[0] if squeeze else Z

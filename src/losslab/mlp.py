@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_range
 from .losses import FinalLayer, LossSpec, sigmoid_bias_init
 
 
@@ -72,13 +73,12 @@ def init_mlp(
     *,
     final_bias: float = 0.0,
 ) -> MlpModel:
-    if input_dim < 1 or num_classes < 2:
-        raise ValueError("need input_dim >= 1 and num_classes >= 2")
+    check_range("input_dim", input_dim, ">= 1")
+    check_range("num_classes", num_classes, ">= 2")
     ws, bs = [], []
     fan_in = input_dim
     for width in hidden_widths:
-        if width < 1:
-            raise ValueError(f"hidden width must be >= 1, got {width}")
+        check_range("hidden width", width, ">= 1")
         ws.append(he_uniform(rng, (width, fan_in)))
         bs.append(np.zeros(width))
         fan_in = width

@@ -30,9 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
+from .checks import check_labels, check_matrix, check_range, check_ranges
 from .losses import softmax_xent_rows
 
 DEFAULT_GRID = tuple(np.logspace(-6.0, 5.0, 45))
+# ProbeConfig field -> checks.RANGES key
+_PROBE_RANGES = {"val_fraction": "in (0, 1)", "max_iterations": ">= 1",
+                 "tolerance": "finite and > 0"}
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,9 @@ class ProbeConfig:
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
-        if grid[0] < 0 or not np.all(np.isfinite(grid)):
-            raise ValueError("lambdas must be finite and >= 0")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        if self.max_iterations < 1 or not 0 < self.tolerance < np.inf:
-            raise ValueError("need max_iterations >= 1 and finite tolerance > 0")
+        for lam in grid:
+            check_range("lambda_grid entry", lam, "finite and >= 0")
+        check_ranges(self, _PROBE_RANGES)
         object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -179,17 +180,10 @@ def fit_logreg(
     one for this fit. A sweep passes one workspace to all of its fits, so
     no fit allocates (and page-faults) a fresh Hessian.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("features must be (n, d) with matching labels")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite entries")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    if not np.isfinite(tolerance):
-        raise ValueError(f"tolerance must be finite, got {tolerance}")
-    K = num_classes if num_classes is not None else int(y.max()) + 1
+    X = check_matrix(features, "features")
+    y, K = check_labels(labels, X.shape[0], num_classes)
+    check_range("lam", lam, "finite and >= 0")
+    check_range("tolerance", tolerance, "finite and > 0")
     d = X.shape[1]
     W = np.zeros((K, d)) if init_weights is None else np.array(init_weights, dtype=np.float64)
     b = np.zeros(K) if init_bias is None else np.array(init_bias, dtype=np.float64)
@@ -287,11 +281,11 @@ def sweep_and_retrain(
     config: ProbeConfig = ProbeConfig(),
     num_classes: int | None = None,
 ) -> ProbeResult:
-    X = np.asarray(features_train, dtype=np.float64)
-    y = np.asarray(labels_train, dtype=np.int64).reshape(-1)
-    Xt = np.asarray(features_test, dtype=np.float64)
-    yt = np.asarray(labels_test, dtype=np.int64).reshape(-1)
-    K = num_classes if num_classes is not None else int(max(y.max(), yt.max())) + 1
+    X = check_matrix(features_train, "features_train")
+    Xt = check_matrix(features_test, "features_test", X.shape[1])
+    y, k = check_labels(labels_train, X.shape[0], num_classes, "labels_train")
+    yt, kt = check_labels(labels_test, Xt.shape[0], num_classes, "labels_test")
+    K = max(k, kt)
 
     tr, va = stratified_split(y, config.val_fraction, config.seed)
     if np.unique(y[tr]).size < K:

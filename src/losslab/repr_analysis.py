@@ -1,43 +1,19 @@
 """Representation metrics: CKA, class separation, sparsity, AVH, spectra.
 
 All functions are pure and operate on plain (n, d) matrices; labels are int
-vectors in [0, K). The optimized class-separation computation reduces the
-pairwise sums to per-class means (O(nd + Kd)); tests hold it against a
-literal double loop.
+vectors in [0, K). Both are checked on entry, through ``losslab.checks``.
+The optimized class-separation computation reduces the pairwise sums to
+per-class means (O(nd + Kd)); tests hold it against a literal double loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .checks import check_labels, check_matrix
 from .losses import NORM_EPS, DegenerateInputError, FinalLayer
 
 SEPARATION_INDEXES = ("cosine", "cosine_mean_subtracted", "euclidean")
-
-
-def _check_matrix(X, min_rows=1) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2d matrix, got shape {X.shape}")
-    if X.shape[0] < min_rows:
-        raise ValueError(f"need at least {min_rows} rows, got {X.shape[0]}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("matrix contains non-finite entries")
-    return X
-
-
-def _check_labels(labels, n, num_classes=None, require_all=True):
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape != (n,):
-        raise ValueError(f"{y.shape[0]} labels for {n} rows")
-    k = num_classes if num_classes is not None else int(y.max()) + 1
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"labels out of range for {k} classes")
-    counts = np.bincount(y, minlength=k)
-    # per-class statistics divide by counts; per-example ones do not care
-    if require_all and np.any(counts == 0):
-        raise ValueError(f"empty classes {np.where(counts == 0)[0].tolist()}")
-    return y, k, counts
 
 
 def linear_cka(X, Y) -> float:
@@ -55,7 +31,7 @@ def cka_matrix(features_list) -> np.ndarray:
     two centered copies are alive at a time. A constant representation
     raises DegenerateInputError whose ``index`` is its position in the list.
     """
-    mats = [_check_matrix(X, min_rows=2) for X in features_list]
+    mats = [check_matrix(X, "features", min_rows=2) for X in features_list]
     for X in mats[1:]:
         if X.shape[0] != mats[0].shape[0]:
             raise ValueError(
@@ -81,8 +57,7 @@ def cka_matrix(features_list) -> np.ndarray:
 
 
 def one_hot_matrix(labels, num_classes=None) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    k = num_classes if num_classes is not None else int(y.max()) + 1
+    y, k = check_labels(labels, np.size(labels), num_classes)
     out = np.zeros((y.shape[0], k))
     out[np.arange(y.shape[0]), y] = 1.0
     return out
@@ -132,8 +107,12 @@ def class_separation_r2(
     for ix in indexes:
         if ix not in SEPARATION_INDEXES:
             raise ValueError(f"index must be one of {SEPARATION_INDEXES}, got {ix!r}")
-    X = _check_matrix(X)
-    y, k, counts = _check_labels(labels, X.shape[0], num_classes)
+    X = check_matrix(X)
+    y, k = check_labels(labels, X.shape[0], num_classes)
+    counts = np.bincount(y, minlength=k)
+    # the per-class means divide by the counts
+    if np.any(counts == 0):
+        raise ValueError(f"empty classes {np.where(counts == 0)[0].tolist()}")
     sq = np.sum(X * X, axis=1)
     values = tuple(_separation(X, sq, y, k, counts, ix) for ix in indexes)
     return values[0] if isinstance(index, str) else values
@@ -175,8 +154,8 @@ def sparsity_profile(activations) -> np.ndarray:
 
 def angular_visual_hardness(layer: FinalLayer, features, labels) -> np.ndarray:
     """arccos(sim to own class row) over the sum of arccos to all rows."""
-    X = _check_matrix(np.atleast_2d(features))
-    y, k, _ = _check_labels(labels, X.shape[0], layer.num_classes, require_all=False)
+    X = check_matrix(np.atleast_2d(features), "features", layer.feature_dim)
+    y, _ = check_labels(labels, X.shape[0], layer.num_classes)
     xn = np.linalg.norm(X, axis=1, keepdims=True)
     wn = np.linalg.norm(layer.weights, axis=1, keepdims=True)
     if np.any(xn <= NORM_EPS) or np.any(wn <= NORM_EPS):
@@ -191,6 +170,6 @@ def angular_visual_hardness(layer: FinalLayer, features, labels) -> np.ndarray:
 
 def singular_spectrum(X) -> np.ndarray:
     """Descending singular values of the column-centered matrix."""
-    X = _check_matrix(X)
+    X = check_matrix(X)
     s = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
     return np.sort(s)[::-1]

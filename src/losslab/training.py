@@ -16,12 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
+from .checks import check_range, check_ranges
 from .data import Batch
 from .losses import LossSpec, compose_loss, eval_scores, evaluate, linear_backward
 from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
 from .optim import lr_at, sgd_nesterov_step, weight_decay_grad
 
 SCHEDULE_KINDS = ("cosine", "warmup_exp")
+
+# TrainConfig knob -> checks.RANGES key
+_TRAIN_RANGES = {
+    "epochs": ">= 0",
+    "batch_size": ">= 1",
+    "peak_lr": "finite and > 0",
+    "warmup_epochs": "finite and >= 0",
+    "decay_per_epoch": "finite and > 0",
+    "momentum": "in [0, 1)",
+    "weight_decay_product": "finite and >= 0",
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,34 +55,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        # the comparisons are False on nan, so each check also rejects nan
-        if not 0.0 < self.peak_lr < np.inf:
-            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
-        if not 0.0 <= self.warmup_epochs < np.inf:
-            raise ValueError(
-                f"warmup_epochs must be finite and >= 0, got {self.warmup_epochs}"
-            )
-        if not 0.0 < self.decay_per_epoch < np.inf:
-            raise ValueError(
-                f"decay_per_epoch must be finite and > 0, got {self.decay_per_epoch}"
-            )
+        check_ranges(self, _TRAIN_RANGES)
+        if self.ema_momentum is not None:
+            check_range("ema_momentum", self.ema_momentum, "in [0, 1)")
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(
                 f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}"
             )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay_product < np.inf:
-            raise ValueError(
-                "weight_decay_product must be finite and >= 0, "
-                f"got {self.weight_decay_product}"
-            )
-        if self.ema_momentum is not None and not 0.0 <= self.ema_momentum < 1.0:
-            raise ValueError(f"ema_momentum must be in [0, 1), got {self.ema_momentum}")
 
 
 @dataclass

@@ -146,6 +146,22 @@ class TestAnalysisCommands:
         assert meta["transfer_merge"] == 2
 
 
+class TestOneRunGrid:
+    def test_agreement_on_one_run_writes_header_only_linkage(self, tmp_path, capsys):
+        ini = tmp_path / "one.ini"
+        ini.write_text(INI.format(out=tmp_path / "out")
+                       .replace("seeds = 0, 1", "seeds = 0")
+                       .replace("smooth = label_smoothing alpha=0.1\n", ""))
+        assert main(["sweep", "--config", str(ini)]) == 0
+        assert main(["analyze", "--config", str(ini)]) == 0
+        capsys.readouterr()
+        reports = tmp_path / "out" / "reports"
+        assert (reports / "linkage.csv").read_text() == "step,id_a,id_b,distance\n"
+        assert (reports / "agreement_same_top1.csv").read_text().splitlines() == [
+            "name,plain:seed0", "plain:seed0,1"]
+        assert (reports / "metadata.json").exists()
+
+
 class TestDumpCommand:
     def test_dump_eval_split(self, workspace, tmp_path, capsys):
         ini, out = workspace

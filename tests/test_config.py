@@ -196,6 +196,21 @@ class TestLoadConfig:
         ("spread = 0.8", "spread = inf", "spread must be finite and >= 0"),
         ("seed = 3", "seed = -1", "seed must be >= 0"),
         ("seeds = 0, 1", "seeds = -1", "seeds must be >= 0"),
+        ("classes = 4", "classes = 1", "classes must be >= 2"),
+        ("features = 8", "features = 0", "features must be >= 1"),
+        ("per_class = 30", "per_class = 0", "per_class must be >= 1"),
+        ("eval_per_class = 10", "eval_per_class = 0", "eval_per_class must be >= 1"),
+        ("batch_size = 32", "batch_size = 0", "batch_size must be >= 1"),
+        ("peak_lr = 0.05", "peak_lr = 0", "peak_lr must be finite and > 0"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nmomentum = 1.0",
+         r"momentum must be in \[0, 1\)"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nema_momentum = 1.0",
+         r"ema_momentum must be in \[0, 1\)"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nschedule = warmup_exp\n"
+         "decay_per_epoch = 0", "decay_per_epoch must be finite and > 0"),
+        ("peak_lr = 0.05", "peak_lr = 0.05\nweight_decay = -1e-300",
+         "weight_decay_product must be finite and >= 0"),
+        ("output = out", "output = out\ntransfer_merge = 1", "transfer_merge must be >= 2"),
     ])
     def test_bad_train_or_model_value_rejected(self, tmp_path, good, bad, match):
         with pytest.raises(ValueError, match=match):

@@ -192,6 +192,7 @@ class TestFitLogreg:
 
     @pytest.mark.parametrize("lam,tol", [
         (np.nan, 1e-4), (np.inf, 1e-4), (0.1, np.nan), (0.1, np.inf),
+        (-1e-300, 1e-4), (0.1, 0.0), (0.1, -1.0),
     ])
     def test_non_finite_lambda_or_tolerance_rejected(self, lam, tol):
         # an infinite tolerance would report any start as converged, and
@@ -438,6 +439,8 @@ class TestSweep:
         dict(lambda_grid=(np.nan,)),
         dict(tolerance=np.nan),
         dict(tolerance=np.inf),
+        dict(tolerance=0.0),
+        dict(lambda_grid=(-1e-300, 1.0)),
     ])
     def test_non_finite_config_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -289,8 +289,8 @@ class TestClassSums:
         single = tuple(class_separation_r2(X, y, ix) for ix in SEPARATION_INDEXES)
         assert single == tuple(add_at_r2(X, y, ix) for ix in SEPARATION_INDEXES)
         checks = []
-        check = repr_analysis._check_matrix
-        monkeypatch.setattr(repr_analysis, "_check_matrix",
+        check = repr_analysis.check_matrix
+        monkeypatch.setattr(repr_analysis, "check_matrix",
                             lambda *a: checks.append(1) or check(*a))
         assert class_separation_r2(X, y, SEPARATION_INDEXES) == single
         assert len(checks) == 1
