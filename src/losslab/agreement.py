@@ -38,8 +38,9 @@ def agreement_matrix(predictions, labels, variant: str = "same_top1") -> np.ndar
     """(m, m) symmetric agreement of m prediction vectors, NaN where undefined."""
     if variant not in AGREEMENT_VARIANTS:
         raise ValueError(f"variant must be one of {AGREEMENT_VARIANTS}, got {variant!r}")
-    preds = check_matrix(predictions, "predictions").astype(np.int64)
-    m, n = preds.shape
+    P = check_matrix(predictions, "predictions")
+    m, n = P.shape
+    preds = check_labels(P, m * n, name="predictions")[0].reshape(m, n)
     y, _ = check_labels(labels, n)
     A = np.empty((m, m))
     for i in range(m):
@@ -64,6 +65,8 @@ def linkage_dendrogram(distance) -> np.ndarray:
         raise ValueError("need at least 2 items to cluster")
     if not np.all(np.isfinite(D)):
         raise ValueError("distance matrix has non-finite entries")
+    if np.any(D < 0.0):
+        raise ValueError(f"distance matrix has negative entries, min {D.min()}")
     if np.max(np.abs(D - D.T)) > 1e-12:
         raise ValueError("distance matrix is not symmetric")
     if np.max(np.abs(np.diag(D))) > 1e-12:

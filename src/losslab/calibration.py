@@ -5,7 +5,8 @@ Probabilities come from softmax rows for every loss kind except sigmoid,
 whose per-class sigmoids are renormalized by the row sum. Either way
 probs_from_logits returns a plain (n, K) array with entries in [0, 1] and
 rows summing to 1; the unit tests hold it to that, so nothing re-checks it
-per call. nll and ece take any finite (n, K) array with labels in [0, K);
+per call. nll and ece take any finite (n, K) array with K >= 2 and labels
+in [0, K), and a loss kind must be one of ``losses.LOSS_KINDS``;
 every public function checks its input once, on entry, through
 ``losslab.checks``, and the temperature search calls the unchecked _probs
 and _nll. ECE uses 15 equal-width right-closed bins on (0, 1]; confidence
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import check_labels, check_matrix, check_range
-from .losses import row_max, sigmoid, softmax_rows
+from .losses import LOSS_KINDS, row_max, sigmoid, softmax_rows
 
 PROB_CLAMP = 1e-12
 
@@ -42,16 +43,20 @@ class CalibrationReport:
     bins: list = field(default_factory=list)
 
 
-def _checked(a, labels=None, name="logits") -> tuple:
-    """(A, y): a as a finite (n, K) matrix (a (K,) row is n = 1) and labels
-    as n ints in [0, K), or None without labels."""
+def _checked(a, labels=None, name="logits", loss_kind="softmax") -> tuple:
+    """(A, y): a as a finite (n, K) matrix with K >= 2 (a (K,) row is
+    n = 1) and labels as n ints in [0, K), or None without labels; and
+    loss_kind one of LOSS_KINDS."""
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
     A = check_matrix(np.atleast_2d(a), name)
+    check_range("classes", A.shape[1], ">= 2")
     return A, None if labels is None else check_labels(labels, *A.shape)[0]
 
 
 def probs_from_logits(logits, loss_kind: str) -> np.ndarray:
     """(n, K) probabilities: normalized sigmoids for "sigmoid", else softmax."""
-    return _probs(_checked(logits)[0], loss_kind)
+    return _probs(_checked(logits, loss_kind=loss_kind)[0], loss_kind)
 
 
 def _probs(L: np.ndarray, loss_kind: str) -> np.ndarray:
@@ -122,7 +127,7 @@ def fit_temperature(
     The search runs on log T over [-5, 5]; NLL in log T is unimodal for
     fixed logits. Returns (T, post-scaling report with temperature set).
     """
-    L, y = _checked(logits, labels)
+    L, y = _checked(logits, labels, loss_kind=loss_kind)
 
     # L and y are checked once, here; a logit that overflows once divided
     # by T gives a non-finite NLL below

@@ -57,8 +57,16 @@ def check_matrix(X, name: str = "matrix", dim: int | None = None,
 def check_labels(labels, n: int, num_classes: int | None = None,
                  name: str = "labels") -> tuple:
     """(y, K): labels as an (n,) int64 vector with every entry in [0, K),
-    where K is num_classes, or the largest label plus one when None."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    where K is num_classes, or the largest label plus one when None.
+    Float labels must hold whole numbers, such as 1.0."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f":
+        flat = raw.reshape(-1)
+        whole = np.isfinite(flat) & (flat == np.trunc(flat))
+        if not whole.all():
+            raise ValueError(
+                f"{name} must be whole numbers, got {flat[~whole][0]}")
+    y = raw.astype(np.int64, copy=False).reshape(-1)
     if y.shape != (n,):
         raise ValueError(f"{name} has {y.shape[0]} entries for {n} rows")
     if not y.size:

@@ -26,9 +26,10 @@ Conventions used throughout:
 * ``value`` is the mean per-example loss. ``grad_logits`` is the gradient
   of that mean with respect to the score matrix the score loss consumes
   (so batching divides per-example rows by n).
-* Objectives that do not factor through ``W x + b`` alone (cosine softmax,
-  dropout, the extra final-layer L2) also return total gradients with
-  respect to the final-layer weights/bias and the input features.
+* ``compose_loss`` also returns the whole final-layer backward for every
+  spec: total gradients with respect to the final-layer weights and bias
+  and the input features. The objective functions that take logits
+  return ``grad_logits`` only.
 """
 
 from __future__ import annotations
@@ -144,10 +145,10 @@ class LossSpec:
 class LossResult:
     """Value and gradients of one objective evaluation.
 
-    ``grad_weights``/``grad_bias``/``grad_features`` are populated exactly
-    when the objective involves the final layer beyond a plain matmul
-    (cosine softmax, dropout, extra final-layer L2); they are total
-    gradients of ``value``.
+    ``grad_weights``/``grad_bias``/``grad_features`` are total gradients of
+    ``value``. Results that involve the final layer (``compose_loss`` and
+    the functions built on it) fill all three for every spec; the
+    functions that take logits fill only ``grad_logits``.
     """
 
     value: float
@@ -411,31 +412,29 @@ def _mean_loss(kind: str, spec: LossSpec, beta: float, Z, t):
 
 
 def _dropout_xent(layer, X, t, keep_prob: float, n_samples: int, rng):
-    """Softmax CE through the dropout head, averaged over n_samples mask draws."""
-    n, M = X.shape
-    value, g_logits, grads = 0.0, 0.0, (0.0, 0.0, 0.0)
-    # chunk the mask-sample axis so huge n_samples stays in modest memory
-    chunk = max(1, int(4_000_000 / max(1, n * M)))
-    for done in range(0, n_samples, chunk):
-        s = min(chunk, n_samples - done)
-        Z, backward = _dropout_head(layer, X, keep_prob, s, rng)
-        values, g = _softmax_ce(Z, np.tile(t, s))
-        G = g / n
-        value += float(np.sum(np.mean(values.reshape(s, n), axis=1)))
-        g_logits = g_logits + G.reshape(s, n, -1).sum(axis=0)
-        grads = tuple(a + b for a, b in zip(grads, backward(G)))
-    inv = 1.0 / n_samples
-    return value * inv, g_logits * inv, tuple(g * inv for g in grads)
+    """Softmax CE through the dropout head, averaged over n_samples mask draws.
+
+    All masks come from one draw. Each sum starts at 0.0, so a -0.0 entry
+    comes out +0.0.
+    """
+    n, s = X.shape[0], n_samples
+    Z, backward = _dropout_head(layer, X, keep_prob, s, rng)
+    values, g = _softmax_ce(Z, np.tile(t, s))
+    G = g / n
+    inv = 1.0 / s
+    value = 0.0 + float(np.sum(np.mean(values.reshape(s, n), axis=1)))
+    g_logits = 0.0 + G.reshape(s, n, -1).sum(axis=0)
+    return value * inv, g_logits * inv, tuple((0.0 + a) * inv for a in backward(G))
 
 
 def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng,
              backward: bool = True):
     """(value, dL/dZ, head gradients (dW, db, dX), clean scores) of a spec.
 
-    Without backward no head gradient is formed (the tuple is empty), and
-    a dropout spec is evaluated with its mask off: softmax on its clean
-    logits. The clean scores are None only for a dropout backward without
-    a logit penalty, which never forms them.
+    With backward the head gradients are always formed, whatever the kind.
+    Without it the tuple is empty, and a dropout spec is evaluated with its
+    mask off: softmax on its clean logits. The clean scores are None only
+    for a dropout backward without a logit penalty, which never forms them.
     """
     kind, beta, lam = _folded(spec)
     grads, Z = (), None
@@ -450,13 +449,12 @@ def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng,
     else:
         Z, head_backward = _clean_head(spec, layer, X)
         value, G = _mean_loss(kind, spec, beta, Z, t)
-        # a plain linear head leaves its chain to the caller
-        if backward and (kind == "cosine_softmax" or lam > 0.0):
+        if backward:
             grads = head_backward(G)
     if lam > 0.0:
         penalty, gw = _weight_penalty(layer.weights, lam)
         value += penalty
-        if grads:
+        if backward:
             grads = (grads[0] + gw,) + grads[1:]
     return value, G, grads, Z
 
@@ -588,8 +586,8 @@ def compose_loss(
     attaches to the head's clean scores (temperature-scaled cosine scores
     for cosine_softmax, raw logits for logit_norm, clean logits for a
     dropout base); an extra final-layer L2 adds lambda*W to the weight
-    gradient. Results carry total weight/bias/feature gradients whenever
-    the spec involves cosine softmax, dropout, or an extra final-layer L2.
+    gradient. The result always carries the whole final-layer backward:
+    total weight, bias and feature gradients, for every spec.
     """
     squeeze = np.ndim(features) == 1
     X = check_matrix(np.atleast_2d(features) if squeeze else features,
@@ -606,8 +604,7 @@ def compose_loss(
     if squeeze:
         # weight/bias grads keep their natural shapes; only row grads drop
         res.grad_logits = res.grad_logits[0]
-        if res.grad_features is not None:
-            res.grad_features = res.grad_features[0]
+        res.grad_features = res.grad_features[0]
     return res
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .calibration import top1_predictions
 from .checks import check_range, check_ranges
 from .data import Batch
-from .losses import LossSpec, compose_loss, eval_scores, evaluate, linear_backward
+from .losses import LossSpec, compose_loss, eval_scores, evaluate
 from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
 from .optim import lr_at, sgd_nesterov_step, weight_decay_grad
 
@@ -92,30 +92,16 @@ def loss_and_grads(
     Returns (value, grads) with grads in model.params() order.
     """
     acts = forward_hidden(model, X)
-    H = acts[-1]
-    res = compose_loss(spec, model.final, H, y, rng=rng)
-    if res.grad_weights is not None:
-        g_wf, g_bf, g_h = res.grad_weights, res.grad_bias, res.grad_features
-    else:
-        g_wf, g_bf, g_h = linear_backward(model.final, H, res.grad_logits)
-
+    res = compose_loss(spec, model.final, acts[-1], y, rng=rng)
     nh = len(model.hidden_weights)
-    g_hidden_w = [None] * nh
-    g_hidden_b = [None] * nh
-    delta = g_h
+    grads = [None] * (2 * nh) + [res.grad_weights, res.grad_bias]
+    delta = res.grad_features
     for i in range(nh - 1, -1, -1):
         delta = delta * (acts[i + 1] > 0)  # ReLU subgradient, 0 at the kink
-        g_hidden_w[i] = delta.T @ acts[i]
-        g_hidden_b[i] = delta.sum(axis=0)
+        grads[2 * i] = delta.T @ acts[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ model.hidden_weights[i]
-
-    grads = []
-    for i in range(nh):
-        grads.append(g_hidden_w[i])
-        grads.append(g_hidden_b[i])
-    grads.append(g_wf)
-    grads.append(g_bf)
     return res.value, grads
 
 

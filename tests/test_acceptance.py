@@ -13,6 +13,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from losslab.calibration import (
     ece,
@@ -542,6 +543,7 @@ def _mean_se(values):
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
+@pytest.mark.slow
 def test_05_class_separation_ordering():
     t0 = time.perf_counter()
     res = separation_experiment()
@@ -564,6 +566,7 @@ def test_05_class_separation_ordering():
 # ---------------------------------------------- 6: temperature tradeoff
 
 
+@pytest.mark.slow
 def test_06_temperature_tradeoff():
     taus = (0.01, 0.03, 0.05, 0.08)
     res = temperature_experiment(taus)
@@ -582,6 +585,7 @@ def test_06_temperature_tradeoff():
 # ------------------------------------- 7: determinism and convergence
 
 
+@pytest.mark.slow
 def test_07_determinism_and_convergence(tmp_path):
     identical = True
     for kind in ("softmax", "cosine_softmax"):
@@ -611,6 +615,7 @@ def test_07_determinism_and_convergence(tmp_path):
 # ------------------------------------------------ 8: prediction clusters
 
 
+@pytest.mark.slow
 def test_08_agreement_clustering():
     res = agreement_experiment()
     members = {i: {i} for i in range(len(res["names"]))}

@@ -189,6 +189,33 @@ def test_dropout_pathwise_gradients_match_fd(n, k, m, s):
     assert rel_err(res.grad_bias, gb) < FD_TOL
 
 
+def test_dropout_one_draw_replays_masks_past_four_million_entries():
+    # 64 * 640 * 98 > 4e6 mask entries in one (s, n, m) draw: the same
+    # masks as s draws of (n, m) in a row, as the replay makes them
+    from losslab.losses import dropout_xent, softmax_rows
+
+    rng = np.random.default_rng(23)
+    n, k, m, s, keep = 64, 3, 640, 98, 0.7
+    layer = random_layer(rng, k, m)
+    X = rng.standard_normal((n, m))
+    t = rng.integers(0, k, size=n)
+    res = dropout_xent(layer, X, t, keep, n_samples=s, seed=5)
+
+    mask_rng = np.random.default_rng(5)
+    masks = [mask_rng.random((n, m)) < keep for _ in range(s)]
+    assert abs(masked_dropout_value(layer, X, t, keep, masks) - res.value) < 1e-12
+    gw, gb, gx = 0.0, 0.0, 0.0
+    for mask in masks:
+        Xt = X * mask / keep
+        G = softmax_rows(Xt @ layer.weights.T + layer.bias)
+        G[np.arange(n), t] -= 1.0
+        G /= n * s
+        gw, gb, gx = gw + G.T @ Xt, gb + G.sum(axis=0), gx + (G @ layer.weights) * mask / keep
+    assert rel_err(res.grad_weights, gw) < 1e-12
+    assert rel_err(res.grad_bias, gb) < 1e-12
+    assert rel_err(res.grad_features, gx) < 1e-12
+
+
 COMPOSED_SPECS = [
     LossSpec("softmax", extra_penalties=(PenaltySpec("logit_penalty", 6e-4),)),
     LossSpec("label_smoothing", alpha=0.1, extra_penalties=(PenaltySpec("logit_penalty", 1e-3),)),

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from losslab.agreement import agreement_matrix
+from losslab.agreement import agreement_matrix, linkage_dendrogram
 from losslab.calibration import ece, fit_temperature, nll, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
 from losslab.data import Batch, make_blob_split, make_blobs
@@ -63,7 +63,7 @@ def _with_nan(X, y):
 
 def _with_label(label):
     def defect(X, y):
-        y = y.copy()
+        y = y.astype(type(label))
         y[5] = label
         return X, y
     return defect
@@ -75,6 +75,7 @@ DEFECTS = {
     "3d_array": (lambda X, y: (X[None], y), "must be 2d"),
     "label_minus_1": (_with_label(-1), "must be >= 0, got -1"),
     "label_K": (_with_label(K), f"must be < {K}"),
+    "label_fractional": (_with_label(0.5), "must be whole numbers, got 0.5"),
     "wrong_label_length": (lambda X, y: (X, y[:-1]), "entries for 12 rows"),
 }
 ALL = tuple(DEFECTS)
@@ -105,14 +106,17 @@ ENTRY_POINTS = {
     "cka_matrix": (lambda X, y: cka_matrix([valid_input()[0], X]), MATRIX),
     "singular_spectrum": (lambda X, y: singular_spectrum(X), MATRIX),
     # the row count comes from the labels themselves
-    "one_hot_matrix": (lambda X, y: one_hot_matrix(y, K), ("label_minus_1", "label_K")),
+    "one_hot_matrix": (lambda X, y: one_hot_matrix(y, K),
+                       ("label_minus_1", "label_K", "label_fractional")),
     "fit_logreg": (lambda X, y: fit_logreg(X, y, 0.1, K), ALL),
     "sweep_and_retrain": (
         lambda X, y: sweep_and_retrain(X, y, X, y, PROBE, num_classes=K), ALL),
     "sweep_and_retrain_test_split": (_sweep_test_split, ALL),
-    # X.T is a (runs, rows) matrix of predictions; there is no class count
-    "agreement_matrix": (lambda X, y: agreement_matrix(X.T, y),
-                         MATRIX + ("label_minus_1", "wrong_label_length")),
+    # a (runs, rows) matrix of whole-number predictions made from X.T;
+    # there is no class count
+    "agreement_matrix": (lambda X, y: agreement_matrix(np.floor(np.abs(X.T) * 2), y),
+                         MATRIX + ("label_minus_1", "wrong_label_length",
+                                   "label_fractional")),
     "Batch": (lambda X, y: Batch(X, y, K), ALL),
 }
 
@@ -181,6 +185,38 @@ def test_bad_knob_rejected(call, text):
         call()
 
 
+ONE_COLUMN = np.ones((4, 1))
+# inputs that pass the shared array checks but that the function cannot score
+VALUE_CASES = [
+    pytest.param(lambda: agreement_matrix([[0.4, 1.0], [0.0, 1.0]], [0, 1]),
+                 "predictions must be whole numbers, got 0.4",
+                 id="agreement_matrix-prediction_fractional"),
+    pytest.param(lambda: agreement_matrix([[-1, 1], [0, 1]], [0, 1]),
+                 "predictions must be >= 0, got -1",
+                 id="agreement_matrix-prediction_minus_1"),
+    pytest.param(lambda: probs_from_logits(np.eye(2), "nonsense"),
+                 "loss_kind must be one of", id="probs_from_logits-kind"),
+    pytest.param(lambda: fit_temperature(np.eye(2), [0, 1], "nonsense"),
+                 "loss_kind must be one of", id="fit_temperature-kind"),
+    pytest.param(lambda: probs_from_logits(ONE_COLUMN, "softmax"),
+                 "classes must be >= 2, got 1", id="probs_from_logits-one_column"),
+    pytest.param(lambda: fit_temperature(ONE_COLUMN, np.zeros(4)),
+                 "classes must be >= 2, got 1", id="fit_temperature-one_column"),
+    pytest.param(lambda: nll(ONE_COLUMN, np.zeros(4)),
+                 "classes must be >= 2, got 1", id="nll-one_column"),
+    pytest.param(lambda: ece(ONE_COLUMN, np.zeros(4)),
+                 "classes must be >= 2, got 1", id="ece-one_column"),
+    pytest.param(lambda: linkage_dendrogram([[0, -1, 2], [-1, 0, 3], [2, 3, 0]]),
+                 "negative entries", id="linkage_dendrogram-negative"),
+]
+
+
+@pytest.mark.parametrize("call, text", VALUE_CASES)
+def test_unscorable_value_rejected(call, text):
+    with pytest.raises(ValueError, match=text):
+        call()
+
+
 class TestChecks:
     def test_every_range_rejects_nan(self):
         for valid in RANGES:
@@ -220,3 +256,10 @@ class TestChecks:
         assert y.dtype == np.int64 and k == 3
         assert check_labels([0, 1], 2, num_classes=5)[1] == 5
         assert check_labels([], 0)[1] == 0
+
+    def test_labels_whole_floats_accepted(self):
+        y, k = check_labels(np.array([1.0, 0.0, 2.0]), 3)
+        assert y.dtype == np.int64 and y.tolist() == [1, 0, 2] and k == 3
+        for bad in (np.nan, np.inf, -0.5):
+            with pytest.raises(ValueError, match="must be whole numbers"):
+                check_labels([0.0, bad], 2)

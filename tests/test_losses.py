@@ -420,22 +420,40 @@ class TestCompose:
         )
         assert abs(compose_loss(spec, layer, X, t).value - expect) < 1e-12
 
-    def test_direct_grads_present_exactly_when_needed(self):
+    @pytest.mark.parametrize("spec", [LossSpec(kind) for kind in LOSS_KINDS] + [
+        LossSpec("softmax", extra_penalties=(PenaltySpec("extra_final_l2", 1e-3),)),
+        LossSpec("sigmoid", extra_penalties=(PenaltySpec("logit_penalty", 2e-3),
+                                             PenaltySpec("extra_final_l2", 5e-4))),
+        LossSpec("extra_final_l2", lambda_final=1e-3,
+                 extra_penalties=(PenaltySpec("extra_final_l2", 5e-4),)),
+        LossSpec("logit_norm", extra_penalties=(PenaltySpec("logit_penalty", 2e-3),)),
+        LossSpec("squared_error", extra_penalties=(PenaltySpec("extra_final_l2", 1e-3),)),
+        LossSpec("dropout", extra_penalties=(PenaltySpec("logit_penalty", 1e-3),
+                                             PenaltySpec("extra_final_l2", 1e-3))),
+        LossSpec("cosine_softmax", extra_penalties=(PenaltySpec("logit_penalty", 1e-3),
+                                                    PenaltySpec("extra_final_l2", 1e-3))),
+    ], ids=lambda s: s.kind + "+" * len(s.extra_penalties))
+    def test_every_spec_returns_the_final_layer_backward(self, spec):
         rng = np.random.default_rng(15)
-        layer = FinalLayer(rng.standard_normal((3, 4)), np.zeros(3))
-        X = rng.standard_normal((2, 4))
-        t = [0, 1]
-        plain = compose_loss(LossSpec("softmax"), layer, X, t)
-        assert plain.grad_weights is None and plain.grad_features is None
-        for spec in (
-            LossSpec("cosine_softmax", temperature=0.1),
-            LossSpec("dropout", keep_prob=0.5),
-            LossSpec("extra_final_l2", lambda_final=1e-3),
-            LossSpec("softmax", extra_penalties=(PenaltySpec("extra_final_l2", 1e-3),)),
-        ):
-            res = compose_loss(spec, layer, X, t, seed=0)
-            assert res.grad_weights is not None
-            assert res.grad_bias is not None
+        layer = FinalLayer(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        X = rng.standard_normal((5, 4))
+        t = [0, 1, 2, 0, 1]
+        res = compose_loss(spec, layer, X, t, seed=0)
+        assert res.grad_weights.shape == (3, 4)
+        assert res.grad_bias.shape == (3,)
+        assert res.grad_features.shape == (5, 4)
+        if spec.kind in ("cosine_softmax", "dropout"):
+            return  # heads that are not W x + b; the FD suite checks them
+        dW, db, dX = losses.linear_backward(layer, X, res.grad_logits)
+        lam = spec.lambda_final if spec.kind == "extra_final_l2" else 0.0
+        for p in spec.extra_penalties:
+            if p.kind == "extra_final_l2":
+                lam += p.value
+        if lam > 0.0:
+            dW = dW + lam * layer.weights
+        np.testing.assert_array_equal(res.grad_weights, dW)
+        np.testing.assert_array_equal(res.grad_bias, db)
+        np.testing.assert_array_equal(res.grad_features, dX)
 
     def test_single_example_results_squeeze(self):
         layer = FinalLayer(np.eye(3), np.zeros(3))
