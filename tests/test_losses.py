@@ -455,6 +455,29 @@ class TestCompose:
         np.testing.assert_array_equal(res.grad_bias, db)
         np.testing.assert_array_equal(res.grad_features, dX)
 
+    def test_direct_grads_present_exactly_when_needed(self):
+        # the trainer always needs the final-layer backward, so every spec,
+        # a plain softmax included, carries dW, db and dX
+        rng = np.random.default_rng(15)
+        layer = FinalLayer(rng.standard_normal((3, 4)), np.zeros(3))
+        X = rng.standard_normal((2, 4))
+        t = [0, 1]
+        plain = compose_loss(LossSpec("softmax"), layer, X, t)
+        dW, db, dX = losses.linear_backward(layer, X, plain.grad_logits)
+        np.testing.assert_array_equal(plain.grad_weights, dW)
+        np.testing.assert_array_equal(plain.grad_bias, db)
+        np.testing.assert_array_equal(plain.grad_features, dX)
+        for spec in (
+            LossSpec("cosine_softmax", temperature=0.1),
+            LossSpec("dropout", keep_prob=0.5),
+            LossSpec("extra_final_l2", lambda_final=1e-3),
+            LossSpec("softmax", extra_penalties=(PenaltySpec("extra_final_l2", 1e-3),)),
+        ):
+            res = compose_loss(spec, layer, X, t, seed=0)
+            assert res.grad_weights is not None
+            assert res.grad_bias is not None
+            assert res.grad_features is not None
+
     def test_single_example_results_squeeze(self):
         layer = FinalLayer(np.eye(3), np.zeros(3))
         spec = LossSpec("softmax", extra_penalties=(PenaltySpec("extra_final_l2", 1e-3),))
