@@ -1,16 +1,14 @@
 """Prediction-level evaluation: probabilities, accuracy, NLL, ECE, and
 post-hoc temperature scaling.
 
-Probabilities come from softmax rows for every loss kind except sigmoid,
-whose per-class sigmoids are renormalized by the row sum. Either way
-probs_from_logits returns a plain (n, K) array with entries in [0, 1] and
-rows summing to 1; the unit tests hold it to that, so nothing re-checks it
-per call. nll and ece take any finite (n, K) array with K >= 2 and labels
-in [0, K), and a loss kind must be one of ``losses.LOSS_KINDS``;
-every public function checks its input once, on entry, through
-``losslab.checks``, and the temperature search calls the unchecked _probs
-and _nll. ECE uses 15 equal-width right-closed bins on (0, 1]; confidence
-0 lands in bin 1.
+Every public function takes scores, never probabilities: a finite (n, K)
+array with K >= 2, labels in [0, K) and a loss kind from
+``losses.LOSS_KINDS``, checked once, on entry, through ``losslab.checks``.
+Probabilities are softmax rows for every kind except sigmoid, whose
+per-class sigmoids are renormalized by the row sum. ece and
+fit_temperature bin them with the unchecked _report, and the temperature
+search calls the unchecked _probs and _nll. ECE uses 15 equal-width
+right-closed bins on (0, 1]; confidence 0 lands in bin 1.
 """
 
 from __future__ import annotations
@@ -43,15 +41,15 @@ class CalibrationReport:
     bins: list = field(default_factory=list)
 
 
-def _checked(a, labels=None, name="logits", loss_kind="softmax") -> tuple:
-    """(A, y): a as a finite (n, K) matrix with K >= 2 (a (K,) row is
+def _checked(scores, labels=None, loss_kind="softmax") -> tuple:
+    """(L, y): scores as a finite (n, K) matrix with K >= 2 (a (K,) row is
     n = 1) and labels as n ints in [0, K), or None without labels; and
     loss_kind one of LOSS_KINDS."""
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
-    A = check_matrix(np.atleast_2d(a), name)
-    check_range("classes", A.shape[1], ">= 2")
-    return A, None if labels is None else check_labels(labels, *A.shape)[0]
+    L = check_matrix(np.atleast_2d(scores), "logits")
+    check_range("classes", L.shape[1], ">= 2")
+    return L, None if labels is None else check_labels(labels, *L.shape)[0]
 
 
 def probs_from_logits(logits, loss_kind: str) -> np.ndarray:
@@ -80,19 +78,21 @@ def top1_predictions(scores) -> np.ndarray:
     return np.argmax(np.atleast_2d(scores), axis=1)
 
 
-def nll(probs, labels) -> float:
-    return _nll(*_checked(probs, labels, "probs"))
-
-
 def _nll(P: np.ndarray, y: np.ndarray) -> float:
-    """nll on a checked P and labels."""
+    """Mean negative log-likelihood of labels y under probabilities P."""
     picked = np.clip(P[np.arange(P.shape[0]), y], PROB_CLAMP, None)
     return float(np.mean(-np.log(picked)))
 
 
-def ece(probs, labels, n_bins: int = 15) -> CalibrationReport:
-    P, y = _checked(probs, labels, "probs")
+def ece(scores, labels, loss_kind: str = "softmax", n_bins: int = 15) -> CalibrationReport:
+    """NLL, ECE and bins of probs_from_logits(scores, loss_kind) against labels."""
+    L, y = _checked(scores, labels, loss_kind=loss_kind)
     check_range("n_bins", n_bins, ">= 1")
+    return _report(_probs(L, loss_kind), y, n_bins)
+
+
+def _report(P: np.ndarray, y: np.ndarray, n_bins: int = 15) -> CalibrationReport:
+    """ece's binning on probabilities P and labels y, without the checks."""
     n = P.shape[0]
     conf = row_max(P)[:, 0]
     correct = top1_predictions(P) == y
@@ -152,6 +152,6 @@ def fit_temperature(
             fd = f(d)
     u = (a + b) / 2.0
     T = math.exp(u)
-    report = ece(_probs(L / T, loss_kind), y)
+    report = _report(_probs(L / T, loss_kind), y)
     report.temperature = T
     return T, report

@@ -9,6 +9,7 @@ name the line or byte offset of the bad input.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -24,12 +25,16 @@ RANGES = {
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
 }
+# ranges of counts, which also take only ints and numpy integers
+COUNTS = (">= 0", ">= 1", ">= 2")
 
 
 def check_range(name: str, value, valid: str):
     """value, if it lies in the range RANGES[valid]; else ValueError."""
     if not RANGES[valid](value):
         raise ValueError(f"{name} must be {valid}, got {value}")
+    if valid in COUNTS and not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
     return value
 
 
@@ -58,23 +63,24 @@ def check_labels(labels, n: int, num_classes: int | None = None,
                  name: str = "labels") -> tuple:
     """(y, K): labels as an (n,) int64 vector with every entry in [0, K),
     where K is num_classes, or the largest label plus one when None.
-    Float labels must hold whole numbers, such as 1.0."""
-    raw = np.asarray(labels)
+    Float labels must hold whole numbers, such as 1.0. The labels are held
+    to [0, K) before the cast, so none can wrap around on the way to int64."""
+    raw = np.asarray(labels).reshape(-1)
     if raw.dtype.kind == "f":
-        flat = raw.reshape(-1)
-        whole = np.isfinite(flat) & (flat == np.trunc(flat))
+        whole = np.isfinite(raw) & (raw == np.trunc(raw))
         if not whole.all():
             raise ValueError(
-                f"{name} must be whole numbers, got {flat[~whole][0]}")
-    y = raw.astype(np.int64, copy=False).reshape(-1)
-    if y.shape != (n,):
-        raise ValueError(f"{name} has {y.shape[0]} entries for {n} rows")
-    if not y.size:
-        return y, num_classes or 0
-    lo, hi = y.min(), y.max()
+                f"{name} must be whole numbers, got {raw[~whole][0]}")
+    if raw.shape != (n,):
+        raise ValueError(f"{name} has {raw.shape[0]} entries for {n} rows")
+    if not raw.size:
+        return raw.astype(np.int64), num_classes or 0
+    lo, hi = raw.min(), raw.max()
     if lo < 0:
         raise ValueError(f"{name} must be >= 0, got {lo}")
-    k = int(hi) + 1 if num_classes is None else num_classes
+    k = num_classes
+    if k is None:  # the largest label plus one, if an int64 label can hold it
+        k = min(int(hi) + 1, np.iinfo(np.int64).max)
     if hi >= k:
         raise ValueError(f"{name} must be < {k} (the class count), got {hi}")
-    return y, k
+    return raw.astype(np.int64, copy=False), k

@@ -361,7 +361,7 @@ def report_calibration(config, runs) -> dict:
         fits = []
         for run in (r for r in runs if r.name == name):
             labels = run.batch.labels
-            pre = ece(probs_from_logits(run.scores, spec.kind), labels)
+            pre = ece(run.scores, labels, spec.kind)
             temp, post = fit_temperature(run.scores, labels, spec.kind)
             fits.append(
                 {

@@ -184,6 +184,7 @@ def fit_logreg(
     y, K = check_labels(labels, X.shape[0], num_classes)
     check_range("lam", lam, "finite and >= 0")
     check_range("tolerance", tolerance, "finite and > 0")
+    check_range("max_iterations", max_iterations, ">= 0")
     d = X.shape[1]
     W = np.zeros((K, d)) if init_weights is None else np.array(init_weights, dtype=np.float64)
     b = np.zeros(K) if init_bias is None else np.array(init_bias, dtype=np.float64)

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losslab.calibration import (
+    _report,
     ece,
     fit_temperature,
-    nll,
     probs_from_logits,
     top1_predictions,
 )
+
+# a score that every softmax row turns into a probability of exactly 0
+NEVER = -800.0
 
 
 class TestProbs:
@@ -56,23 +59,24 @@ class TestTopk:
 
 class TestNll:
     def test_perfect_predictions(self):
-        P = np.eye(3)
-        assert nll(P, [0, 1, 2]) == 0.0
+        L = np.where(np.eye(3) == 1.0, 0.0, NEVER)
+        assert ece(L, [0, 1, 2]).nll == 0.0
 
     def test_uniform_gives_log_k(self):
-        P = np.full((5, 4), 0.25)
-        assert nll(P, [0, 3, 1, 2, 0]) == pytest.approx(math.log(4.0), abs=1e-12)
+        L = np.zeros((5, 4))
+        assert ece(L, [0, 3, 1, 2, 0]).nll == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        P = probs_from_logits(rng.standard_normal((12, 5)), "softmax")
+        L = rng.standard_normal((12, 5))
         y = rng.integers(0, 5, 12)
-        expect = sum(-math.log(P[i, y[i]]) for i in range(12)) / 12
-        assert nll(P, y) == pytest.approx(expect, abs=1e-12)
+        expect = sum(
+            math.log(sum(math.exp(v) for v in L[i])) - L[i, y[i]] for i in range(12)
+        ) / 12
+        assert ece(L, y).nll == pytest.approx(expect, abs=1e-12)
 
     def test_clamp_keeps_finite(self):
-        P = np.array([[1.0, 0.0]])
-        v = nll(P, [1])
+        v = ece(np.array([[0.0, NEVER]]), [1]).nll
         assert math.isfinite(v)
         assert v == pytest.approx(-math.log(1e-12))
 
@@ -100,22 +104,32 @@ def ece_loop_oracle(P, y, n_bins=15):
 
 class TestEce:
     def test_all_confident_correct_is_zero(self):
-        P = np.repeat(np.array([[1.0, 0.0]]), 6, axis=0)
-        rep = ece(P, np.zeros(6, dtype=int))
+        L = np.repeat(np.array([[0.0, NEVER]]), 6, axis=0)
+        rep = ece(L, np.zeros(6, dtype=int))
         assert rep.ece == pytest.approx(0.0, abs=1e-12)
 
     def test_all_confident_wrong_is_one(self):
-        P = np.repeat(np.array([[1.0, 0.0]]), 6, axis=0)
-        rep = ece(P, np.ones(6, dtype=int))
+        L = np.repeat(np.array([[0.0, NEVER]]), 6, axis=0)
+        rep = ece(L, np.ones(6, dtype=int))
         assert rep.ece == pytest.approx(1.0, abs=1e-12)
 
+    def test_scores_give_possible_values(self):
+        # as probabilities, this matrix gave an ECE of 1.5 and an NLL of
+        # -0.896; read as scores, it is a pair of confident rows
+        L = np.array([[3.0, 0.5], [0.2, 2.0]])
+        for kind in ("softmax", "sigmoid"):
+            rep = ece(L, [0, 1], kind)
+            assert 0.0 <= rep.ece <= 1.0 and rep.nll >= 0.0, kind
+
+    # no finite score matrix gives the exact probabilities of the next two
+    # cases, so they call the binning kernel directly
     def test_hand_built_four_example_batch(self):
         # two examples at conf 0.9 (one right, one wrong): gap 0.4, weight 1/2
         # one at conf 0.65 correct: gap 0.35, weight 1/4
         # one at conf 0.6 wrong: gap 0.6, weight 1/4  -> ECE = 0.4375
         P = np.array([[0.9, 0.1], [0.9, 0.1], [0.65, 0.35], [0.6, 0.4]])
         y = np.array([0, 1, 0, 1])
-        rep = ece(P, y)
+        rep = _report(P, y)
         assert rep.ece == pytest.approx(0.4375, abs=1e-12)
         assert sum(b.count for b in rep.bins) == 4
         assert len(rep.bins) == 15
@@ -123,33 +137,35 @@ class TestEce:
     def test_bin_edges_right_closed(self):
         # conf exactly 0.6 = 9/15 belongs to bin 9 (0.5333, 0.6], not bin 10
         P = np.array([[0.6, 0.4]])
-        rep = ece(P, [0])
+        rep = _report(P, np.array([0]))
         occupied = [i for i, b in enumerate(rep.bins) if b.count]
         assert occupied == [8]
         assert rep.bins[8].upper == pytest.approx(0.6)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
-        P = probs_from_logits(2 * rng.standard_normal((60, 4)), "softmax")
+        L = 2 * rng.standard_normal((60, 4))
         y = rng.integers(0, 4, 60)
-        rep = ece(P, y)
-        assert rep.ece == pytest.approx(ece_loop_oracle(P, y), abs=1e-10)
+        for kind in ("softmax", "sigmoid"):
+            rep = ece(L, y, kind)
+            oracle = ece_loop_oracle(probs_from_logits(L, kind), y)
+            assert rep.ece == pytest.approx(oracle, abs=1e-10), kind
 
     def test_permutation_and_duplication_invariance(self):
         rng = np.random.default_rng(5)
-        P = probs_from_logits(rng.standard_normal((30, 3)), "softmax")
+        L = rng.standard_normal((30, 3))
         y = rng.integers(0, 3, 30)
-        base = ece(P, y).ece
+        base = ece(L, y).ece
         perm = rng.permutation(30)
-        assert ece(P[perm], y[perm]).ece == pytest.approx(base, abs=1e-12)
-        P2 = np.vstack([P, P])
+        assert ece(L[perm], y[perm]).ece == pytest.approx(base, abs=1e-12)
+        L2 = np.vstack([L, L])
         y2 = np.concatenate([y, y])
-        assert ece(P2, y2).ece == pytest.approx(base, abs=1e-12)
+        assert ece(L2, y2).ece == pytest.approx(base, abs=1e-12)
 
     def test_bin_counts_sum_to_n(self):
         rng = np.random.default_rng(6)
-        P = probs_from_logits(rng.standard_normal((25, 5)), "softmax")
-        rep = ece(P, rng.integers(0, 5, 25))
+        L = rng.standard_normal((25, 5))
+        rep = ece(L, rng.integers(0, 5, 25))
         assert sum(b.count for b in rep.bins) == 25
 
 
@@ -169,7 +185,7 @@ class TestTemperature:
         for _ in range(5):
             L = 3 * rng.standard_normal((40, 5))
             y = rng.integers(0, 5, 40)
-            pre = nll(probs_from_logits(L, "softmax"), y)
+            pre = ece(L, y).nll
             T, rep = fit_temperature(L, y, "softmax")
             assert rep.nll <= pre + 1e-9
 
@@ -199,18 +215,18 @@ class TestTemperature:
         # toward T = e^-5, where every scaled sigmoid of a row underflows
         low = -6.0 + 0.025 * L
         for logits, labels in ((L, y), (low, top1_predictions(low))):
-            pre = nll(probs_from_logits(logits, "sigmoid"), labels)
+            pre = ece(logits, labels, "sigmoid").nll
             _, rep = fit_temperature(logits, labels, "sigmoid")
             assert rep.nll <= pre + 1e-9
 
 
 def reference_fit_temperature(L, y, kind):
     """The golden-section search on log T over [-5, 5], through the checked
-    probs_from_logits at every step."""
+    ece at every step."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
 
     def f(u):
-        return nll(probs_from_logits(L / math.exp(u), kind), y)
+        return ece(L / math.exp(u), y, kind).nll
 
     a, b = -5.0, 5.0
     c, d = b - g * (b - a), a + g * (b - a)
@@ -225,7 +241,7 @@ def reference_fit_temperature(L, y, kind):
             d = a + g * (b - a)
             fd = f(d)
     T = math.exp((a + b) / 2.0)
-    report = ece(probs_from_logits(L / T, kind), y)
+    report = ece(L / T, y, kind)
     report.temperature = T
     return T, report
 

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from losslab.calibration import ece, fit_temperature
 from losslab.cli import build_parser, main
+from losslab.config import load_config
 from losslab.dumps import read_activation_dump
+from losslab.harness import load_runs
 
 INI = """\
 [dataset]
@@ -116,6 +119,34 @@ class TestAnalysisCommands:
         (data,) = [r for r in report["plain"]["runs"] if r["seed"] == 0]
         assert data["nll_scaled"] <= data["nll"] + 1e-12
         assert data["temperature"] > 0
+
+    def test_calibration_equals_direct_calls(self, workspace, capsys):
+        # every number of both files is ece or fit_temperature on the run's
+        # eval scores, bit for bit (the CSV holds each as %.10g)
+        ini, out = workspace
+        assert main(["report", "--config", str(ini), "--kind", "calibration"]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "reports" / "calibration.json").read_text())
+        bins = (out / "reports" / "calibration_bins.csv").read_text().splitlines()[1:]
+        rows = []
+        for run in load_runs(load_config(ini)):
+            labels, kind = run.batch.labels, run.spec.kind
+            pre = ece(run.scores, labels, kind)
+            T, post = fit_temperature(run.scores, labels, kind)
+            (entry,) = [r for r in report[run.name]["runs"] if r["seed"] == run.seed]
+            assert entry == {"seed": run.seed, "nll": pre.nll, "ece": pre.ece,
+                             "temperature": T, "nll_scaled": post.nll,
+                             "ece_scaled": post.ece}
+            rows.extend(
+                ",".join("" if v is None else str(v) if isinstance(v, (str, int))
+                         else "%.10g" % v for v in
+                         (run.name, run.seed, b.lower, b.upper, b.count,
+                          b.accuracy, b.mean_confidence))
+                for b in pre.bins)
+        assert bins == rows
+        for name, entry in report.items():
+            for key, mean in entry["mean"].items():
+                assert mean == float(np.mean([r[key] for r in entry["runs"]])), key
 
     def test_report_accuracy(self, workspace, capsys):
         ini, _ = workspace

@@ -300,6 +300,24 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match="transfer_merge"):
             ExperimentConfig(**{**self.base_kwargs(), "transfer_merge": 1})
 
+    # the INI parses these keys with int(), so only a config built in code
+    # can hand them a float
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5),
+        ("batch_size", 8.5),
+        ("hidden", (16.5,)),
+        ("seeds", (0.5,)),
+        ("transfer_merge", 2.5),
+    ], ids=["epochs", "batch_size", "hidden", "seeds", "transfer_merge"])
+    def test_fractional_count_rejected(self, field, value):
+        kwargs = self.base_kwargs()
+        if field in kwargs["train"]:
+            kwargs["train"][field] = value
+        else:
+            kwargs[field] = value
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            ExperimentConfig(**kwargs)
+
     def test_all_analyses_accepted(self):
         cfg = ExperimentConfig(**{**self.base_kwargs(), "analyses": ANALYSES})
         assert cfg.analyses == ANALYSES

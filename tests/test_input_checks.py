@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from losslab.agreement import agreement_matrix, linkage_dendrogram
-from losslab.calibration import ece, fit_temperature, nll, probs_from_logits
+from losslab.calibration import ece, fit_temperature, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
 from losslab.data import Batch, make_blob_split, make_blobs
 from losslab.losses import (
@@ -76,6 +76,11 @@ DEFECTS = {
     "label_minus_1": (_with_label(-1), "must be >= 0, got -1"),
     "label_K": (_with_label(K), f"must be < {K}"),
     "label_fractional": (_with_label(0.5), "must be whole numbers, got 0.5"),
+    # past int64: compared with K before the cast, with no cast warning;
+    # numpy reads a list that holds the int 2**63 + 5 as float64
+    "label_1e20": (_with_label(1e20), r"\(the class count\), got 1e\+20"),
+    "label_2**63+5": (lambda X, y: (X, [*y[:5].tolist(), 2**63 + 5, *y[6:].tolist()]),
+                      r"\(the class count\), got 9\.223372036854776e\+18"),
     "wrong_label_length": (lambda X, y: (X, y[:-1]), "entries for 12 rows"),
 }
 ALL = tuple(DEFECTS)
@@ -95,8 +100,7 @@ ENTRY_POINTS = {
     "evaluate": (lambda X, y: evaluate(LossSpec("softmax"), LAYER, X, y), ALL),
     "eval_scores": (lambda X, y: eval_scores(LossSpec("softmax"), LAYER, X), MATRIX),
     "probs_from_logits": (lambda X, y: probs_from_logits(X, "softmax"), MATRIX),
-    "nll": (lambda X, y: nll(np.abs(X), y), ALL),
-    "ece": (lambda X, y: ece(np.abs(X), y), ALL),
+    "ece": (ece, ALL),
     "fit_temperature": (fit_temperature, ALL),
     "class_separation_r2": (
         lambda X, y: class_separation_r2(X, y, num_classes=K), ALL),
@@ -107,7 +111,8 @@ ENTRY_POINTS = {
     "singular_spectrum": (lambda X, y: singular_spectrum(X), MATRIX),
     # the row count comes from the labels themselves
     "one_hot_matrix": (lambda X, y: one_hot_matrix(y, K),
-                       ("label_minus_1", "label_K", "label_fractional")),
+                       ("label_minus_1", "label_K", "label_fractional",
+                        "label_1e20", "label_2**63+5")),
     "fit_logreg": (lambda X, y: fit_logreg(X, y, 0.1, K), ALL),
     "sweep_and_retrain": (
         lambda X, y: sweep_and_retrain(X, y, X, y, PROBE, num_classes=K), ALL),
@@ -116,7 +121,7 @@ ENTRY_POINTS = {
     # there is no class count
     "agreement_matrix": (lambda X, y: agreement_matrix(np.floor(np.abs(X.T) * 2), y),
                          MATRIX + ("label_minus_1", "wrong_label_length",
-                                   "label_fractional")),
+                                   "label_fractional", "label_1e20", "label_2**63+5")),
     "Batch": (lambda X, y: Batch(X, y, K), ALL),
 }
 
@@ -164,6 +169,11 @@ KNOB_CASES = [
                  "num_classes must be >= 2", id="init_mlp-num_classes"),
     pytest.param(lambda: ece(np.eye(2), [0, 1], n_bins=0),
                  "n_bins must be >= 1", id="ece-n_bins"),
+    pytest.param(lambda: ece(np.eye(2), [0, 1], n_bins=2.5),
+                 "n_bins must be an integer, got 2.5", id="ece-n_bins-fractional"),
+    pytest.param(lambda: fit_logreg(*valid_input(), 0.1, K, max_iterations=2.5),
+                 "max_iterations must be an integer, got 2.5",
+                 id="fit_logreg-max_iterations-fractional"),
     pytest.param(lambda: fit_logreg(*valid_input(), 0.1, K, tolerance=-1.0),
                  "tolerance must be finite and > 0", id="fit_logreg-tolerance"),
     pytest.param(lambda: fit_logreg(*valid_input(), -1e-12, K),
@@ -198,12 +208,12 @@ VALUE_CASES = [
                  "loss_kind must be one of", id="probs_from_logits-kind"),
     pytest.param(lambda: fit_temperature(np.eye(2), [0, 1], "nonsense"),
                  "loss_kind must be one of", id="fit_temperature-kind"),
+    pytest.param(lambda: ece(np.eye(2), [0, 1], "nonsense"),
+                 "loss_kind must be one of", id="ece-kind"),
     pytest.param(lambda: probs_from_logits(ONE_COLUMN, "softmax"),
                  "classes must be >= 2, got 1", id="probs_from_logits-one_column"),
     pytest.param(lambda: fit_temperature(ONE_COLUMN, np.zeros(4)),
                  "classes must be >= 2, got 1", id="fit_temperature-one_column"),
-    pytest.param(lambda: nll(ONE_COLUMN, np.zeros(4)),
-                 "classes must be >= 2, got 1", id="nll-one_column"),
     pytest.param(lambda: ece(ONE_COLUMN, np.zeros(4)),
                  "classes must be >= 2, got 1", id="ece-one_column"),
     pytest.param(lambda: linkage_dendrogram([[0, -1, 2], [-1, 0, 3], [2, 3, 0]]),
@@ -231,9 +241,10 @@ class TestChecks:
         ("finite and >= 0", (0.0, 1e300), (-1e-300, math.inf)),
         ("finite and > 0", (1e-300, 1e300), (0.0, math.inf)),
         ("finite", (-1e300, 1e300), (math.inf, -math.inf)),
-        (">= 0", (0, 7), (-1,)),
-        (">= 1", (1, 7), (0,)),
-        (">= 2", (2, 7), (1,)),
+        # counts take numpy integers, and no float, even a whole one
+        (">= 0", (0, 7, np.int64(3)), (-1, 2.5, 3.0)),
+        (">= 1", (1, 7, np.int32(3)), (0, 1.5)),
+        (">= 2", (2, 7, np.uint8(3)), (1, 2.5)),
     ])
     def test_range_boundaries(self, valid, inside, outside):
         for v in inside:

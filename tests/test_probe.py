@@ -201,6 +201,17 @@ class TestFitLogreg:
         with pytest.raises(ValueError, match="finite"):
             fit_logreg(X, y, lam, 3, tolerance=tol)
 
+    @pytest.mark.parametrize("max_iterations, match", [
+        (2.5, "max_iterations must be an integer, got 2.5"),
+        (3.0, "max_iterations must be an integer, got 3.0"),
+        (-1, "max_iterations must be >= 0, got -1"),
+    ], ids=["fractional", "whole_float", "negative"])
+    def test_max_iterations_must_be_a_count(self, max_iterations, match):
+        # 2.5 used to run 3 Newton iterations
+        X, y, _, _ = acceptance_blobs()
+        with pytest.raises(ValueError, match=match):
+            fit_logreg(X, y, 1e-3, 3, max_iterations=max_iterations, tolerance=1e-30)
+
     def test_gradient_norm_reported_below_tolerance(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((50, 4))
@@ -445,3 +456,8 @@ class TestSweep:
     def test_non_finite_config_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ProbeConfig(**bad)
+
+    @pytest.mark.parametrize("max_iterations", [2.5, 1000.0])
+    def test_fractional_max_iterations_rejected(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            ProbeConfig(max_iterations=max_iterations)
