@@ -59,12 +59,30 @@ def check_matrix(X, name: str = "matrix", dim: int | None = None,
     return X
 
 
+def _label_bounds(name: str, lo, hi, num_classes: int | None) -> int:
+    """K, if every label lies in [0, K); K is num_classes, or else the
+    largest label plus one, if an int64 label can hold it."""
+    if lo < 0:
+        raise ValueError(f"{name} must be >= 0, got {lo}")
+    k = num_classes
+    if k is None:
+        k = min(int(hi) + 1, np.iinfo(np.int64).max)
+    if hi >= k:
+        raise ValueError(f"{name} must be < {k} (the class count), got {hi}")
+    return k
+
+
 def check_labels(labels, n: int, num_classes: int | None = None,
                  name: str = "labels") -> tuple:
     """(y, K): labels as an (n,) int64 vector with every entry in [0, K),
     where K is num_classes, or the largest label plus one when None.
     Float labels must hold whole numbers, such as 1.0. The labels are held
-    to [0, K) before the cast, so none can wrap around on the way to int64."""
+    to [0, K) before the cast, so none can wrap around on the way to int64;
+    a list or tuple of Python ints is compared as ints, since numpy reads
+    one that holds an int past int64 as rounded float64."""
+    if (isinstance(labels, (list, tuple)) and 0 < len(labels) == n
+            and all(isinstance(v, Integral) for v in labels)):
+        _label_bounds(name, min(labels), max(labels), num_classes)
     raw = np.asarray(labels).reshape(-1)
     if raw.dtype.kind == "f":
         whole = np.isfinite(raw) & (raw == np.trunc(raw))
@@ -75,12 +93,5 @@ def check_labels(labels, n: int, num_classes: int | None = None,
         raise ValueError(f"{name} has {raw.shape[0]} entries for {n} rows")
     if not raw.size:
         return raw.astype(np.int64), num_classes or 0
-    lo, hi = raw.min(), raw.max()
-    if lo < 0:
-        raise ValueError(f"{name} must be >= 0, got {lo}")
-    k = num_classes
-    if k is None:  # the largest label plus one, if an int64 label can hold it
-        k = min(int(hi) + 1, np.iinfo(np.int64).max)
-    if hi >= k:
-        raise ValueError(f"{name} must be < {k} (the class count), got {hi}")
+    k = _label_bounds(name, raw.min(), raw.max(), num_classes)
     return raw.astype(np.int64, copy=False), k

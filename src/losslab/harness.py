@@ -12,10 +12,10 @@ its artifacts under ``{out}/runs/{loss}/seed{N}/``:
 
 Reports under ``{out}/reports/`` are pure views over ``model.npz`` and
 ``run.json``: load_runs loads each model once and recomputes its features
-and scores on the data split, and no report reads a dump. Each reporter
-returns its tables and writes nothing; write_reports is the one function
-that writes ``reports/``, for ``losslab analyze`` and ``losslab report``
-alike. Rerunning the same config reproduces every file byte for byte (no
+on the data split (a report that needs scores computes them from the
+features), and no report reads a dump. Each reporter returns its tables
+and writes nothing; write_reports is the one function that writes
+``reports/``, for ``losslab analyze`` and ``losslab report`` alike. Rerunning the same config reproduces every file byte for byte (no
 timestamps, fixed float formatting).
 
 run_single is the only code in losslab that trains a model; the CLI and
@@ -25,8 +25,6 @@ the blobs experiments reach it through train_runs.
 from __future__ import annotations
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,6 +37,7 @@ from .calibration import (
     probs_from_logits,
     top1_predictions,
 )
+from .checks import check_range
 from .config import ExperimentConfig, format_loss_line
 from .data import Batch, load_csv, load_idx, make_blob_split
 # read_activation_dump is unused here; perfbench/tracer.py patches it here
@@ -217,11 +216,18 @@ def _run_single_job(args):
 def train_runs(runs, jobs: int = 1) -> list:
     """Train (config, loss name, spec, seed) runs; returns summaries in order.
 
-    With jobs > 1 the runs go to spawned workers. A spawned worker imports
-    numpy afresh with this process's os.environ, so it keeps the one BLAS
-    thread that importing losslab sets (see ``losslab/__init__.py``).
+    jobs must be an integer >= 1. With jobs > 1 the runs go to spawned
+    workers, and only then are multiprocessing and concurrent.futures
+    imported, so a serial sweep and every other command load neither. A
+    spawned worker imports numpy afresh with this process's os.environ, so
+    it keeps the one BLAS thread that importing losslab sets (see
+    ``losslab/__init__.py``).
     """
+    check_range("jobs", jobs, ">= 1")
     if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             return list(pool.map(_run_single_job, runs))
@@ -250,7 +256,12 @@ def _run_names(config):
 
 @dataclass(frozen=True)
 class LoadedRun:
-    """A trained run and its penultimate features and scores on a batch."""
+    """A trained run and its penultimate features on a batch.
+
+    Only the features are stored. scores computes eval_scores from them on
+    each access, so a reporter that needs a run's scores reads them once and
+    lets them go with the run's turn.
+    """
 
     name: str
     spec: LossSpec
@@ -258,7 +269,10 @@ class LoadedRun:
     model: MlpModel
     batch: Batch
     features: np.ndarray
-    scores: np.ndarray
+
+    @property
+    def scores(self) -> np.ndarray:
+        return eval_scores(self.spec, self.model.final, self.features)
 
 
 def _data_split(ds, split: str, num_classes: int) -> Batch:
@@ -273,10 +287,14 @@ def _data_split(ds, split: str, num_classes: int) -> Batch:
 
 
 def load_runs(config, batch: Batch | None = None) -> list:
-    """Every (loss, seed) run of the grid, loaded once from its model.npz.
+    """Every (loss, seed) run of the grid, loaded once from its model.npz,
+    with its penultimate features on batch and nothing else of its forward.
 
     batch defaults to the config's eval split, with the class count of the
-    trained models' final layers; the records share it.
+    trained models' final layers; the records share it. The hidden layers
+    below the penultimate one go through one set of buffers that every run
+    reuses (the grid shares config.hidden); each run keeps only its
+    features, a new array.
     """
     grid = list(_runs(config))
     models = [
@@ -285,11 +303,13 @@ def load_runs(config, batch: Batch | None = None) -> list:
     ]
     if batch is None:
         batch = _data_split(config.dataset, "eval", models[0].final.num_classes)
+    widths = [w.shape[0] for w in models[0].hidden_weights]
+    shared = [np.empty((batch.n, w)) for w in widths[:-1]]
     runs = []
     for (name, spec, seed), model in zip(grid, models):
-        feats = penultimate_features(model, batch.features)
-        runs.append(LoadedRun(name, spec, seed, model, batch, feats,
-                              eval_scores(spec, model.final, feats)))
+        out = shared + [np.empty((batch.n, w)) for w in widths[-1:]]
+        feats = penultimate_features(model, batch.features, out)
+        runs.append(LoadedRun(name, spec, seed, model, batch, feats))
     return runs
 
 
@@ -360,9 +380,9 @@ def report_calibration(config, runs) -> dict:
     for name, spec in config.losses:
         fits = []
         for run in (r for r in runs if r.name == name):
-            labels = run.batch.labels
-            pre = ece(run.scores, labels, spec.kind)
-            temp, post = fit_temperature(run.scores, labels, spec.kind)
+            labels, scores = run.batch.labels, run.scores
+            pre = ece(scores, labels, spec.kind)
+            temp, post = fit_temperature(scores, labels, spec.kind)
             fits.append(
                 {
                     "seed": run.seed,

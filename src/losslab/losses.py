@@ -30,6 +30,9 @@ Conventions used throughout:
   spec: total gradients with respect to the final-layer weights and bias
   and the input features. The objective functions that take logits
   return ``grad_logits`` only.
+* ``loss_rows`` gives ``compose_loss``'s value in per-row pieces, without
+  a backward, so a batch can be evaluated in row blocks; ``loss_value``
+  turns the blocks' pieces into the value of the whole batch.
 """
 
 from __future__ import annotations
@@ -377,8 +380,8 @@ _SCORE_LOSSES = {
 
 
 def _logit_penalty(Z, beta: float):
-    """beta * mean_i ||z_i||^2 over the rows of Z, and its gradient."""
-    return beta * float(np.mean(np.sum(Z * Z, axis=1))), 2.0 * beta * Z / Z.shape[0]
+    """Each row's ||z_i||^2, and the gradient of beta times their mean."""
+    return np.sum(Z * Z, axis=1), 2.0 * beta * Z / Z.shape[0]
 
 
 def _weight_penalty(W, lambda_final: float):
@@ -401,14 +404,25 @@ def _folded(spec: LossSpec) -> tuple[str, float, float]:
     return kind, beta, lam
 
 
-def _mean_loss(kind: str, spec: LossSpec, beta: float, Z, t):
-    """Mean score loss plus the logit penalty at scores Z, and dL/dZ."""
-    values, g = _SCORE_LOSSES.get(kind, _softmax_ce)(Z, t, spec)
-    value, G = float(np.mean(values)), g / Z.shape[0]
+def _penalized(value: float, squares, beta: float, lam: float, W) -> float:
+    """value, plus beta times the mean of the rows' ||z||^2, plus (lam/2) ||W||^2."""
     if beta > 0.0:
-        penalty, grad = _logit_penalty(Z, beta)
-        value, G = value + penalty, G + grad
-    return value, G
+        value += beta * float(np.mean(squares))
+    if lam > 0.0:
+        value += _weight_penalty(W, lam)[0]
+    return value
+
+
+def _score_rows(kind: str, spec: LossSpec, beta: float, Z, t):
+    """(values, squares, G) at scores Z: the score loss's per-row values, the
+    rows' ||z||^2 when beta > 0 (else None), and dL/dZ of the mean value
+    plus the logit penalty."""
+    values, g = _SCORE_LOSSES.get(kind, _softmax_ce)(Z, t, spec)
+    G, squares = g / Z.shape[0], None
+    if beta > 0.0:
+        squares, q = _logit_penalty(Z, beta)
+        G = G + q
+    return values, squares, G
 
 
 def _dropout_xent(layer, X, t, keep_prob: float, n_samples: int, rng):
@@ -427,36 +441,25 @@ def _dropout_xent(layer, X, t, keep_prob: float, n_samples: int, rng):
     return value * inv, g_logits * inv, tuple((0.0 + a) * inv for a in backward(G))
 
 
-def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng,
-             backward: bool = True):
-    """(value, dL/dZ, head gradients (dW, db, dX), clean scores) of a spec.
-
-    With backward the head gradients are always formed, whatever the kind.
-    Without it the tuple is empty, and a dropout spec is evaluated with its
-    mask off: softmax on its clean logits. The clean scores are None only
-    for a dropout backward without a logit penalty, which never forms them.
-    """
+def _compose(spec: LossSpec, layer: FinalLayer, X, t, n_samples: int, rng):
+    """(value, dL/dZ, head gradients (dW, db, dX)) of a spec."""
     kind, beta, lam = _folded(spec)
-    grads, Z = (), None
-    if kind == "dropout" and backward:
+    squares = None
+    if kind == "dropout":
         value, G, grads = _dropout_xent(layer, X, t, spec.keep_prob, n_samples, rng)
         if beta > 0.0:
             # penalty on the clean logits keeps the term deterministic
             Z, clean_backward = _clean_head(spec, layer, X)
-            penalty, q = _logit_penalty(Z, beta)
-            value += penalty
+            squares, q = _logit_penalty(Z, beta)
             grads = tuple(a + b for a, b in zip(grads, clean_backward(q)))
     else:
         Z, head_backward = _clean_head(spec, layer, X)
-        value, G = _mean_loss(kind, spec, beta, Z, t)
-        if backward:
-            grads = head_backward(G)
+        values, squares, G = _score_rows(kind, spec, beta, Z, t)
+        value = float(np.mean(values))
+        grads = head_backward(G)
     if lam > 0.0:
-        penalty, gw = _weight_penalty(layer.weights, lam)
-        value += penalty
-        if backward:
-            grads = (grads[0] + gw,) + grads[1:]
-    return value, G, grads, Z
+        grads = (grads[0] + _weight_penalty(layer.weights, lam)[1],) + grads[1:]
+    return _penalized(value, squares, beta, lam, layer.weights), G, grads
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,8 @@ def _on_logits(spec: LossSpec, logits, target) -> LossResult:
     L = check_matrix(np.atleast_2d(logits) if squeeze else logits, "logits")
     t, _ = check_labels(target, *L.shape, name="target")
     kind, beta, _ = _folded(spec)
-    value, G = _mean_loss(kind, spec, beta, L, t)
+    values, squares, G = _score_rows(kind, spec, beta, L, t)
+    value = _penalized(float(np.mean(values)), squares, beta, 0.0, None)
     return LossResult(value=value, grad_logits=G[0] if squeeze else G)
 
 
@@ -599,7 +603,7 @@ def compose_loss(
             if seed is None:
                 raise ValueError("dropout needs an explicit seed or rng")
             rng = np.random.default_rng(seed)
-    value, G, grads, _ = _compose(spec, layer, X, t, n_samples, rng)
+    value, G, grads = _compose(spec, layer, X, t, n_samples, rng)
     res = LossResult(value, G, *grads)
     if squeeze:
         # weight/bias grads keep their natural shapes; only row grads drop
@@ -629,15 +633,40 @@ def eval_scores(spec: LossSpec, layer: FinalLayer, features) -> np.ndarray:
     return Z[0] if squeeze else Z
 
 
+def loss_rows(spec: LossSpec, layer: FinalLayer, features, target) -> tuple:
+    """(values, squares, scores): compose_loss's value in per-row pieces, from
+    one head evaluation and no backward, with a dropout spec's mask off.
+
+    values are the score loss's per-row values, squares the rows' ||z||^2
+    of the clean scores when the spec carries a logit penalty (else None),
+    and scores are eval_scores. Row blocks of a batch can be evaluated one
+    at a time; loss_value turns their pieces into the batch's value.
+    """
+    X = check_matrix(features, "features", layer.feature_dim)
+    t, _ = check_labels(target, X.shape[0], layer.num_classes, "target")
+    kind, beta, _ = _folded(spec)
+    Z = _clean_head(spec, layer, X)[0]
+    values, squares, _ = _score_rows(kind, spec, beta, Z, t)
+    return values, squares, _reported(spec, Z)
+
+
+def loss_value(spec: LossSpec, layer: FinalLayer, values, squares) -> float:
+    """compose_loss's value (a dropout spec's with the mask off) from the
+    loss_rows pieces of a batch's row blocks: values and squares each list
+    the blocks' arrays in row order. The mean runs over the rows put back
+    together, so it is the value of the whole batch to the last bit."""
+    _, beta, lam = _folded(spec)
+    squares = np.concatenate(squares) if beta > 0.0 else None
+    return _penalized(float(np.mean(np.concatenate(values))), squares, beta, lam,
+                      layer.weights)
+
+
 def evaluate(spec: LossSpec, layer: FinalLayer, features, target):
     """(loss, eval_scores) for logging, from one head evaluation and no backward.
 
     The loss is compose_loss's value, with a dropout spec's mask off.
     """
     squeeze = np.ndim(features) == 1
-    X = check_matrix(np.atleast_2d(features) if squeeze else features,
-                     "features", layer.feature_dim)
-    t, _ = check_labels(target, X.shape[0], layer.num_classes, "target")
-    value, _, _, Z = _compose(spec, layer, X, t, 1, None, backward=False)
-    Z = _reported(spec, Z)
-    return value, Z[0] if squeeze else Z
+    values, squares, Z = loss_rows(
+        spec, layer, np.atleast_2d(features) if squeeze else features, target)
+    return loss_value(spec, layer, [values], [squares]), Z[0] if squeeze else Z

@@ -7,6 +7,12 @@ trains a model whose arrays are views of it, so the Nesterov step, the
 product-form decay and the EMA are in-place vector operations. The input
 model is never mutated. TrainConfig checks every knob once, so the step
 itself checks nothing but finiteness.
+
+The epoch log evaluates each split in row blocks of at most LOG_BLOCK_ROWS
+rows (a short tail joins the block before it, see _blocks), so its forward
+buffers hold one block, not a whole split. Its loss is compose_loss's value
+over the whole split to the last bit (losses.loss_rows and loss_value), and
+its accuracies are counts of correct rows over the split's size.
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ import numpy as np
 from .calibration import top1_predictions
 from .checks import check_range, check_ranges
 from .data import Batch
-from .losses import LossSpec, compose_loss, eval_scores, evaluate
+from .losses import LossSpec, compose_loss, eval_scores, loss_rows, loss_value
 from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
 from .optim import lr_at, sgd_nesterov_step, weight_decay_grad
 
 SCHEDULE_KINDS = ("cosine", "warmup_exp")
+
+# rows per block of the epoch log's forward (see _blocks)
+LOG_BLOCK_ROWS = 1024
 
 # TrainConfig knob -> checks.RANGES key
 _TRAIN_RANGES = {
@@ -137,9 +146,11 @@ def train(
     decay = np.concatenate([np.full(p.size, p.ndim == 2) for p in params])
     ema_m = config.ema_momentum
     ema = theta.copy() if ema_m is not None else None
-    # the epoch log's forward writes each split into leading rows of these,
-    # instead of faulting in fresh (n, width) layers every epoch
-    rows = max(n, holdout.n if holdout is not None else 0)
+    # the epoch log's forward writes each row block of a split into the
+    # leading rows of these, instead of faulting in fresh layers every
+    # epoch; they hold the largest block of either split
+    rows = max(b.stop - b.start for split in (dataset, holdout)
+               if split is not None for b in _blocks(split.n))
     buffers = [np.empty((rows, w.shape[0])) for w in model.hidden_weights]
 
     log = []
@@ -180,17 +191,48 @@ def train(
     return TrainResult(model=model, ema_model=ema_model, log=log)
 
 
+def _blocks(n: int, cap: int = LOG_BLOCK_ROWS) -> list:
+    """Row slices that cover range(n) in order, cap rows each, except that
+    a tail of fewer than cap // 2 rows joins the block before it. A block of
+    a hundred rows or so can take another BLAS kernel than the whole split
+    and change the last bits of its features; no block is that short unless
+    the split is."""
+    starts = list(range(0, n, cap)) or [0]
+    if len(starts) > 1 and n - starts[-1] < cap // 2:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _block_features(model, batch, buffers):
+    """(penultimate features, labels) of each row block of batch, in order;
+    the features of a block are overwritten by the next one's."""
+    for rows in _blocks(batch.n):
+        out = [b[: rows.stop - rows.start] for b in buffers]
+        yield (penultimate_features(model, batch.features[rows], out),
+               batch.labels[rows])
+
+
+def _accuracy(hits: int, n: int) -> float:
+    """hits / n; nan for an empty split, as np.mean of no rows gives."""
+    return float(np.divide(hits, n))
+
+
+def _hits(scores, labels) -> int:
+    return int(np.count_nonzero(top1_predictions(scores) == labels))
+
+
 def _epoch_record(model, spec, dataset, holdout, epoch, lr, buffers) -> EpochRecord:
-    h = penultimate_features(model, dataset.features,
-                             [b[: dataset.n] for b in buffers])
-    loss, scores = evaluate(spec, model.final, h, dataset.labels)
-    acc = float(np.mean(top1_predictions(scores) == dataset.labels))
+    values, squares, hits = [], [], 0
+    for h, y in _block_features(model, dataset, buffers):
+        v, sq, scores = loss_rows(spec, model.final, h, y)
+        values.append(v)
+        squares.append(sq)
+        hits += _hits(scores, y)
     hold = None
     if holdout is not None:
         # reuses the train split's buffers, whose features are no longer read
-        h = penultimate_features(model, holdout.features,
-                                 [b[: holdout.n] for b in buffers])
-        hold_scores = eval_scores(spec, model.final, h)
-        hold = float(np.mean(top1_predictions(hold_scores) == holdout.labels))
-    return EpochRecord(epoch, lr, float(loss), acc, hold)
-
+        hold = _accuracy(sum(_hits(eval_scores(spec, model.final, h), y)
+                             for h, y in _block_features(model, holdout, buffers)),
+                         holdout.n)
+    return EpochRecord(epoch, lr, loss_value(spec, model.final, values, squares),
+                       _accuracy(hits, dataset.n), hold)

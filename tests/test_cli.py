@@ -223,6 +223,14 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(INI.format(out=tmp_path / "out"))
+        assert main(["sweep", "--config", str(ini), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "out" / "runs").exists()
+
     def test_analyze_before_sweep_names_artifact(self, tmp_path, capsys):
         ini = tmp_path / "untrained.ini"
         ini.write_text(INI.format(out=tmp_path / "out"))

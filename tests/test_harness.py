@@ -273,7 +273,7 @@ class TestCsvFormat:
         features = rng.standard_normal((40, 16))
         features[3] = 0.0
         run = LoadedRun("plain", LossSpec("softmax"), 0, None,
-                        Batch(features, labels, 4), features, None)
+                        Batch(features, labels, 4), features)
         reports = tmp_path / "reports"
         reports.mkdir()
         with pytest.raises(DegenerateInputError):
@@ -491,3 +491,23 @@ def test_import_sets_one_blas_thread_unless_set(preset, expected):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == expected
+
+
+def test_no_pool_without_jobs(experiment, tmp_path):
+    # only train_runs with jobs > 1 imports the pool modules; analyze, in a
+    # fresh interpreter as the CLI starts, loads neither
+    from test_cli import INI
+
+    config, _ = experiment
+    shutil.copytree(Path(config.output_dir) / "runs", tmp_path / "runs")
+    ini = tmp_path / "exp.ini"
+    ini.write_text(INI.format(out=tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    code = ("import sys; from losslab import cli; "
+            f"code = cli.main(['analyze', '--config', {str(ini)!r}]); "
+            "print(code, *(m in sys.modules for m in "
+            "('multiprocessing', 'concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
+    assert (tmp_path / "reports" / "transfer.csv").exists()

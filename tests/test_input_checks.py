@@ -11,6 +11,7 @@ from losslab.agreement import agreement_matrix, linkage_dendrogram
 from losslab.calibration import ece, fit_temperature, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
 from losslab.data import Batch, make_blob_split, make_blobs
+from losslab.harness import train_runs
 from losslab.losses import (
     FinalLayer,
     LossSpec,
@@ -77,10 +78,10 @@ DEFECTS = {
     "label_K": (_with_label(K), f"must be < {K}"),
     "label_fractional": (_with_label(0.5), "must be whole numbers, got 0.5"),
     # past int64: compared with K before the cast, with no cast warning;
-    # numpy reads a list that holds the int 2**63 + 5 as float64
+    # a list of Python ints is compared as ints, so 2**63 + 5 is named exactly
     "label_1e20": (_with_label(1e20), r"\(the class count\), got 1e\+20"),
     "label_2**63+5": (lambda X, y: (X, [*y[:5].tolist(), 2**63 + 5, *y[6:].tolist()]),
-                      r"\(the class count\), got 9\.223372036854776e\+18"),
+                      r"\(the class count\), got 9223372036854775813$"),
     "wrong_label_length": (lambda X, y: (X, y[:-1]), "entries for 12 rows"),
 }
 ALL = tuple(DEFECTS)
@@ -186,6 +187,12 @@ KNOB_CASES = [
                  "penalty value must be finite", id="PenaltySpec-nan"),
     pytest.param(lambda: PenaltySpec("extra_final_l2", -1e-9),
                  "penalty value must be finite", id="PenaltySpec-negative"),
+    pytest.param(lambda: train_runs([], jobs=0),
+                 "jobs must be >= 1, got 0", id="train_runs-jobs-0"),
+    pytest.param(lambda: train_runs([], jobs=-1),
+                 "jobs must be >= 1, got -1", id="train_runs-jobs-minus_1"),
+    pytest.param(lambda: train_runs([], jobs=2.5),
+                 "jobs must be an integer, got 2.5", id="train_runs-jobs-fractional"),
 ]
 
 

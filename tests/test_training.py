@@ -203,14 +203,33 @@ class TestLogging:
     def test_epoch_log_is_compose_value_and_eval_scores(self, spec):
         # the log evaluates the head once, without a backward; its numbers
         # must be those of the full objective (dropout with the mask off)
-        data = small_data()
-        r = train(small_model(spec=spec), data, cfg(loss=spec, epochs=2, peak_lr=1e-3))
-        final = r.model.final
-        h = penultimate_features(r.model, data.features)
+        # over the whole split, also when it runs in several row blocks
+        cap = training.LOG_BLOCK_ROWS
+        big = make_blobs(750, 3, 4, 0.2, seed=0)
+        big_hold = make_blobs(560, 3, 4, 0.2, seed=77)
+        # two blocks and a tail that joins the second; a holdout of two
+        assert [b.stop - b.start for b in training._blocks(big.n)] == [cap, big.n - cap]
+        assert [b.stop - b.start for b in training._blocks(big_hold.n)] == [
+            cap, big_hold.n - cap]
         plain = replace(spec, kind="softmax") if spec.kind == "dropout" else spec
-        acc = np.mean(np.argmax(eval_scores(spec, final, h), axis=1) == data.labels)
-        assert r.log[-1].train_loss == compose_loss(plain, final, h, data.labels).value
-        assert r.log[-1].train_acc == float(acc)
+        # one block, then several; batch 600 gives four steps an epoch, as 16
+        # does on the small split
+        for data, hold, batch_size in ((small_data(), None, 16), (big, big_hold, 600)):
+            r = train(small_model(spec=spec), data,
+                      cfg(loss=spec, epochs=2, peak_lr=1e-3, batch_size=batch_size),
+                      holdout=hold)
+            final = r.model.final
+
+            def acc(batch):
+                h = penultimate_features(r.model, batch.features)
+                hits = np.argmax(eval_scores(spec, final, h), axis=1) == batch.labels
+                return h, float(np.mean(hits))
+
+            h, train_acc = acc(data)
+            assert r.log[-1].train_loss == compose_loss(plain, final, h,
+                                                        data.labels).value
+            assert r.log[-1].train_acc == train_acc
+            assert r.log[-1].holdout_acc == (None if hold is None else acc(hold)[1])
 
     def test_holdout_larger_than_train_split(self):
         # both splits share the log's buffers, sized to the larger one
