@@ -16,6 +16,8 @@ import numpy as np
 
 from .checks import check_labels, check_matrix, check_range
 
+SPLITS = ("train", "eval")
+
 
 @dataclass
 class Batch:
@@ -36,6 +38,12 @@ class Batch:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    def with_classes(self, num_classes: int) -> "Batch":
+        """This batch, or one on the same arrays with num_classes classes."""
+        if num_classes == self.num_classes:
+            return self
+        return Batch(self.features, self.labels, num_classes)
+
 
 def make_blobs(
     n_per_class: int,
@@ -50,37 +58,55 @@ def make_blobs(
     order (the trainer shuffles); balanced by construction.
     """
     check_range("n_per_class", n_per_class, ">= 1")
-    check_range("num_classes", num_classes, ">= 2")
-    check_range("feature_dim", feature_dim, ">= 1")
-    check_range("spread", spread, "finite and >= 0")
-    rng = np.random.default_rng(seed)
-    means = rng.standard_normal((num_classes, feature_dim))
-    feats = np.repeat(means, n_per_class, axis=0)
-    feats = feats + spread * rng.standard_normal(feats.shape)
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
-    return Batch(feats, labels, num_classes)
+    return _draw_blobs((n_per_class,), 0, num_classes, feature_dim, spread, seed)
 
 
-def make_blob_split(
+def draw_blob_split(
+    split: str,
     n_train_per_class: int,
     n_eval_per_class: int,
     num_classes: int,
     feature_dim: int,
     spread: float,
     seed: int,
-) -> tuple:
-    """(train, eval) blob batches drawn around one shared set of class means."""
+) -> Batch:
+    """The "train" or "eval" split of blobs whose classes share one set of
+    means: each class's train rows, then its eval rows. Only the requested
+    split is kept; its values are those of make_blobs with
+    n_train_per_class + n_eval_per_class rows per class, sliced."""
     check_range("n_train_per_class", n_train_per_class, ">= 1")
     check_range("n_eval_per_class", n_eval_per_class, ">= 1")
-    total = n_train_per_class + n_eval_per_class
-    full = make_blobs(total, num_classes, feature_dim, spread, seed)
-    rows = np.arange(full.n).reshape(num_classes, total)
-    tr = rows[:, :n_train_per_class].ravel()
-    ev = rows[:, n_train_per_class:].ravel()
-    return (
-        Batch(full.features[tr], full.labels[tr], num_classes),
-        Batch(full.features[ev], full.labels[ev], num_classes),
-    )
+    return _draw_blobs((n_train_per_class, n_eval_per_class), split_index(split),
+                       num_classes, feature_dim, spread, seed)
+
+
+def split_index(split: str) -> int:
+    """0 for "train", 1 for "eval"; ValueError for any other split name."""
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    return SPLITS.index(split)
+
+
+def _draw_blobs(segments, keep, num_classes, feature_dim, spread, seed) -> Batch:
+    """Blobs drawn class by class in the generator's order: the class
+    means, then for each class the noise of segments[0] rows, segments[1]
+    rows, and so on. Segment keep's rows are kept, and the rest drawn into
+    one scratch buffer, so every value matches one draw of all the rows."""
+    check_range("num_classes", num_classes, ">= 2")
+    check_range("feature_dim", feature_dim, ">= 1")
+    check_range("spread", spread, "finite and >= 0")
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((num_classes, feature_dim))
+    feats = np.empty((num_classes, segments[keep], feature_dim))
+    others = segments[:keep] + segments[keep + 1:]
+    dropped = np.empty((max(others, default=0), feature_dim))
+    for rows in feats:
+        for i, m in enumerate(segments):
+            rng.standard_normal(out=rows if i == keep else dropped[:m])
+    feats *= spread
+    feats += means[:, None, :]
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), segments[keep])
+    return Batch(feats.reshape(-1, feature_dim), labels, num_classes)
 
 
 def load_csv(path) -> Batch:

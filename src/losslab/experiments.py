@@ -99,7 +99,7 @@ def separation_experiment(seeds=(0, 1, 2, 3, 4), index: str = "cosine") -> dict:
     R2 is measured on the split the model trained on; that is where the
     collapse the four losses disagree about actually happens.
     """
-    train_batch, _ = load_experiment_data(SEPARATION_TASK)
+    train_batch = load_experiment_data(SEPARATION_TASK, "train")
     with tempfile.TemporaryDirectory() as tmp:
         configs, _ = _train(SEPARATION_LOSSES, seeds, SEPARATION_TASK, tmp)
         return {
@@ -138,8 +138,8 @@ def temperature_experiment(
     features of the transfer task's eval split with labels k -> k mod
     merge, half probe-train / half probe-test per coarse class.
     """
-    train_batch, _ = load_experiment_data(SEPARATION_TASK)
-    _, transfer_batch = load_experiment_data(TRANSFER_TASK)
+    train_batch = load_experiment_data(SEPARATION_TASK, "train")
+    transfer_batch = load_experiment_data(TRANSFER_TASK, "eval")
     probe_cfg = ProbeConfig(tolerance=1e-3, max_iterations=1000)
     recipes = [
         (f"tau{i}", LossSpec("cosine_softmax", temperature=tau),
@@ -185,7 +185,7 @@ def agreement_experiment(seeds=(0, 1, 2, 3, 4), variant: str = "same_top1") -> d
     Returns names, per-run loss ids, the agreement matrix, the average
     linkage merge list on 1 - agreement, and the within/cross seed-means.
     """
-    _, eval_batch = load_experiment_data(AGREEMENT_TASK)
+    eval_batch = load_experiment_data(AGREEMENT_TASK, "eval")
     with tempfile.TemporaryDirectory() as tmp:
         configs, _ = _train(AGREEMENT_LOSSES, seeds, AGREEMENT_TASK, tmp)
         runs = [run for c in configs for run in load_runs(c, eval_batch)]

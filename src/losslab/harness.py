@@ -10,9 +10,13 @@ its artifacts under ``{out}/runs/{loss}/seed{N}/``:
     predictions.csv   example_id, predicted_class, confidence
     run.json          loss line, seed, and final accuracies
 
+Every command gets its data from load_experiment_data, one split per
+call: training asks for both, and analyze, report and dump only for the
+split they read, so a blobs task draws and a file task reads nothing else.
+
 Reports under ``{out}/reports/`` are pure views over ``model.npz`` and
 ``run.json``: load_runs loads each model once and recomputes its features
-on the data split (a report that needs scores computes them from the
+on a data split (a report that needs scores computes them from the
 features), and no report reads a dump. Each reporter returns its tables
 and writes nothing; write_reports is the one function that writes
 ``reports/``, for ``losslab analyze`` and ``losslab report`` alike. Rerunning the same config reproduces every file byte for byte (no
@@ -39,7 +43,7 @@ from .calibration import (
 )
 from .checks import check_range
 from .config import ExperimentConfig, format_loss_line
-from .data import Batch, load_csv, load_idx, make_blob_split
+from .data import SPLITS, Batch, draw_blob_split, load_csv, load_idx, split_index
 # read_activation_dump is unused here; perfbench/tracer.py patches it here
 from .dumps import read_activation_dump, write_activation_dump  # noqa: F401
 from .losses import DegenerateInputError, LossSpec, eval_scores
@@ -100,21 +104,19 @@ def load_model(path) -> MlpModel:
     return MlpModel(ws, bs, final)
 
 
-def load_experiment_data(ds) -> tuple:
-    """DatasetConfig -> (train Batch, eval Batch) with a shared class count."""
+def load_experiment_data(ds, split: str, num_classes: int | None = None) -> Batch:
+    """The "train" or "eval" split of a DatasetConfig, alone: a blobs task
+    draws only that split's rows (data.draw_blob_split), and a csv or idx
+    task reads only that split's file. The class count is num_classes when
+    given, else the task's: blobs' classes, or a file's largest label + 1.
+    """
     if ds.kind == "blobs":
-        return make_blob_split(
-            ds.per_class, ds.eval_per_class, ds.classes, ds.features,
-            ds.spread, ds.seed,
-        )
-    loader = load_csv if ds.kind == "csv" else load_idx
-    tr = loader(ds.path)
-    ev = loader(ds.eval_path)
-    k = max(tr.num_classes, ev.num_classes)
-    return (
-        Batch(tr.features, tr.labels, k),
-        Batch(ev.features, ev.labels, k),
-    )
+        data = draw_blob_split(split, ds.per_class, ds.eval_per_class,
+                               ds.classes, ds.features, ds.spread, ds.seed)
+    else:
+        path = (ds.path, ds.eval_path)[split_index(split)]
+        data = (load_csv if ds.kind == "csv" else load_idx)(path)
+    return data if num_classes is None else data.with_classes(num_classes)
 
 
 def run_dir(output_dir, loss_name: str, seed: int) -> Path:
@@ -167,7 +169,10 @@ def write_log_csv(log, path) -> None:
 def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
                seed: int) -> dict:
     """Train one (loss, seed) pair and persist its artifact directory."""
-    train_batch, eval_batch = load_experiment_data(config.dataset)
+    batches = [load_experiment_data(config.dataset, split) for split in SPLITS]
+    # both splits take the larger class count of a csv or idx task's files
+    k = max(b.num_classes for b in batches)
+    train_batch, eval_batch = (b.with_classes(k) for b in batches)
     # children 0 and 1 of SeedSequence(seed) drive shuffling and dropout
     # inside train(); child 2 is reserved here for weight init
     init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
@@ -275,26 +280,15 @@ class LoadedRun:
         return eval_scores(self.spec, self.model.final, self.features)
 
 
-def _data_split(ds, split: str, num_classes: int) -> Batch:
-    """The "train" or "eval" split of a DatasetConfig, with the class count
-    training used. A csv or idx dataset reads that split's file alone;
-    blobs draw both splits in one generator call, so both are drawn."""
-    if ds.kind == "blobs":
-        return load_experiment_data(ds)[split == "eval"]
-    path = ds.eval_path if split == "eval" else ds.path
-    data = (load_csv if ds.kind == "csv" else load_idx)(path)
-    return Batch(data.features, data.labels, num_classes)
-
-
 def load_runs(config, batch: Batch | None = None) -> list:
     """Every (loss, seed) run of the grid, loaded once from its model.npz,
     with its penultimate features on batch and nothing else of its forward.
 
-    batch defaults to the config's eval split, with the class count of the
-    trained models' final layers; the records share it. The hidden layers
-    below the penultimate one go through one set of buffers that every run
-    reuses (the grid shares config.hidden); each run keeps only its
-    features, a new array.
+    batch defaults to the config's eval split, drawn or read alone, with
+    the class count of the trained models' final layers; the records share
+    it. The hidden layers below the penultimate one go through one set of
+    buffers that every run reuses (the grid shares config.hidden); each run
+    keeps only its features, a new array.
     """
     grid = list(_runs(config))
     models = [
@@ -302,7 +296,8 @@ def load_runs(config, batch: Batch | None = None) -> list:
         for name, _, seed in grid
     ]
     if batch is None:
-        batch = _data_split(config.dataset, "eval", models[0].final.num_classes)
+        batch = load_experiment_data(config.dataset, "eval",
+                                     models[0].final.num_classes)
     widths = [w.shape[0] for w in models[0].hidden_weights]
     shared = [np.empty((batch.n, w)) for w in widths[:-1]]
     runs = []
@@ -460,7 +455,8 @@ def transfer_probe(features, labels, merge: int,
     y = merge_labels(labels, merge)
     rng = np.random.default_rng(0)
     tr_idx, te_idx = [], []
-    for k in np.unique(y):
+    # the classes present, ascending; np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(y)):
         idx = rng.permutation(np.where(y == k)[0])
         half = idx.size // 2
         tr_idx.append(idx[:half])
@@ -544,9 +540,9 @@ def write_reports(config, kinds=None) -> list:
 
 def dump_activations(model_path, ds, split: str, out_path) -> int:
     """Penultimate features + labels of a saved model on one split of a
-    DatasetConfig, read alone (see _data_split); returns the row count."""
+    DatasetConfig, drawn or read alone; returns the row count."""
     model = load_model(model_path)
-    batch = _data_split(ds, split, model.final.num_classes)
+    batch = load_experiment_data(ds, split, model.final.num_classes)
     feats = penultimate_features(model, batch.features)
     write_activation_dump(out_path, feats, batch.labels)
     return batch.n

@@ -659,14 +659,3 @@ def loss_value(spec: LossSpec, layer: FinalLayer, values, squares) -> float:
     squares = np.concatenate(squares) if beta > 0.0 else None
     return _penalized(float(np.mean(np.concatenate(values))), squares, beta, lam,
                       layer.weights)
-
-
-def evaluate(spec: LossSpec, layer: FinalLayer, features, target):
-    """(loss, eval_scores) for logging, from one head evaluation and no backward.
-
-    The loss is compose_loss's value, with a dropout spec's mask off.
-    """
-    squeeze = np.ndim(features) == 1
-    values, squares, Z = loss_rows(
-        spec, layer, np.atleast_2d(features) if squeeze else features, target)
-    return loss_value(spec, layer, [values], [squares]), Z[0] if squeeze else Z

@@ -100,10 +100,10 @@ def _objective_and_grad(theta, Xa, y, lam):
 
 
 def _newton_workspace(n, K, D):
-    """(A3, H): the buffers _newton_direction assembles into, (n, K, D)
-    and (K D, K D). A fit, or a whole sweep, reuses them for every
+    """(A3, H, B): the buffers _newton_direction works in, (n, K, D),
+    (K D, K D) and (K D, D). A fit, or a whole sweep, reuses them for every
     direction."""
-    return np.empty((n, K, D)), np.empty((K * D, K * D))
+    return np.empty((n, K, D)), np.empty((K * D, K * D)), np.empty((K * D, D))
 
 
 def _newton_direction(P, Xa, lam, G, work=None):
@@ -112,8 +112,10 @@ def _newton_direction(P, Xa, lam, G, work=None):
     H is a K x K grid of D x D class blocks, D = d + 1. It is assembled
     once, in place in the buffers of work (from _newton_workspace; fresh
     ones when None): -A^T A from one matmul plus the diagonal blocks
-    through an einsum view. Both buffers are overwritten whole before they
-    are read, so nothing carries over from one call to the next. H is
+    through an einsum view. Every product of D-column blocks goes into B,
+    the third buffer, so a direction allocates no temporary bigger than a
+    D x D block. Each buffer is overwritten before it is read, so nothing
+    carries over from one call to the next. H is
     factorized H = L L^T one block column at a time: column j, less the
     products of the factor columns left of it, has the Schur block
     S_j on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError
@@ -131,14 +133,14 @@ def _newton_direction(P, Xa, lam, G, work=None):
     """
     n, K = P.shape
     D = Xa.shape[1]
-    A3, H = _newton_workspace(n, K, D) if work is None else work
+    A3, H, B = _newton_workspace(n, K, D) if work is None else work
     np.multiply(P[:, :, None], Xa[:, None, :], out=A3)
     A = A3.reshape(n, K * D)  # a view of A3
     np.matmul(A.T, A, out=H)
     np.negative(H, out=H)
     blocks = H.reshape(K, D, K, D)  # a view: writes land in H
     diag_blocks = np.einsum("kakb->kab", blocks)
-    diag_blocks += A3.transpose(1, 2, 0) @ Xa
+    diag_blocks += np.matmul(A3.transpose(1, 2, 0), Xa, out=B.reshape(K, D, D))
     np.einsum("kaka->ka", blocks)[:, :-1] += lam
     blocks[:, -1, :, -1] += 1.0 / K
     # L overwrites the lower blocks of H; x goes from G through L^-1 G to H^-1 G
@@ -146,7 +148,8 @@ def _newton_direction(P, Xa, lam, G, work=None):
     inverses = []
     for j in range(K):
         s, left, below = slice(j * D, (j + 1) * D), slice(0, j * D), slice((j + 1) * D, None)
-        C = H[j * D:, s] - H[j * D:, left] @ H[s, left].T
+        C = np.matmul(H[j * D:, left], H[s, left].T, out=B[j * D:])
+        np.subtract(H[j * D:, s], C, out=C)
         L = np.linalg.cholesky(C[:D])
         r = x[s] - H[s, left] @ x[left]
         if j == K - 1:
@@ -154,7 +157,7 @@ def _newton_direction(P, Xa, lam, G, work=None):
             break
         M = np.linalg.inv(L)
         inverses.append(M)
-        H[below, s] = C[D:] @ M.T
+        np.matmul(C[D:], M.T, out=H[below, s])
         x[s] = M @ r
     for j in reversed(range(K - 1)):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
@@ -198,8 +201,8 @@ def fit_logreg(
     it = 0
     gn = float(np.linalg.norm(G))
     n, D = Xa.shape
-    A3, H = _newton_workspace(n, K, D) if work is None else work
-    work = (A3[:n], H)
+    A3, H, B = _newton_workspace(n, K, D) if work is None else work
+    work = (A3[:n], H, B)
     while gn > tolerance and it < max_iterations:
         try:
             direction = _newton_direction(P, Xa, lam, G, work)
@@ -239,18 +242,21 @@ def probe_accuracy(W, b, X, y) -> float:
 
 
 def stratified_split(labels, val_fraction: float, seed: int):
-    """(train_idx, val_idx): seeded per-class split, train side never empty."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    """(train_idx, val_idx): seeded per-class split, train side never empty.
+
+    labels are checked as check_labels does and val_fraction must be in
+    (0, 1), as in ProbeConfig.
+    """
+    y, _ = check_labels(labels, np.size(labels))
+    check_range("val_fraction", val_fraction, "in (0, 1)")
     rng = np.random.default_rng(seed)
     train_idx, val_idx = [], []
-    for k in np.unique(y):
+    # the classes present, ascending; np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(y)):
         idx = np.where(y == k)[0]
         idx = rng.permutation(idx)
-        # nonzero fractions take at least one row, capped so train survives
-        n_val = int(round(val_fraction * idx.size))
-        if val_fraction > 0:
-            n_val = max(1, n_val)
-        n_val = min(n_val, idx.size - 1)
+        # at least one row, capped so train survives
+        n_val = min(max(1, int(round(val_fraction * idx.size))), idx.size - 1)
         val_idx.append(idx[:n_val])
         train_idx.append(idx[n_val:])
     train_idx = np.concatenate(train_idx)
@@ -289,7 +295,7 @@ def sweep_and_retrain(
     K = max(k, kt)
 
     tr, va = stratified_split(y, config.val_fraction, config.seed)
-    if np.unique(y[tr]).size < K:
+    if np.count_nonzero(np.bincount(y[tr])) < K:
         raise ValueError("a class is missing from the probe training split")
 
     Xtr, ytr, Xva, yva = X[tr], y[tr], X[va], y[va]

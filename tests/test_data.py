@@ -9,6 +9,7 @@ import pytest
 from losslab.data import (
     Batch,
     derive_idx_labels_path,
+    draw_blob_split,
     load_csv,
     load_idx,
     make_blobs,
@@ -50,6 +51,42 @@ class TestBlobs:
             make_blobs(5, 1, 2, 1.0, 0)
         with pytest.raises(ValueError):
             make_blobs(5, 3, 2, -1.0, 0)
+
+
+def one_shot_blobs(n_train, n_eval, num_classes, dim, spread, seed):
+    """(all rows, train rows, eval rows) the one-shot way: the class means,
+    then the noise of every row in one generator call; each class's first
+    n_train rows train and the rest evaluate."""
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((num_classes, dim))
+    feats = np.repeat(means, n_train + n_eval, axis=0)
+    feats = feats + spread * rng.standard_normal(feats.shape)
+    per_class = feats.reshape(num_classes, n_train + n_eval, dim)
+    return (feats, per_class[:, :n_train].reshape(-1, dim),
+            per_class[:, n_train:].reshape(-1, dim))
+
+
+def same_bits(a, b):
+    # bit for bit: -0.0 and 0.0 differ here
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBlobSplit:
+    @pytest.mark.parametrize("shape", [
+        (50, 20, 10, 64, 1.75, 3),
+        (7, 3, 4, 3, 0.0, 2),  # spread 0: every row is its class mean
+        (3, 1, 2, 5, 2.0, 0),  # two classes, one eval row each
+        (1, 4, 3, 1, 0.5, 11),
+    ])
+    def test_each_split_is_the_one_shot_draw(self, shape):
+        n_train, n_eval, k = shape[:3]
+        full, *splits = one_shot_blobs(*shape)
+        same_bits(make_blobs(n_train + n_eval, *shape[2:]).features, full)
+        for split, n, ref in zip(("train", "eval"), (n_train, n_eval), splits):
+            got = draw_blob_split(split, *shape)
+            same_bits(got.features, ref)
+            np.testing.assert_array_equal(got.labels, np.repeat(np.arange(k), n))
+            assert got.num_classes == k
 
 
 class TestBatch:

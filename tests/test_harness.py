@@ -495,7 +495,8 @@ def test_import_sets_one_blas_thread_unless_set(preset, expected):
 
 def test_no_pool_without_jobs(experiment, tmp_path):
     # only train_runs with jobs > 1 imports the pool modules; analyze, in a
-    # fresh interpreter as the CLI starts, loads neither
+    # fresh interpreter as the CLI starts, loads neither, nor numpy.ma
+    # (np.unique imports it; the transfer probe lists classes without it)
     from test_cli import INI
 
     config, _ = experiment
@@ -506,8 +507,8 @@ def test_no_pool_without_jobs(experiment, tmp_path):
     code = ("import sys; from losslab import cli; "
             f"code = cli.main(['analyze', '--config', {str(ini)!r}]); "
             "print(code, *(m in sys.modules for m in "
-            "('multiprocessing', 'concurrent.futures')))")
+            "('multiprocessing', 'concurrent.futures', 'numpy.ma')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False False"
+    assert out.splitlines()[-1] == "0 False False False"
     assert (tmp_path / "reports" / "transfer.csv").exists()

@@ -10,7 +10,7 @@ import pytest
 from losslab.agreement import agreement_matrix, linkage_dendrogram
 from losslab.calibration import ece, fit_temperature, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
-from losslab.data import Batch, make_blob_split, make_blobs
+from losslab.data import Batch, draw_blob_split, make_blobs
 from losslab.harness import train_runs
 from losslab.losses import (
     FinalLayer,
@@ -20,17 +20,18 @@ from losslab.losses import (
     cosine_softmax_xent,
     dropout_xent,
     eval_scores,
-    evaluate,
     label_smoothing_xent,
     logit_norm_xent,
     logit_penalty_xent,
+    loss_rows,
+    loss_value,
     sigmoid_bias_init,
     sigmoid_xent,
     softmax_xent,
     squared_error_loss,
 )
 from losslab.mlp import init_mlp
-from losslab.probe import ProbeConfig, fit_logreg, sweep_and_retrain
+from losslab.probe import ProbeConfig, fit_logreg, stratified_split, sweep_and_retrain
 from losslab.repr_analysis import (
     angular_visual_hardness,
     class_separation_r2,
@@ -54,6 +55,11 @@ def valid_input():
 def _sweep_test_split(X, y):
     Xg, yg = valid_input()
     return sweep_and_retrain(Xg, yg, X, y, PROBE, num_classes=K)
+
+
+def _evaluate(spec, X, y):
+    values, squares, _ = loss_rows(spec, LAYER, X, y)
+    return loss_value(spec, LAYER, [values], [squares])
 
 
 def _with_nan(X, y):
@@ -98,7 +104,8 @@ ENTRY_POINTS = {
     "cosine_softmax_xent": (lambda X, y: cosine_softmax_xent(LAYER, X, y, 0.5), ALL),
     "dropout_xent": (lambda X, y: dropout_xent(LAYER, X, y, 0.7, seed=0), ALL),
     "compose_loss": (lambda X, y: compose_loss(LossSpec("softmax"), LAYER, X, y), ALL),
-    "evaluate": (lambda X, y: evaluate(LossSpec("softmax"), LAYER, X, y), ALL),
+    # evaluating a batch for the epoch log: loss_rows, then loss_value
+    "evaluate": (lambda X, y: _evaluate(LossSpec("softmax"), X, y), ALL),
     "eval_scores": (lambda X, y: eval_scores(LossSpec("softmax"), LAYER, X), MATRIX),
     "probs_from_logits": (lambda X, y: probs_from_logits(X, "softmax"), MATRIX),
     "ece": (ece, ALL),
@@ -118,6 +125,10 @@ ENTRY_POINTS = {
     "sweep_and_retrain": (
         lambda X, y: sweep_and_retrain(X, y, X, y, PROBE, num_classes=K), ALL),
     "sweep_and_retrain_test_split": (_sweep_test_split, ALL),
+    # labels alone, with no class count
+    "stratified_split": (lambda X, y: stratified_split(y, 0.5, 0),
+                         ("label_minus_1", "label_fractional", "label_1e20",
+                          "label_2**63+5")),
     # a (runs, rows) matrix of whole-number predictions made from X.T;
     # there is no class count
     "agreement_matrix": (lambda X, y: agreement_matrix(np.floor(np.abs(X.T) * 2), y),
@@ -158,10 +169,12 @@ KNOB_CASES = [
                  "num_classes must be >= 2", id="make_blobs-num_classes"),
     pytest.param(lambda: make_blobs(2, 2, 0, 1.0, 0),
                  "feature_dim must be >= 1", id="make_blobs-feature_dim"),
-    pytest.param(lambda: make_blob_split(1, 0, 2, 2, 1.0, 0),
-                 "n_eval_per_class must be >= 1", id="make_blob_split-n_eval"),
-    pytest.param(lambda: make_blob_split(2, 1, 2, 2, math.nan, 0),
-                 "spread must be finite", id="make_blob_split-spread"),
+    pytest.param(lambda: draw_blob_split("eval", 1, 0, 2, 2, 1.0, 0),
+                 "n_eval_per_class must be >= 1", id="draw_blob_split-n_eval"),
+    pytest.param(lambda: draw_blob_split("train", 2, 1, 2, 2, math.nan, 0),
+                 "spread must be finite", id="draw_blob_split-spread"),
+    pytest.param(lambda: draw_blob_split("test", 2, 1, 2, 2, 1.0, 0),
+                 "split must be one of", id="draw_blob_split-split"),
     pytest.param(lambda: init_mlp(0, (4,), 2, np.random.default_rng(0)),
                  "input_dim must be >= 1", id="init_mlp-input_dim"),
     pytest.param(lambda: init_mlp(3, (4, 0), 2, np.random.default_rng(0)),
@@ -187,6 +200,12 @@ KNOB_CASES = [
                  "penalty value must be finite", id="PenaltySpec-nan"),
     pytest.param(lambda: PenaltySpec("extra_final_l2", -1e-9),
                  "penalty value must be finite", id="PenaltySpec-negative"),
+    pytest.param(lambda: stratified_split(np.arange(8) % 2, -0.5, 0),
+                 r"val_fraction must be in \(0, 1\), got -0.5",
+                 id="stratified_split-val_fraction-negative"),
+    pytest.param(lambda: stratified_split(np.arange(8) % 2, 1.5, 0),
+                 r"val_fraction must be in \(0, 1\), got 1.5",
+                 id="stratified_split-val_fraction-above_1"),
     pytest.param(lambda: train_runs([], jobs=0),
                  "jobs must be >= 1, got 0", id="train_runs-jobs-0"),
     pytest.param(lambda: train_runs([], jobs=-1),
@@ -223,6 +242,9 @@ VALUE_CASES = [
                  "classes must be >= 2, got 1", id="fit_temperature-one_column"),
     pytest.param(lambda: ece(ONE_COLUMN, np.zeros(4)),
                  "classes must be >= 2, got 1", id="ece-one_column"),
+    pytest.param(lambda: stratified_split([0, 0, 1, 1, 1.7, 1.2], 0.5, 0),
+                 "labels must be whole numbers, got 1.7",
+                 id="stratified_split-labels_fractional"),
     pytest.param(lambda: linkage_dendrogram([[0, -1, 2], [-1, 0, 3], [2, 3, 0]]),
                  "negative entries", id="linkage_dendrogram-negative"),
 ]

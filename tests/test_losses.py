@@ -26,12 +26,13 @@ from losslab.losses import (
     cosine_softmax_xent,
     dropout_xent,
     eval_scores,
-    evaluate,
     extra_final_l2_penalty,
     label_smoothing_xent,
     logit_norm_xent,
     logit_penalty_xent,
     logsumexp_rows,
+    loss_rows,
+    loss_value,
     row_max,
     sigmoid,
     sigmoid_bias_init,
@@ -492,7 +493,8 @@ class TestCompose:
         X = rng.standard_normal((4, 5))
         t = [0, 1, 2, 0]
         spec = LossSpec("dropout", keep_prob=0.5)
-        v, _ = evaluate(spec, layer, X, t)
+        values, squares, _ = loss_rows(spec, layer, X, t)
+        v = loss_value(spec, layer, [values], [squares])
         ref = softmax_xent(X @ layer.weights.T + layer.bias, t).value
         assert v == ref
 
@@ -651,13 +653,19 @@ def mask_off(spec):
     ids=lambda s: s.kind + "".join(f"+{p.kind}" for p in s.extra_penalties),
 )
 def test_evaluate_is_compose_value_and_eval_scores(spec):
+    # evaluating a batch, whole or in row blocks, through loss_rows and
+    # loss_value gives compose_loss's value and eval_scores
     rng = np.random.default_rng(42)
     layer = FinalLayer(rng.standard_normal((4, 6)), rng.standard_normal(4))
     X = rng.standard_normal((9, 6))
     t = rng.integers(0, 4, 9)
-    value, scores = evaluate(spec, layer, X, t)
-    assert value == compose_loss(mask_off(spec), layer, X, t).value
+    ref = compose_loss(mask_off(spec), layer, X, t).value
+    values, squares, scores = loss_rows(spec, layer, X, t)
+    assert loss_value(spec, layer, [values], [squares]) == ref
     np.testing.assert_array_equal(scores, eval_scores(spec, layer, X))
+    values, squares, _ = zip(*(loss_rows(spec, layer, X[rows], t[rows])
+                               for rows in (slice(0, 4), slice(4, 9))))
+    assert loss_value(spec, layer, values, squares) == ref
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
