@@ -2,8 +2,8 @@
 
 Every public function checks the arrays and scalar knobs it is given here,
 once, on entry; the kernels behind it trust their arguments. File formats
-(the csv and idx loaders, activation dumps) keep their own checks, which
-name the line or byte offset of the bad input.
+(the csv loader, activation dumps) keep their own checks, which name the
+line or byte offset of the bad input.
 """
 
 from __future__ import annotations

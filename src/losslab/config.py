@@ -57,7 +57,7 @@ ANALYSES = (
     "spectra",
     "transfer",
 )
-DATASET_KINDS = ("blobs", "csv", "idx")
+DATASET_KINDS = ("blobs", "csv")
 
 _RUN_NAME = re.compile(r"^[a-z0-9][a-z0-9_\-]*$")
 
@@ -137,7 +137,7 @@ class DatasetConfig:
     eval_per_class: int = 100
     spread: float = 1.0
     seed: int = 0
-    # csv / idx
+    # csv
     path: str | None = None
     eval_path: str | None = None
 
@@ -242,7 +242,7 @@ _BLOBS_KEYS = {
 _FILE_KEYS = {"path": str, "eval_path": str}
 _DATASET_KEYS = {"kind": str, **_BLOBS_KEYS, **_FILE_KEYS}
 # the [dataset] keys each kind reads besides kind; any other key is an error
-_KIND_KEYS = {"blobs": _BLOBS_KEYS, "csv": _FILE_KEYS, "idx": _FILE_KEYS}
+_KIND_KEYS = {"blobs": _BLOBS_KEYS, "csv": _FILE_KEYS}
 _MODEL_KEYS = {"hidden": _int_list}
 _TRAIN_KEYS = {
     "epochs": int,

@@ -1,16 +1,12 @@
-"""Datasets: Gaussian blob generator plus CSV and IDX loaders.
+"""Datasets: Gaussian blob generator plus a CSV loader.
 
-CSV rows are headerless ``label, feat_1, ..., feat_d``. IDX is the
-big-endian binary format with magic 0x00000803 (images, rank 3) or
-0x00000801 (labels, rank 1); rank-2+ payloads are flattened to rows.
+CSV rows are headerless ``label, feat_1, ..., feat_d``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -150,73 +146,3 @@ def load_csv(path) -> Batch:
     labels = np.array(labels, dtype=np.int64)
     return Batch(np.array(rows), labels, int(labels.max()) + 1)
 
-
-_IDX_DTYPES = {
-    0x08: np.dtype(">u1"),
-    0x09: np.dtype(">i1"),
-    0x0B: np.dtype(">i2"),
-    0x0C: np.dtype(">i4"),
-    0x0D: np.dtype(">f4"),
-    0x0E: np.dtype(">f8"),
-}
-
-
-def _read_idx(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise ValueError(f"{path}: truncated at byte {len(raw)}: no magic")
-    zero1, zero2, code, ndim = struct.unpack(">BBBB", raw[:4])
-    if zero1 != 0 or zero2 != 0:
-        raise ValueError(f"{path}: bad magic bytes {raw[:4]!r} at byte 0")
-    if code not in _IDX_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code 0x{code:02x} at byte 2")
-    header_end = 4 + 4 * ndim
-    if len(raw) < header_end:
-        raise ValueError(
-            f"{path}: truncated at byte {len(raw)}: need {header_end} header bytes"
-        )
-    dims = struct.unpack(f">{ndim}I", raw[4:header_end])
-    dtype = _IDX_DTYPES[code]
-    count = int(np.prod(dims)) if dims else 1
-    need = header_end + count * dtype.itemsize
-    if len(raw) < need:
-        raise ValueError(
-            f"{path}: truncated at byte {len(raw)}: expected {need} bytes "
-            f"for shape {dims}"
-        )
-    arr = np.frombuffer(raw[header_end:need], dtype=dtype).reshape(dims)
-    return arr
-
-
-def derive_idx_labels_path(images_path) -> Path:
-    p = Path(images_path)
-    name = p.name.replace("images", "labels").replace("idx3", "idx1")
-    if name == p.name:
-        raise ValueError(
-            f"cannot derive a labels path from {p.name!r}; pass labels_path"
-        )
-    return p.with_name(name)
-
-
-def load_idx(images_path, labels_path=None) -> Batch:
-    imgs = _read_idx(images_path)
-    if imgs.ndim < 2:
-        raise ValueError(f"{images_path}: rank-{imgs.ndim} payload is not features")
-    if labels_path is None:
-        labels_path = derive_idx_labels_path(images_path)
-        if not Path(labels_path).exists():
-            raise FileNotFoundError(
-                f"derived labels file {labels_path} not found; pass labels_path"
-            )
-    labs = _read_idx(labels_path)
-    if labs.ndim != 1:
-        raise ValueError(f"{labels_path}: labels must be rank 1, got rank {labs.ndim}")
-    if labs.shape[0] != imgs.shape[0]:
-        raise ValueError(
-            f"{labels_path}: {labs.shape[0]} labels for {imgs.shape[0]} rows"
-        )
-    feats = imgs.reshape(imgs.shape[0], -1).astype(np.float64)
-    if not np.isfinite(feats).all():
-        raise ValueError(f"{images_path}: non-finite feature value")
-    labs = labs.astype(np.int64)
-    return Batch(feats, labs, int(labs.max()) + 1)

@@ -41,9 +41,9 @@ from .calibration import (
     probs_from_logits,
     top1_predictions,
 )
-from .checks import check_range
+from .checks import check_labels, check_matrix, check_range
 from .config import ExperimentConfig, format_loss_line
-from .data import SPLITS, Batch, draw_blob_split, load_csv, load_idx, split_index
+from .data import SPLITS, Batch, draw_blob_split, load_csv, split_index
 # read_activation_dump is unused here; perfbench/tracer.py patches it here
 from .dumps import read_activation_dump, write_activation_dump  # noqa: F401
 from .losses import DegenerateInputError, LossSpec, eval_scores
@@ -54,7 +54,7 @@ from .mlp import (
     init_for_spec,
     penultimate_features,
 )
-from .probe import ProbeConfig, ProbeResult, sweep_and_retrain
+from .probe import ProbeConfig, ProbeResult, stratified_split, sweep_and_retrain
 from .repr_analysis import (
     SEPARATION_INDEXES,
     angular_visual_hardness,
@@ -106,8 +106,8 @@ def load_model(path) -> MlpModel:
 
 def load_experiment_data(ds, split: str, num_classes: int | None = None) -> Batch:
     """The "train" or "eval" split of a DatasetConfig, alone: a blobs task
-    draws only that split's rows (data.draw_blob_split), and a csv or idx
-    task reads only that split's file. The class count is num_classes when
+    draws only that split's rows (data.draw_blob_split), and a csv task
+    reads only that split's file. The class count is num_classes when
     given, else the task's: blobs' classes, or a file's largest label + 1.
     """
     if ds.kind == "blobs":
@@ -115,7 +115,7 @@ def load_experiment_data(ds, split: str, num_classes: int | None = None) -> Batc
                                ds.classes, ds.features, ds.spread, ds.seed)
     else:
         path = (ds.path, ds.eval_path)[split_index(split)]
-        data = (load_csv if ds.kind == "csv" else load_idx)(path)
+        data = load_csv(path)
     return data if num_classes is None else data.with_classes(num_classes)
 
 
@@ -170,7 +170,7 @@ def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
                seed: int) -> dict:
     """Train one (loss, seed) pair and persist its artifact directory."""
     batches = [load_experiment_data(config.dataset, split) for split in SPLITS]
-    # both splits take the larger class count of a csv or idx task's files
+    # both splits take the larger class count of a csv task's files
     k = max(b.num_classes for b in batches)
     train_batch, eval_batch = (b.with_classes(k) for b in batches)
     # children 0 and 1 of SeedSequence(seed) drive shuffling and dropout
@@ -444,26 +444,16 @@ def report_spectra(config, runs) -> dict:
     ])}
 
 
-def merge_labels(labels, merge: int) -> np.ndarray:
-    """Coarse relabeling: class k maps to k mod merge."""
-    return np.asarray(labels, dtype=np.int64) % merge
-
-
 def transfer_probe(features, labels, merge: int,
                    probe_config: ProbeConfig) -> ProbeResult:
-    """Probe on coarse labels: per-class half train / half test."""
-    y = merge_labels(labels, merge)
-    rng = np.random.default_rng(0)
-    tr_idx, te_idx = [], []
-    # the classes present, ascending; np.unique would import numpy.ma
-    for k in np.flatnonzero(np.bincount(y)):
-        idx = rng.permutation(np.where(y == k)[0])
-        half = idx.size // 2
-        tr_idx.append(idx[:half])
-        te_idx.append(idx[half:])
-    tr = np.sort(np.concatenate(tr_idx))
-    te = np.sort(np.concatenate(te_idx))
-    X = np.asarray(features, dtype=np.float64)
+    """Probe on coarse labels, class k mod merge. Each coarse class is
+    split in half by stratified_split(y, 0.5, 0): its validation side
+    trains the probe and the rest tests it."""
+    X = check_matrix(features, "features")
+    y, _ = check_labels(labels, X.shape[0])
+    check_range("merge", merge, ">= 2")
+    y = y % merge
+    te, tr = stratified_split(y, 0.5, 0)
     return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
 
 

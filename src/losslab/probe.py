@@ -245,7 +245,9 @@ def stratified_split(labels, val_fraction: float, seed: int):
     """(train_idx, val_idx): seeded per-class split, train side never empty.
 
     labels are checked as check_labels does and val_fraction must be in
-    (0, 1), as in ProbeConfig.
+    (0, 1), as in ProbeConfig. harness.transfer_probe splits its coarse
+    classes through it at 0.5 and seed 0, with the validation side as the
+    probe's training rows.
     """
     y, _ = check_labels(labels, np.size(labels))
     check_range("val_fraction", val_fraction, "in (0, 1)")

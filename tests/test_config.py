@@ -227,17 +227,24 @@ class TestLoadConfig:
         assert good.dataset.path == "train.csv"
 
     @pytest.mark.parametrize("kind, key", [
-        *(("idx", k) for k in ("classes", "features", "per_class",
+        *(("csv", k) for k in ("classes", "features", "per_class",
                                "eval_per_class", "spread", "seed")),
         ("blobs", "path"),
         ("blobs", "eval_path"),
     ])
     def test_dataset_key_unread_by_kind_rejected(self, tmp_path, kind, key):
         lines = {"blobs": "kind = blobs",
-                 "idx": "kind = idx\npath = a.idx\neval_path = b.idx"}
+                 "csv": "kind = csv\npath = a.csv\neval_path = b.csv"}
         ini = GOOD_INI.replace(GOOD_INI.split("\n\n")[0], (
             f"[dataset]\n{lines[kind]}\n{key} = 1"))
         with pytest.raises(ValueError, match=f"'{key}' is not read by kind = {kind}"):
+            load_config(write_ini(tmp_path, ini))
+
+    def test_idx_kind_rejected(self, tmp_path):
+        ini = GOOD_INI.replace(GOOD_INI.split("\n\n")[0], (
+            "[dataset]\nkind = idx\npath = a.idx\neval_path = b.idx"))
+        with pytest.raises(ValueError,
+                           match=r"dataset kind must be one of \('blobs', 'csv'\)"):
             load_config(write_ini(tmp_path, ini))
 
     def test_weight_decay_key_renamed_for_trainer(self, tmp_path):

@@ -1,19 +1,11 @@
 """Dataset generation and file-format tests."""
 
 import re
-import struct
 
 import numpy as np
 import pytest
 
-from losslab.data import (
-    Batch,
-    derive_idx_labels_path,
-    draw_blob_split,
-    load_csv,
-    load_idx,
-    make_blobs,
-)
+from losslab.data import Batch, draw_blob_split, load_csv, make_blobs
 
 
 class TestBlobs:
@@ -143,79 +135,3 @@ class TestCsv:
         with pytest.raises(ValueError, match="no data"):
             load_csv(p)
 
-
-def write_idx_images(path, arr):
-    arr = np.asarray(arr)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">BBBB", 0, 0, 0x0D, arr.ndim))
-        for d in arr.shape:
-            fh.write(struct.pack(">I", d))
-        fh.write(arr.astype(">f4").tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">BBBB", 0, 0, 0x08, 1))
-        fh.write(struct.pack(">I", labels.shape[0]))
-        fh.write(labels.astype(">u1").tobytes())
-
-
-class TestIdx:
-    def test_round_trip_rank3(self, tmp_path):
-        rng = np.random.default_rng(4)
-        imgs = rng.random((6, 2, 3)).astype(np.float32)
-        labs = np.array([0, 1, 2, 0, 1, 2])
-        ip = tmp_path / "train-images-idx3-ubyte"
-        lp = tmp_path / "train-labels-idx1-ubyte"
-        write_idx_images(ip, imgs)
-        write_idx_labels(lp, labs)
-        b = load_idx(ip, lp)
-        assert b.features.shape == (6, 6)  # flattened rows
-        np.testing.assert_allclose(b.features, imgs.reshape(6, -1), rtol=1e-7)
-        np.testing.assert_array_equal(b.labels, labs)
-
-    def test_companion_labels_path_derived(self, tmp_path):
-        ip = tmp_path / "t10k-images-idx3-ubyte"
-        lp = tmp_path / "t10k-labels-idx1-ubyte"
-        write_idx_images(ip, np.zeros((2, 2, 2), dtype=np.float32))
-        write_idx_labels(lp, [0, 1])
-        assert derive_idx_labels_path(ip) == lp
-        b = load_idx(ip)  # no labels_path given
-        assert b.n == 2
-
-    def test_underivable_labels_path_rejected(self, tmp_path):
-        ip = tmp_path / "data.bin"
-        write_idx_images(ip, np.zeros((1, 2, 2), dtype=np.float32))
-        with pytest.raises(ValueError, match="derive"):
-            load_idx(ip)
-
-    def test_truncated_payload_reports_byte_offset(self, tmp_path):
-        ip = tmp_path / "images-idx3"
-        write_idx_images(ip, np.zeros((4, 3, 3), dtype=np.float32))
-        raw = ip.read_bytes()
-        ip.write_bytes(raw[:30])
-        with pytest.raises(ValueError, match="byte 30"):
-            load_idx(ip, ip)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk"
-        p.write_bytes(b"\x01\x02\x03\x04" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_idx(p, p)
-
-    def test_non_finite_feature_names_file(self, tmp_path):
-        ip = tmp_path / "a-images-idx3"
-        lp = tmp_path / "a-labels-idx1"
-        write_idx_images(ip, np.array([[[0.0, np.inf]], [[1.0, 2.0]]]))
-        write_idx_labels(lp, [0, 1])
-        with pytest.raises(ValueError, match=re.escape(f"{ip}: non-finite")):
-            load_idx(ip, lp)
-
-    def test_label_count_mismatch(self, tmp_path):
-        ip = tmp_path / "a-images-idx3"
-        lp = tmp_path / "a-labels-idx1"
-        write_idx_images(ip, np.zeros((3, 2, 2), dtype=np.float32))
-        write_idx_labels(lp, [0, 1])
-        with pytest.raises(ValueError, match="labels"):
-            load_idx(ip, lp)

@@ -21,7 +21,6 @@ from losslab.harness import (
     RunFailure,
     load_model,
     load_runs,
-    merge_labels,
     report_separation,
     run_all,
     run_dir,
@@ -430,6 +429,67 @@ class TestFailurePropagation:
             run_all(bad, jobs=2)
 
 
+def transfer_probe_rows(monkeypatch, labels, merge):
+    """(train rows, train labels, test rows, test labels) that
+    transfer_probe hands to the probe sweep; row i's one feature is i."""
+    seen = []
+    monkeypatch.setattr(harness, "sweep_and_retrain",
+                        lambda *args: seen.append(args[:4]))
+    rows = np.arange(len(labels), dtype=np.float64)[:, None]
+    harness.transfer_probe(rows, labels, merge, ProbeConfig())
+    (X_tr, y_tr, X_te, y_te), = seen
+    return X_tr[:, 0].astype(np.int64), y_tr, X_te[:, 0].astype(np.int64), y_te
+
+
+def half_split_reference(y):
+    """transfer_probe's former own split: default_rng(0), one permutation
+    per coarse class in ascending class order, and the first n // 2 rows of
+    each class to probe-train, the rest to probe-test."""
+    rng = np.random.default_rng(0)
+    tr, te = [], []
+    for k in np.unique(y):
+        idx = rng.permutation(np.flatnonzero(y == k))
+        tr.append(idx[:idx.size // 2])
+        te.append(idx[idx.size // 2:])
+    return np.sort(np.concatenate(tr)), np.sort(np.concatenate(te))
+
+
+def coarse_task(sizes, merge, seed):
+    """Fine labels, shuffled, whose coarse class k (label mod merge) has
+    sizes[k] rows."""
+    rng = np.random.default_rng(seed)
+    coarse = np.repeat(np.arange(len(sizes)), sizes)
+    fine = coarse + merge * rng.integers(0, 3, coarse.size)
+    return rng.permutation(fine)
+
+
+class TestTransferSplit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_rows_as_half_split(self, monkeypatch, seed):
+        # stratified_split at 0.5 keeps round(n / 2) = n // 2 rows unless
+        # n = 3 (mod 4), and none of these sizes is
+        labels = coarse_task((2, 4, 5, 6, 8, 9), 6, seed)
+        tr, y_tr, te, y_te = transfer_probe_rows(monkeypatch, labels, 6)
+        ref_tr, ref_te = half_split_reference(labels % 6)
+        np.testing.assert_array_equal(tr, ref_tr)
+        np.testing.assert_array_equal(te, ref_te)
+        np.testing.assert_array_equal(y_tr, labels[tr] % 6)
+        np.testing.assert_array_equal(y_te, labels[te] % 6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_odd_sizes_3_mod_4_train_on_the_larger_half(self, monkeypatch, seed):
+        # round(1.5) = 2 and round(3.5) = 4 go to the even neighbour: the
+        # half split's n // 2 rows, plus the next row of the same permutation
+        labels = coarse_task((3, 7), 2, seed)
+        tr, y_tr, te, y_te = transfer_probe_rows(monkeypatch, labels, 2)
+        np.testing.assert_array_equal(np.bincount(y_tr), [2, 4])
+        np.testing.assert_array_equal(np.bincount(y_te), [1, 3])
+        ref_tr, _ = half_split_reference(labels % 2)
+        assert set(ref_tr) < set(tr)
+        np.testing.assert_array_equal(np.sort(np.concatenate([tr, te])),
+                                      np.arange(labels.size))
+
+
 class TestSmallHelpers:
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -451,11 +511,13 @@ class TestSmallHelpers:
         np.testing.assert_array_equal(pred, p2)
         np.testing.assert_allclose(conf, c2)
 
-    def test_merge_labels_wraps(self):
-        y = np.arange(10)
-        np.testing.assert_array_equal(
-            merge_labels(y, 5), np.array([0, 1, 2, 3, 4, 0, 1, 2, 3, 4])
-        )
+    def test_merge_labels_wraps(self, monkeypatch):
+        # transfer_probe relabels class k as k mod merge
+        y = np.arange(40) % 10
+        tr, y_tr, te, y_te = transfer_probe_rows(monkeypatch, y, 5)
+        np.testing.assert_array_equal(y_tr, y[tr] % 5)
+        np.testing.assert_array_equal(y_te, y[te] % 5)
+        assert set(y_tr) == set(y_te) == {0, 1, 2, 3, 4}
 
     def test_mean_stderr_single_run(self):
         mean, se = harness._mean_stderr([0.5])

@@ -11,7 +11,7 @@ from losslab.agreement import agreement_matrix, linkage_dendrogram
 from losslab.calibration import ece, fit_temperature, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
 from losslab.data import Batch, draw_blob_split, make_blobs
-from losslab.harness import train_runs
+from losslab.harness import train_runs, transfer_probe
 from losslab.losses import (
     FinalLayer,
     LossSpec,
@@ -129,6 +129,10 @@ ENTRY_POINTS = {
     "stratified_split": (lambda X, y: stratified_split(y, 0.5, 0),
                          ("label_minus_1", "label_fractional", "label_1e20",
                           "label_2**63+5")),
+    # coarse labels y mod 2; no class count, so K itself is a valid label
+    "transfer_probe": (lambda X, y: transfer_probe(X, y, 2, PROBE),
+                       MATRIX + ("label_minus_1", "label_fractional", "label_1e20",
+                                 "label_2**63+5", "wrong_label_length")),
     # a (runs, rows) matrix of whole-number predictions made from X.T;
     # there is no class count
     "agreement_matrix": (lambda X, y: agreement_matrix(np.floor(np.abs(X.T) * 2), y),
@@ -206,6 +210,13 @@ KNOB_CASES = [
     pytest.param(lambda: stratified_split(np.arange(8) % 2, 1.5, 0),
                  r"val_fraction must be in \(0, 1\), got 1.5",
                  id="stratified_split-val_fraction-above_1"),
+    pytest.param(lambda: transfer_probe(*valid_input(), 1, PROBE),
+                 "merge must be >= 2, got 1", id="transfer_probe-merge-1"),
+    pytest.param(lambda: transfer_probe(*valid_input(), 0, PROBE),
+                 "merge must be >= 2, got 0", id="transfer_probe-merge-0"),
+    pytest.param(lambda: transfer_probe(*valid_input(), 2.5, PROBE),
+                 "merge must be an integer, got 2.5",
+                 id="transfer_probe-merge-fractional"),
     pytest.param(lambda: train_runs([], jobs=0),
                  "jobs must be >= 1, got 0", id="train_runs-jobs-0"),
     pytest.param(lambda: train_runs([], jobs=-1),
