@@ -359,12 +359,15 @@ def report_cka(config, runs) -> dict:
 
 
 def report_sparsity(config, runs) -> dict:
-    """Fraction of active ReLU units per hidden layer on the eval split."""
+    """Fraction of active ReLU units per hidden layer on the eval split.
+    The runs' hidden layers go through one set of buffers, as in load_runs."""
+    n = runs[0].batch.n
+    out = [np.empty((n, w.shape[0])) for w in runs[0].model.hidden_weights]
     return {"sparsity.csv": (("loss", "seed", "layer", "fraction_active"), [
         (run.name, run.seed, layer, frac)
         for run in runs
         for layer, frac in enumerate(sparsity_profile(
-            forward_hidden(run.model, run.batch.features)[1:]))
+            forward_hidden(run.model, run.batch.features, out)[1:]))
     ])}
 
 

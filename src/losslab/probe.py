@@ -10,9 +10,11 @@ plus lambda on the weight diagonal. It is factorized by a block Cholesky
 over its K x K grid of (d+1) x (d+1) class blocks; a Hessian that is not
 positive definite ends the fit, reported as not converged. Armijo
 backtracking along the Newton direction keeps the objective from rising.
-Every Newton direction assembles H in place in a workspace that the fit,
-or the sweep for all its fits, allocates once, so directions do not
-allocate (and page-fault) fresh Hessians.
+Every Newton direction assembles only H's K(K+1)/2 lower blocks, packed
+by block column, and factorizes them in place, in a workspace that the
+fit, or the sweep for all its fits, allocates once, so directions do not
+allocate (and page-fault) fresh Hessians. The sweep checks its input
+once; its fits run unchecked on the augmented rows it built.
 
 The regularization path sweeps 45 log-spaced lambdas ascending with warm
 starts. From the third lambda on, a fit starts from the last solution or
@@ -100,31 +102,37 @@ def _objective_and_grad(theta, Xa, y, lam):
 
 
 def _newton_workspace(n, K, D):
-    """(A3, H, B): the buffers _newton_direction works in, (n, K, D),
-    (K D, K D) and (K D, D). A fit, or a whole sweep, reuses them for every
-    direction."""
-    return np.empty((n, K, D)), np.empty((K * D, K * D)), np.empty((K * D, D))
+    """(A3, Hp): the buffers _newton_direction works in. A3, (max(n, D), K, D),
+    holds the rows' p_ik x~_i and then the Schur products; Hp holds H's
+    K(K+1)/2 lower D x D blocks, packed by block column. A fit, or a whole
+    sweep, reuses them for every direction."""
+    return np.empty((max(n, D), K, D)), np.empty(K * (K + 1) // 2 * D * D)
 
 
 def _newton_direction(P, Xa, lam, G, work=None):
     """-H^{-1} G by block Cholesky; raises LinAlgError if H is not positive definite.
 
-    H is a K x K grid of D x D class blocks, D = d + 1. It is assembled
-    once, in place in the buffers of work (from _newton_workspace; fresh
-    ones when None): -A^T A from one matmul plus the diagonal blocks
-    through an einsum view. Every product of D-column blocks goes into B,
-    the third buffer, so a direction allocates no temporary bigger than a
-    D x D block. Each buffer is overwritten before it is read, so nothing
-    carries over from one call to the next. H is
-    factorized H = L L^T one block column at a time: column j, less the
-    products of the factor columns left of it, has the Schur block
-    S_j on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError
-    when S_j is not positive definite, which happens exactly when H is not.
-    L_jj^{-1} turns the blocks below S_j into L's column j and carries the
-    forward substitution; the last block needs no column below it, so its
-    share of the direction is S_{K-1}^{-1} times its forward residual. The
-    back substitution climbs through the stored L_jj^{-1}. LAPACK sees only
-    D x D blocks, and the bulk of the work is matmul.
+    H is a K x K grid of D x D class blocks, D = d + 1, and symmetric, so
+    only its lower blocks are assembled, in the buffers of work (from
+    _newton_workspace for at least n rows; fresh ones when None). Hp packs
+    them by block column: column j is the ((K - j) D, D) stack of blocks
+    (j..K-1, j). With A3's rows a_ik = p_ik x~_i, it is -A_{j:}^T A_j from
+    one matmul, A_{j:} being classes j..K-1 side by side, plus
+    sum_i p_ij x~_i x~_i^T on its top block. Each buffer is overwritten
+    before it is read, so nothing carries over from one call to the next.
+
+    H = L L^T is factorized left-looking, one column at a time and in
+    place: column j, less the products of the factor columns left of it
+    (formed in A3, free once H is assembled), has the Schur block S_j on
+    top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError when
+    S_j is not positive definite, which happens exactly when H is not.
+    L_jj^{-1} turns the blocks below S_j into L's column j, is kept over
+    S_j and carries the forward substitution, which then takes block j's
+    share out of the residuals below it; the last block needs no column
+    below it, so its share of the direction is S_{K-1}^{-1} times its
+    forward residual. The back substitution climbs through the stored
+    L_jj^{-1}. LAPACK sees only D x D blocks, the bulk of the work is
+    matmul, and no temporary is bigger than a D x D block.
 
     The bias is unpenalized, so H is singular along b -> b + c 1, where J
     is flat. Adding e e^T, with e the unit all-ones direction on the bias
@@ -133,35 +141,40 @@ def _newton_direction(P, Xa, lam, G, work=None):
     """
     n, K = P.shape
     D = Xa.shape[1]
-    A3, H, B = _newton_workspace(n, K, D) if work is None else work
+    A3, Hp = _newton_workspace(n, K, D) if work is None else work
+    scratch = A3.reshape(-1)  # all of A3's rows, for the Schur products
+    A3 = A3[:n]
     np.multiply(P[:, :, None], Xa[:, None, :], out=A3)
-    A = A3.reshape(n, K * D)  # a view of A3
-    np.matmul(A.T, A, out=H)
-    np.negative(H, out=H)
-    blocks = H.reshape(K, D, K, D)  # a view: writes land in H
-    diag_blocks = np.einsum("kakb->kab", blocks)
-    diag_blocks += np.matmul(A3.transpose(1, 2, 0), Xa, out=B.reshape(K, D, D))
-    np.einsum("kaka->ka", blocks)[:, :-1] += lam
-    blocks[:, -1, :, -1] += 1.0 / K
-    # L overwrites the lower blocks of H; x goes from G through L^-1 G to H^-1 G
-    x = G.reshape(-1).copy()
-    inverses = []
+    cols, start = [], 0
     for j in range(K):
-        s, left, below = slice(j * D, (j + 1) * D), slice(0, j * D), slice((j + 1) * D, None)
-        C = np.matmul(H[j * D:, left], H[s, left].T, out=B[j * D:])
-        np.subtract(H[j * D:, s], C, out=C)
+        C = Hp[start:start + (K - j) * D * D].reshape((K - j) * D, D)
+        start += C.size
+        np.matmul(A3[:, j:, :].reshape(n, -1).T, A3[:, j, :], out=C)
+        np.negative(C, out=C)
+        C[:D] += A3[:, j, :].T @ Xa
+        np.einsum("aa->a", C[:D])[:-1] += lam
+        C.reshape(K - j, D, D)[:, -1, -1] += 1.0 / K
+        cols.append(C)
+    # x goes from G through L^-1 G to H^-1 G
+    x = G.reshape(-1).copy()
+    for j, C in enumerate(cols):
+        s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
+        S = scratch[:C.size].reshape(C.shape)
+        for i in range(j):
+            Lji = cols[i][(j - i) * D:]  # L's blocks (j..K-1, i)
+            C -= np.matmul(Lji, Lji[:D].T, out=S)
         L = np.linalg.cholesky(C[:D])
-        r = x[s] - H[s, left] @ x[left]
         if j == K - 1:
-            x[s] = np.linalg.solve(C[:D], r)
+            x[s] = np.linalg.solve(C[:D], x[s])
             break
         M = np.linalg.inv(L)
-        inverses.append(M)
-        np.matmul(C[D:], M.T, out=H[below, s])
-        x[s] = M @ r
+        C[D:] = np.matmul(C[D:], M.T, out=S[D:])
+        C[:D] = M
+        x[s] = M @ x[s]
+        x[below] -= C[D:] @ x[s]
     for j in reversed(range(K - 1)):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
-        x[s] = inverses[j].T @ (x[s] - H[below, s].T @ x[below])
+        x[s] = cols[j][:D].T @ (x[s] - cols[j][D:].T @ x[below])
     return -x.reshape(K, D)
 
 
@@ -178,7 +191,7 @@ def fit_logreg(
 ) -> LogRegFit:
     """Damped Newton from (init_weights, init_bias), zeros by default.
 
-    work is a _newton_workspace with at least as many rows as features
+    work is a _newton_workspace for at least as many rows as features
     has; every Newton direction assembles into its leading rows. None allocates
     one for this fit. A sweep passes one workspace to all of its fits, so
     no fit allocates (and page-faults) a fresh Hessian.
@@ -193,16 +206,20 @@ def fit_logreg(
     b = np.zeros(K) if init_bias is None else np.array(init_bias, dtype=np.float64)
     if W.shape != (K, d) or b.shape != (K,):
         raise ValueError(f"init shapes {W.shape}/{b.shape} do not match ({K},{d})")
-
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    theta = np.hstack([W, b[:, None]])
+    return _fit(Xa, y, lam, np.hstack([W, b[:, None]]), tolerance, max_iterations, work)
+
+
+def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None) -> LogRegFit:
+    """fit_logreg on checked inputs: the augmented rows Xa = [X, 1], their
+    labels y and the start theta = [W, b], (K, d+1). sweep_and_retrain
+    checks its input once and runs every fit through here."""
     value, G, P = _objective_and_grad(theta, Xa, y, lam)
     trace = [value]
     it = 0
     gn = float(np.linalg.norm(G))
-    n, D = Xa.shape
-    A3, H, B = _newton_workspace(n, K, D) if work is None else work
-    work = (A3[:n], H, B)
+    if work is None:
+        work = _newton_workspace(Xa.shape[0], theta.shape[0], Xa.shape[1])
     while gn > tolerance and it < max_iterations:
         try:
             direction = _newton_direction(P, Xa, lam, G, work)
@@ -264,7 +281,8 @@ def stratified_split(labels, val_fraction: float, seed: int):
     train_idx = np.concatenate(train_idx)
     val_idx = np.concatenate(val_idx)
     if val_idx.size == 0:
-        raise ValueError("validation split is empty; raise val_fraction")
+        raise ValueError("every class holds 1 row; a split needs a class "
+                         "with at least 2 rows")
     return np.sort(train_idx), np.sort(val_idx)
 
 
@@ -300,22 +318,17 @@ def sweep_and_retrain(
     if np.count_nonzero(np.bincount(y[tr])) < K:
         raise ValueError("a class is missing from the probe training split")
 
-    Xtr, ytr, Xva, yva = X[tr], y[tr], X[va], y[va]
-    Xa = np.hstack([Xtr, np.ones((Xtr.shape[0], 1))])
+    # [X, 1] once: the path fits take its train rows, the refit all of it
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    Xa_tr, ytr, Xva, yva = Xa[tr], y[tr], X[va], y[va]
     grid = config.lambda_grid
     val_acc = np.zeros(len(grid))
     norms = np.zeros(len(grid))
     work = _newton_workspace(X.shape[0], K, Xa.shape[1])  # the refit's rows
     fits = []
     for i, lam in enumerate(grid):
-        start = _path_start(fits, Xa, ytr, lam) if fits else np.zeros((K, Xa.shape[1]))
-        fit = fit_logreg(
-            Xtr, ytr, lam, K,
-            init_weights=start[:, :-1], init_bias=start[:, -1],
-            tolerance=config.tolerance,
-            max_iterations=config.max_iterations,
-            work=work,
-        )
+        start = _path_start(fits, Xa_tr, ytr, lam) if fits else np.zeros((K, Xa.shape[1]))
+        fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work)
         W, b = fit.weights, fit.bias
         fits.append(fit)
         val_acc[i] = probe_accuracy(W, b, Xva, yva)
@@ -328,12 +341,9 @@ def sweep_and_retrain(
             best_i = i
     best_lambda = grid[best_i]
 
-    final = fit_logreg(
-        X, y, best_lambda, K,
-        init_weights=fits[best_i].weights, init_bias=fits[best_i].bias,
-        tolerance=config.tolerance, max_iterations=config.max_iterations,
-        work=work,
-    )
+    start = np.hstack([fits[best_i].weights, fits[best_i].bias[:, None]])
+    final = _fit(Xa, y, best_lambda, start, config.tolerance, config.max_iterations,
+                 work)
     return ProbeResult(
         best_lambda=best_lambda,
         lambda_grid=grid,

@@ -489,6 +489,11 @@ class TestTransferSplit:
         np.testing.assert_array_equal(np.sort(np.concatenate([tr, te])),
                                       np.arange(labels.size))
 
+    def test_one_row_per_coarse_class_rejected(self):
+        # every coarse class holds one row: no half split exists
+        with pytest.raises(ValueError, match="a class with at least 2 rows"):
+            harness.transfer_probe(np.eye(4), [0, 1, 2, 3], 4, ProbeConfig())
+
 
 class TestSmallHelpers:
     def test_model_round_trip(self, tmp_path):

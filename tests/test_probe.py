@@ -234,6 +234,29 @@ class TestNewtonDirection:
         # and this LU solve already differ by up to about 4e-9
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("n,K,D", [(100, 5, 65), (500, 5, 65), (20, 4, 41),
+                                       (7, 2, 3)])
+    def test_workspace_holds_rows_and_lower_blocks(self, n, K, D):
+        # A3 has max(n, D) rows, so it can hold a column's Schur products,
+        # and the packed Hessian only the K(K+1)/2 lower blocks
+        work = _newton_workspace(n, K, D)
+        floats = max(n, D) * K * D + K * (K + 1) // 2 * D * D
+        assert sum(buf.size for buf in work) == floats
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_fewer_rows_than_block_width(self, K):
+        # n = 20 < D = 41: the Schur products use A3's rows past the n that
+        # the assembly fills; a nan-filled workspace shows any stale read
+        n, d = 20, 40
+        P, Xa, G = newton_case(K, seed=30 + K, n=n, d=d)
+        work = _newton_workspace(n, K, d + 1)
+        for buf in work:
+            buf.fill(np.nan)
+        ref = -np.linalg.solve(dense_hessian(P, Xa, 1e-2), G.reshape(-1))
+        got = _newton_direction(P, Xa, 1e-2, G, work)
+        rel = np.linalg.norm(got.reshape(-1) - ref) / np.linalg.norm(ref)
+        assert rel < 1e-8
+
     def test_singular_last_class_block_raises(self):
         # a zero last column: at lambda = 0 the last class's weight rows
         # of H are zero, while the leading K-1 class blocks, whose rows of
@@ -322,6 +345,15 @@ class TestSplit:
         np.testing.assert_array_equal(a[1], b[1])
         c = stratified_split(y, 0.25, seed=8)
         assert not np.array_equal(a[1], c[1])
+
+    def test_one_row_per_class_rejected(self):
+        # no class can give a validation row and keep a training row
+        match = "a split needs a class with at least 2 rows"
+        with pytest.raises(ValueError, match=match):
+            stratified_split([0, 1, 2], 0.5, seed=0)
+        with pytest.raises(ValueError, match=match):
+            sweep_and_retrain(np.eye(3), [0, 1, 2], np.eye(3), [0, 1, 2],
+                              ProbeConfig())
 
     def test_empty_val_rejected(self):
         y = np.array([0, 1])
@@ -430,6 +462,26 @@ class TestSweep:
         best = max(i for i, a in enumerate(val_acc) if a == max(val_acc))
         assert res.best_lambda == cfg.lambda_grid[best]
         assert res.n_iter.sum() < sum(n_iter)
+
+    def test_path_and_refit_are_fit_logreg_bit_for_bit(self):
+        # the sweep's unchecked fits against fit_logreg on the same rows and
+        # starts: the first path fit from zeros, the second from the first
+        # (fewer than two earlier fits, so no secant), the refit from the best
+        X, y, Xt, yt = acceptance_blobs()
+        cfg = ProbeConfig(lambda_grid=(1e-2, 1.0), tolerance=1e-6, seed=0)
+        res = sweep_and_retrain(X, y, Xt, yt, cfg)
+        tr, _ = stratified_split(y, cfg.val_fraction, cfg.seed)
+        first = fit_logreg(X[tr], y[tr], 1e-2, 3, tolerance=cfg.tolerance)
+        second = fit_logreg(X[tr], y[tr], 1.0, 3, first.weights, first.bias,
+                            tolerance=cfg.tolerance)
+        best = (first, second)[cfg.lambda_grid.index(res.best_lambda)]
+        final = fit_logreg(X, y, res.best_lambda, 3, best.weights, best.bias,
+                           tolerance=cfg.tolerance)
+        assert res.n_iter.tolist() == [first.n_iter, second.n_iter]
+        assert res.grad_norm.tolist() == [first.grad_norm, second.grad_norm]
+        assert res.refit_n_iter == final.n_iter > 0
+        assert np.array_equal(res.weights, final.weights)
+        assert np.array_equal(res.bias, final.bias)
 
     def test_missing_train_class_rejected(self):
         Xtr = np.random.default_rng(0).standard_normal((20, 3))
