@@ -54,7 +54,9 @@ from .mlp import (
     init_for_spec,
     penultimate_features,
 )
-from .probe import ProbeConfig, ProbeResult, stratified_split, sweep_and_retrain
+from .probe import ProbeConfig, ProbeResult, stratified_split
+# the sweep on checked rows, under the name perfbench/tracer.py patches here
+from .probe import _sweep_and_retrain as sweep_and_retrain
 from .repr_analysis import (
     SEPARATION_INDEXES,
     angular_visual_hardness,
@@ -451,13 +453,15 @@ def transfer_probe(features, labels, merge: int,
                    probe_config: ProbeConfig) -> ProbeResult:
     """Probe on coarse labels, class k mod merge. Each coarse class is
     split in half by stratified_split(y, 0.5, 0): its validation side
-    trains the probe and the rest tests it."""
+    trains the probe and the rest tests it. The rows are checked here, once:
+    the sweep runs on them unchecked."""
     X = check_matrix(features, "features")
     y, _ = check_labels(labels, X.shape[0])
     check_range("merge", merge, ">= 2")
     y = y % merge
     te, tr = stratified_split(y, 0.5, 0)
-    return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config)
+    return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config,
+                             int(y.max()) + 1)
 
 
 def report_transfer(config, runs) -> dict:
@@ -469,9 +473,11 @@ def report_transfer(config, runs) -> dict:
             run.features, run.batch.labels, config.transfer_merge, ProbeConfig(),
         )
         converged = bool(res.converged.all()) and res.refit_converged
+        # to 3 digits: the last of the 10 that %.10g writes move with BLAS
+        # and summation order while probe_acc and converged hold
         max_gn = max(float(res.grad_norm.max()), res.refit_grad_norm)
         rows.append((run.name, run.seed, config.transfer_merge,
-                     res.test_accuracy, int(converged), max_gn))
+                     res.test_accuracy, int(converged), float(f"{max_gn:.3g}")))
     return {"transfer.csv": (("loss", "seed", "merge", "probe_acc", "converged",
                               "max_grad_norm"), rows)}
 

@@ -11,17 +11,22 @@ over its K x K grid of (d+1) x (d+1) class blocks; a Hessian that is not
 positive definite ends the fit, reported as not converged. Armijo
 backtracking along the Newton direction keeps the objective from rising.
 Every Newton direction assembles only H's K(K+1)/2 lower blocks, packed
-by block column, and factorizes them in place, in a workspace that the
-fit, or the sweep for all its fits, allocates once, so directions do not
-allocate (and page-fault) fresh Hessians. The sweep checks its input
-once; its fits run unchecked on the augmented rows it built.
+by block column, each through one (n, d+1) row panel, and factorizes them
+in place, in a workspace that the fit, or the sweep for all its fits,
+allocates once, so directions do not allocate (and page-fault) fresh
+Hessians. Besides the packed blocks the workspace holds only that panel,
+which then takes one (d+1) x (d+1) product at a time, not a panel per
+class. The sweep checks its input once; its fits run unchecked on the
+augmented rows it built.
 
 The regularization path sweeps 45 log-spaced lambdas ascending with warm
 starts. From the third lambda on, a fit starts from the last solution or
 from its secant prediction 2 theta_i - theta_{i-1}, whichever has the
 lower objective at the new lambda. The path picks the best validation
 accuracy (ties to the larger lambda), then refits on the full training
-set from that lambda's solution.
+set from that lambda's solution. It keeps only the two solutions the
+secant reads, the best one so far and the per-lambda scalars, not a fit
+per lambda.
 """
 
 from __future__ import annotations
@@ -102,11 +107,12 @@ def _objective_and_grad(theta, Xa, y, lam):
 
 
 def _newton_workspace(n, K, D):
-    """(A3, Hp): the buffers _newton_direction works in. A3, (max(n, D), K, D),
-    holds the rows' p_ik x~_i and then the Schur products; Hp holds H's
-    K(K+1)/2 lower D x D blocks, packed by block column. A fit, or a whole
-    sweep, reuses them for every direction."""
-    return np.empty((max(n, D), K, D)), np.empty(K * (K + 1) // 2 * D * D)
+    """(R, Hp): the buffers _newton_direction works in. R, max(n, D) D
+    floats, holds one (n, D) row panel while H is assembled and then one
+    D x D product at a time; Hp holds H's K(K+1)/2 lower D x D blocks,
+    packed by block column. A fit, or a whole sweep, reuses them for every
+    direction."""
+    return np.empty(max(n, D) * D), np.empty(K * (K + 1) // 2 * D * D)
 
 
 def _newton_direction(P, Xa, lam, G, work=None):
@@ -115,16 +121,17 @@ def _newton_direction(P, Xa, lam, G, work=None):
     H is a K x K grid of D x D class blocks, D = d + 1, and symmetric, so
     only its lower blocks are assembled, in the buffers of work (from
     _newton_workspace for at least n rows; fresh ones when None). Hp packs
-    them by block column: column j is the ((K - j) D, D) stack of blocks
-    (j..K-1, j). With A3's rows a_ik = p_ik x~_i, it is -A_{j:}^T A_j from
-    one matmul, A_{j:} being classes j..K-1 side by side, plus
-    sum_i p_ij x~_i x~_i^T on its top block. Each buffer is overwritten
-    before it is read, so nothing carries over from one call to the next.
+    them by block column: column j is the (K - j, D, D) stack of blocks
+    (j..K-1, j). Block (k, j) is X~^T (X~ * w) with the row weights
+    w = -p_k p_j off the diagonal and p_j - p_j^2 on it, one matmul through
+    R's (n, D) row panel, so R does not grow with K. Each buffer is
+    overwritten before it is read, so nothing carries over from one call
+    to the next.
 
     H = L L^T is factorized left-looking, one column at a time and in
     place: column j, less the products of the factor columns left of it
-    (formed in A3, free once H is assembled), has the Schur block S_j on
-    top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError when
+    (each formed in R, free once H is assembled), has the Schur block S_j
+    on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError when
     S_j is not positive definite, which happens exactly when H is not.
     L_jj^{-1} turns the blocks below S_j into L's column j, is kept over
     S_j and carries the forward substitution, which then takes block j's
@@ -132,7 +139,7 @@ def _newton_direction(P, Xa, lam, G, work=None):
     below it, so its share of the direction is S_{K-1}^{-1} times its
     forward residual. The back substitution climbs through the stored
     L_jj^{-1}. LAPACK sees only D x D blocks, the bulk of the work is
-    matmul, and no temporary is bigger than a D x D block.
+    matmul, and no temporary is bigger than a D x D block or n floats.
 
     The bias is unpenalized, so H is singular along b -> b + c 1, where J
     is flat. Adding e e^T, with e the unit all-ones direction on the bias
@@ -141,40 +148,41 @@ def _newton_direction(P, Xa, lam, G, work=None):
     """
     n, K = P.shape
     D = Xa.shape[1]
-    A3, Hp = _newton_workspace(n, K, D) if work is None else work
-    scratch = A3.reshape(-1)  # all of A3's rows, for the Schur products
-    A3 = A3[:n]
-    np.multiply(P[:, :, None], Xa[:, None, :], out=A3)
+    R, Hp = _newton_workspace(n, K, D) if work is None else work
+    panel, S = R[:n * D].reshape(n, D), R[:D * D].reshape(D, D)
     cols, start = [], 0
     for j in range(K):
-        C = Hp[start:start + (K - j) * D * D].reshape((K - j) * D, D)
+        C = Hp[start:start + (K - j) * D * D].reshape(K - j, D, D)
         start += C.size
-        np.matmul(A3[:, j:, :].reshape(n, -1).T, A3[:, j, :], out=C)
-        np.negative(C, out=C)
-        C[:D] += A3[:, j, :].T @ Xa
-        np.einsum("aa->a", C[:D])[:-1] += lam
-        C.reshape(K - j, D, D)[:, -1, -1] += 1.0 / K
+        for k in range(j, K):
+            w = P[:, j] * (1.0 - P[:, j]) if k == j else -(P[:, k] * P[:, j])
+            np.multiply(Xa, w[:, None], out=panel)
+            np.matmul(Xa.T, panel, out=C[k - j])
+        np.einsum("aa->a", C[0])[:-1] += lam
+        C[:, -1, -1] += 1.0 / K
         cols.append(C)
     # x goes from G through L^-1 G to H^-1 G
     x = G.reshape(-1).copy()
     for j, C in enumerate(cols):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
-        S = scratch[:C.size].reshape(C.shape)
         for i in range(j):
-            Lji = cols[i][(j - i) * D:]  # L's blocks (j..K-1, i)
-            C -= np.matmul(Lji, Lji[:D].T, out=S)
-        L = np.linalg.cholesky(C[:D])
+            Lji = cols[i][j - i:]  # L's blocks (j..K-1, i)
+            for B, Lki in zip(C, Lji):
+                B -= np.matmul(Lki, Lji[0].T, out=S)
+        L = np.linalg.cholesky(C[0])
         if j == K - 1:
-            x[s] = np.linalg.solve(C[:D], x[s])
+            x[s] = np.linalg.solve(C[0], x[s])
             break
         M = np.linalg.inv(L)
-        C[D:] = np.matmul(C[D:], M.T, out=S[D:])
-        C[:D] = M
+        for B in C[1:]:
+            B[...] = np.matmul(B, M.T, out=S)
+        C[0] = M
         x[s] = M @ x[s]
-        x[below] -= C[D:] @ x[s]
+        x[below] -= C[1:].reshape(-1, D) @ x[s]
     for j in reversed(range(K - 1)):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
-        x[s] = cols[j][:D].T @ (x[s] - cols[j][D:].T @ x[below])
+        C = cols[j]
+        x[s] = C[0].T @ (x[s] - C[1:].reshape(-1, D).T @ x[below])
     return -x.reshape(K, D)
 
 
@@ -192,9 +200,10 @@ def fit_logreg(
     """Damped Newton from (init_weights, init_bias), zeros by default.
 
     work is a _newton_workspace for at least as many rows as features
-    has; every Newton direction assembles into its leading rows. None allocates
-    one for this fit. A sweep passes one workspace to all of its fits, so
-    no fit allocates (and page-faults) a fresh Hessian.
+    has; every Newton direction builds its row panel in the first n (d+1)
+    floats of its row buffer. None allocates one for this fit. A sweep
+    passes one workspace to all of its fits, so no fit allocates (and
+    page-faults) a fresh Hessian.
     """
     X = check_matrix(features, "features")
     y, K = check_labels(labels, X.shape[0], num_classes)
@@ -286,15 +295,15 @@ def stratified_split(labels, val_fraction: float, seed: int):
     return np.sort(train_idx), np.sort(val_idx)
 
 
-def _path_start(fits, Xa, y, lam):
-    """The start, [W, b], of the path fit at lam after fits: the last
-    solution theta_i, or the secant prediction 2 theta_i - theta_{i-1} when
-    that has the lower objective at lam. The grid is uniform in log lambda,
-    so the secant extrapolates theta linearly along it."""
-    last = np.hstack([fits[-1].weights, fits[-1].bias[:, None]])
-    if len(fits) < 2:
+def _path_start(last, prev, Xa, y, lam):
+    """The start, [W, b], of the path fit at lam after the solutions
+    last = theta_i and prev = theta_{i-1} (None before the second fit):
+    theta_i, or the secant prediction 2 theta_i - theta_{i-1} when that has
+    the lower objective at lam. The grid is uniform in log lambda, so the
+    secant extrapolates theta linearly along it."""
+    if prev is None:
         return last
-    guess = 2.0 * last - np.hstack([fits[-2].weights, fits[-2].bias[:, None]])
+    guess = 2.0 * last - prev
     if _objective_and_grad(guess, Xa, y, lam)[0] < _objective_and_grad(last, Xa, y, lam)[0]:
         return guess
     return last
@@ -312,8 +321,17 @@ def sweep_and_retrain(
     Xt = check_matrix(features_test, "features_test", X.shape[1])
     y, k = check_labels(labels_train, X.shape[0], num_classes, "labels_train")
     yt, kt = check_labels(labels_test, Xt.shape[0], num_classes, "labels_test")
-    K = max(k, kt)
+    return _sweep_and_retrain(X, y, Xt, yt, config, max(k, kt))
 
+
+def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
+    """sweep_and_retrain on checked inputs: float rows X and Xt of one
+    width, int64 labels y and yt in [0, K). harness.transfer_probe checks
+    its input once and calls this directly.
+
+    The path keeps only what the next fit, the refit and ProbeResult read:
+    the last two solutions, for the secant start, the best one so far, and
+    the per-lambda scalars."""
     tr, va = stratified_split(y, config.val_fraction, config.seed)
     if np.count_nonzero(np.bincount(y[tr])) < K:
         raise ValueError("a class is missing from the probe training split")
@@ -322,27 +340,26 @@ def sweep_and_retrain(
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     Xa_tr, ytr, Xva, yva = Xa[tr], y[tr], X[va], y[va]
     grid = config.lambda_grid
-    val_acc = np.zeros(len(grid))
-    norms = np.zeros(len(grid))
+    val_acc, norms, grad_norm = np.zeros((3, len(grid)))
+    n_iter = np.zeros(len(grid), dtype=np.int64)
+    converged = np.zeros(len(grid), dtype=bool)
     work = _newton_workspace(X.shape[0], K, Xa.shape[1])  # the refit's rows
-    fits = []
-    for i, lam in enumerate(grid):
-        start = _path_start(fits, Xa_tr, ytr, lam) if fits else np.zeros((K, Xa.shape[1]))
-        fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work)
-        W, b = fit.weights, fit.bias
-        fits.append(fit)
-        val_acc[i] = probe_accuracy(W, b, Xva, yva)
-        norms[i] = float(np.linalg.norm(W))
-
-    # ties go to the larger lambda: scan ascending, keep >=
+    prev = last = best = None
     best_i = 0
-    for i in range(len(grid)):
+    for i, lam in enumerate(grid):
+        start = np.zeros((K, Xa.shape[1])) if last is None else _path_start(
+            last, prev, Xa_tr, ytr, lam)
+        fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work)
+        prev, last = last, np.hstack([fit.weights, fit.bias[:, None]])
+        converged[i], n_iter[i], grad_norm[i] = fit.converged, fit.n_iter, fit.grad_norm
+        val_acc[i] = probe_accuracy(fit.weights, fit.bias, Xva, yva)
+        norms[i] = float(np.linalg.norm(fit.weights))
+        # ties go to the larger lambda: the grid ascends, so keep >=
         if val_acc[i] >= val_acc[best_i]:
-            best_i = i
+            best_i, best = i, last
     best_lambda = grid[best_i]
 
-    start = np.hstack([fits[best_i].weights, fits[best_i].bias[:, None]])
-    final = _fit(Xa, y, best_lambda, start, config.tolerance, config.max_iterations,
+    final = _fit(Xa, y, best_lambda, best, config.tolerance, config.max_iterations,
                  work)
     return ProbeResult(
         best_lambda=best_lambda,
@@ -352,9 +369,9 @@ def sweep_and_retrain(
         test_accuracy=probe_accuracy(final.weights, final.bias, Xt, yt),
         weights=final.weights,
         bias=final.bias,
-        converged=np.array([f.converged for f in fits]),
-        n_iter=np.array([f.n_iter for f in fits]),
-        grad_norm=np.array([f.grad_norm for f in fits]),
+        converged=converged,
+        n_iter=n_iter,
+        grad_norm=grad_norm,
         refit_converged=final.converged,
         refit_n_iter=final.n_iter,
         refit_grad_norm=final.grad_norm,

@@ -206,6 +206,17 @@ class TestReports:
             assert r["converged"] == "1"
             assert 0.0 <= float(r["max_grad_norm"]) <= ProbeConfig().tolerance
 
+    def test_transfer_grad_norm_written_to_3_digits(self, experiment):
+        # the digits past the third move with BLAS and summation order
+        config, _ = experiment
+        with open(Path(config.output_dir) / "reports" / "transfer.csv") as fh:
+            cells = [r["max_grad_norm"] for r in csv.DictReader(fh)]
+        assert len(cells) == 4
+        for cell in cells:
+            mantissa = cell.lower().split("e")[0]
+            assert len(mantissa.replace(".", "").strip("0")) <= 3, cell
+            assert 0.0 <= float(cell) <= ProbeConfig().tolerance
+
     def test_metadata_lists_grid(self, experiment):
         config, _ = experiment
         path = Path(config.output_dir) / "reports" / "metadata.json"

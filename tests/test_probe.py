@@ -234,14 +234,37 @@ class TestNewtonDirection:
         # and this LU solve already differ by up to about 4e-9
         assert rel < 1e-8
 
-    @pytest.mark.parametrize("n,K,D", [(100, 5, 65), (500, 5, 65), (20, 4, 41),
-                                       (7, 2, 3)])
+    @pytest.mark.parametrize("K", [5, 10])
+    def test_matches_dense_solve_at_500_rows(self, K):
+        # TRANSFER_TASK's probe rows at the benchmark's width, through a
+        # nan-filled workspace. At lambda = 1e-6, cond(H) is about 1.7e8
+        # here, and a dense Cholesky and this LU solve already differ by
+        # about 1e-8, so the check starts at 1e-2
+        n, d = 500, 64
+        P, Xa, G = newton_case(K, seed=40 + K, n=n, d=d)
+        work = _newton_workspace(n, K, d + 1)
+        for buf in work:
+            buf.fill(np.nan)
+        for lam in (1e-2, 1e3):
+            ref = -np.linalg.solve(dense_hessian(P, Xa, lam), G.reshape(-1))
+            got = _newton_direction(P, Xa, lam, G, work)
+            rel = np.linalg.norm(got.reshape(-1) - ref) / np.linalg.norm(ref)
+            assert rel < 1e-8
+
+    @pytest.mark.parametrize("n,K,D", [(100, 5, 65), (500, 5, 65), (500, 10, 65),
+                                       (20, 4, 41), (7, 2, 3)])
     def test_workspace_holds_rows_and_lower_blocks(self, n, K, D):
-        # A3 has max(n, D) rows, so it can hold a column's Schur products,
-        # and the packed Hessian only the K(K+1)/2 lower blocks
+        # one (n, D) row panel, or one D x D product when n < D, and the
+        # K(K+1)/2 lower blocks
         work = _newton_workspace(n, K, D)
-        floats = max(n, D) * K * D + K * (K + 1) // 2 * D * D
+        floats = max(n, D) * D + K * (K + 1) // 2 * D * D
         assert sum(buf.size for buf in work) == floats
+
+    def test_row_buffer_does_not_grow_with_classes(self):
+        # at fixed n, doubling K grows only the packed blocks
+        (R5, H5), (R10, H10) = (_newton_workspace(500, K, 65) for K in (5, 10))
+        assert R5.size == R10.size == 500 * 65
+        assert (H5.size, H10.size) == (15 * 65 * 65, 55 * 65 * 65)
 
     @pytest.mark.parametrize("K", [2, 5])
     def test_fewer_rows_than_block_width(self, K):
@@ -480,6 +503,47 @@ class TestSweep:
         assert res.n_iter.tolist() == [first.n_iter, second.n_iter]
         assert res.grad_norm.tolist() == [first.grad_norm, second.grad_norm]
         assert res.refit_n_iter == final.n_iter > 0
+        assert np.array_equal(res.weights, final.weights)
+        assert np.array_equal(res.bias, final.bias)
+
+    def test_trimmed_path_is_fit_logreg_bit_for_bit(self):
+        # the path keeps only its last two solutions and the best one: on
+        # a grid whose best lambda (1e2, the last of a five-way tie) comes
+        # before the last two, it matches a chain of fit_logreg calls that
+        # keeps every fit and picks each start by the secant rule itself,
+        # which takes the secant at 1 through 1e2 and the last solution at
+        # 1e3 and 1e4
+        X, y, Xt, yt = acceptance_blobs()
+        keep = np.flatnonzero(np.arange(y.size) < np.array([30, 45, 68])[y])
+        X, y = X[keep], y[keep]  # 30, 15 and 8 rows: large lambdas pick class 0
+        cfg = ProbeConfig(lambda_grid=(1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4),
+                          tolerance=1e-6)
+        res = sweep_and_retrain(X, y, Xt, yt, cfg)
+        tr, va = stratified_split(y, cfg.val_fraction, cfg.seed)
+        fits, val_acc, secant = [], [], []
+        for lam in cfg.lambda_grid:
+            thetas = [np.concatenate([f.weights.ravel(), f.bias]) for f in fits[-2:]]
+            start = thetas[-1] if thetas else np.zeros(3 * 6)
+            if len(thetas) == 2:
+                guess = 2.0 * thetas[1] - thetas[0]
+                secant.append(reference_objective(guess, X[tr], y[tr], lam, 3)[0]
+                              < reference_objective(start, X[tr], y[tr], lam, 3)[0])
+                start = guess if secant[-1] else start
+            fit = fit_logreg(X[tr], y[tr], lam, 3, start[:15].reshape(3, 5),
+                             start[15:], tolerance=cfg.tolerance)
+            fits.append(fit)
+            val_acc.append(probe_accuracy(fit.weights, fit.bias, X[va], y[va]))
+        best = max(i for i, a in enumerate(val_acc) if a == max(val_acc))
+        assert best < len(cfg.lambda_grid) - 2
+        assert secant == [True, True, True, False, False]
+        final = fit_logreg(X, y, cfg.lambda_grid[best], 3, fits[best].weights,
+                           fits[best].bias, tolerance=cfg.tolerance)
+        assert res.best_lambda == cfg.lambda_grid[best]
+        assert res.val_accuracy.tolist() == val_acc
+        assert res.n_iter.tolist() == [f.n_iter for f in fits]
+        assert res.grad_norm.tolist() == [f.grad_norm for f in fits]
+        assert res.refit_n_iter == final.n_iter > 0
+        assert res.refit_grad_norm == final.grad_norm
         assert np.array_equal(res.weights, final.weights)
         assert np.array_equal(res.bias, final.bias)
 
