@@ -1,14 +1,16 @@
 """What counts as valid input, in one place.
 
 Every public function checks the arrays and scalar knobs it is given here,
-once, on entry; the kernels behind it trust their arguments. File formats
-(the csv loader, activation dumps) keep their own checks, which name the
-line or byte offset of the bad input.
+once, on entry; the kernels behind it trust their arguments, and a config
+knob is a ranged dataclass field. File formats (the csv loader, activation
+dumps) keep their own checks, which name the line or byte offset of the bad
+input.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -38,10 +40,18 @@ def check_range(name: str, value, valid: str):
     return value
 
 
-def check_ranges(obj, table: dict) -> None:
-    """check_range on each attribute of obj that table names."""
-    for name, valid in table.items():
-        check_range(name, getattr(obj, name), valid)
+def ranged(valid: str, default=MISSING):
+    """A dataclass field that check_fields holds to RANGES[valid]."""
+    return field(default=default, metadata={"range": valid})
+
+
+def check_fields(obj) -> None:
+    """check_range on each ranged field of the dataclass obj, in field
+    order; a field set to None is unset and not checked."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "range" in f.metadata and value is not None:
+            check_range(f.name, value, f.metadata["range"])
 
 
 def check_matrix(X, name: str = "matrix", dim: int | None = None,

@@ -21,6 +21,7 @@ from dataclasses import replace
 
 from . import harness
 from .config import ANALYSES, load_config
+from .data import SPLITS
 
 
 def _experiment(args):
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="dump penultimate features of a model")
     common(p)
     p.add_argument("--model", required=True, help="model.npz path")
-    p.add_argument("--split", choices=("train", "eval"), default="eval")
+    p.add_argument("--split", choices=SPLITS, default="eval")
     p.add_argument("--dump-out", required=True, help="output dump path")
     p.set_defaults(func=cmd_dump)
 

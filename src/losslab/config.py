@@ -31,19 +31,23 @@ names to loss lines:
     smooth = label_smoothing alpha=0.1
     cos05 = cosine_softmax temperature=0.05 +logit_penalty=6e-4
 
-Unknown sections or keys are hard errors so a typo in a hyperparameter
-grid fails fast instead of silently training with defaults. So is a
-[dataset] key that its kind does not read, such as spread for a csv.
+A key outside [losses] fills the field of its name in DatasetConfig,
+TrainConfig or ExperimentConfig (weight_decay fills weight_decay_product,
+output fills output_dir): the field's annotation picks its parser, and a
+field with no default makes it required. Unknown sections or keys are hard errors so a
+typo in a hyperparameter grid fails fast instead of silently training with
+defaults. So is a [dataset] key that its kind does not read, such as
+spread for a csv.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .agreement import AGREEMENT_VARIANTS
-from .checks import check_range, check_ranges
+from .checks import check_fields, check_range, ranged
 from .losses import LOSS_KINDS, LOSS_PARAMS, PENALTY_KINDS, LossSpec, PenaltySpec
 from .training import TrainConfig
 
@@ -57,7 +61,11 @@ ANALYSES = (
     "spectra",
     "transfer",
 )
-DATASET_KINDS = ("blobs", "csv")
+# the [dataset] keys each kind reads besides kind; any other key is an error
+_KIND_KEYS = {"blobs": ("classes", "features", "per_class", "eval_per_class",
+                        "spread", "seed"),
+              "csv": ("path", "eval_path")}
+DATASET_KINDS = tuple(_KIND_KEYS)
 
 _RUN_NAME = re.compile(r"^[a-z0-9][a-z0-9_\-]*$")
 
@@ -116,27 +124,16 @@ def format_loss_line(spec: LossSpec) -> str:
     return " ".join(toks)
 
 
-# blobs DatasetConfig field -> checks.RANGES key
-_BLOBS_RANGES = {
-    "classes": ">= 2",
-    "features": ">= 1",
-    "per_class": ">= 1",
-    "eval_per_class": ">= 1",
-    "spread": "finite and >= 0",
-    "seed": ">= 0",
-}
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "blobs"
     # blobs
-    classes: int = 10
-    features: int = 32
-    per_class: int = 500
-    eval_per_class: int = 100
-    spread: float = 1.0
-    seed: int = 0
+    classes: int = ranged(">= 2", 10)
+    features: int = ranged(">= 1", 32)
+    per_class: int = ranged(">= 1", 500)
+    eval_per_class: int = ranged(">= 1", 100)
+    spread: float = ranged("finite and >= 0", 1.0)
+    seed: int = ranged(">= 0", 0)
     # csv
     path: str | None = None
     eval_path: str | None = None
@@ -145,23 +142,22 @@ class DatasetConfig:
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}")
         if self.kind == "blobs":
-            check_ranges(self, _BLOBS_RANGES)
-        else:
-            if not self.path or not self.eval_path:
-                raise ValueError(f"{self.kind} datasets need path and eval_path")
+            check_fields(self)
+        elif not self.path or not self.eval_path:
+            raise ValueError(f"{self.kind} datasets need path and eval_path")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig
-    hidden: tuple
+    hidden: tuple[int, ...]
     train: dict  # TrainConfig knobs minus loss and seed
-    seeds: tuple
+    seeds: tuple[int, ...]
     losses: tuple  # ((name, LossSpec), ...)
     output_dir: str
-    analyses: tuple = ()
+    analyses: tuple[str, ...] = ()
     agreement_variant: str = "same_top1"
-    transfer_merge: int = 5
+    transfer_merge: int = ranged(">= 2", 5)
 
     def __post_init__(self):
         if not self.seeds:
@@ -193,76 +189,58 @@ class ExperimentConfig:
             raise ValueError(
                 f"agreement_variant must be one of {AGREEMENT_VARIANTS}"
             )
-        check_range("transfer_merge", self.transfer_merge, ">= 2")
+        check_fields(self)
 
 
-def _parse_section(parser, section, converters, required=()):
-    """Pull a section dict through per-key converters; unknown keys raise."""
+# field annotation -> parser of the INI value that fills the field; list
+# items are separated by commas, blanks or both
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda raw: None if raw.strip() in ("", "none") else float(raw),
+    "str": str,
+    "str | None": str,
+    "tuple[int, ...]": lambda raw: tuple(map(int, raw.replace(",", " ").split())),
+    "tuple[str, ...]": lambda raw: tuple(raw.replace(",", " ").split()),
+}
+# the two fields whose INI key has another name -> that key
+_RENAMED_KEYS = {"weight_decay_product": "weight_decay", "output_dir": "output"}
+# section -> the fields its keys fill; [losses] holds loss lines instead
+_SECTION_FIELDS = {
+    "dataset": fields(DatasetConfig),
+    "model": [f for f in fields(ExperimentConfig) if f.name == "hidden"],
+    "train": [f for f in fields(TrainConfig) if f.name not in ("loss", "seed")],
+    "experiment": [f for f in fields(ExperimentConfig)
+                   if f.name not in ("dataset", "hidden", "train", "losses")],
+}
+_SECTIONS = (*_SECTION_FIELDS, "losses")
+
+
+def _parse_section(parser, section) -> dict:
+    """[section] as field -> value, each value read by the parser of its
+    field's annotation. An unknown key raises, and so does a missing key
+    whose field has no default, or a missing section that has such a key."""
+    keys = {_RENAMED_KEYS.get(f.name, f.name): f for f in _SECTION_FIELDS[section]}
+    required = [key for key, f in keys.items()
+                if f.default is MISSING and f.default_factory is MISSING]
     if not parser.has_section(section):
         if required:
             raise ValueError(f"missing required [{section}] section")
         return {}
     out = {}
     for key, raw in parser.items(section):
-        if key not in converters:
+        if key not in keys:
             raise ValueError(
-                f"unknown key {key!r} in [{section}]; "
-                f"choose from {tuple(converters)}"
+                f"unknown key {key!r} in [{section}]; choose from {tuple(keys)}"
             )
         try:
-            out[key] = converters[key](raw)
+            out[keys[key].name] = _PARSERS[keys[key].type](raw)
         except ValueError as exc:
             raise ValueError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     for key in required:
-        if key not in out:
+        if keys[key].name not in out:
             raise ValueError(f"[{section}] is missing required key {key!r}")
     return out
-
-
-def _int_list(raw):
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
-
-
-def _str_list(raw):
-    return tuple(tok for tok in raw.replace(",", " ").split())
-
-
-def _opt_float(raw):
-    return None if raw.strip() in ("", "none") else float(raw)
-
-
-_BLOBS_KEYS = {
-    "classes": int,
-    "features": int,
-    "per_class": int,
-    "eval_per_class": int,
-    "spread": float,
-    "seed": int,
-}
-_FILE_KEYS = {"path": str, "eval_path": str}
-_DATASET_KEYS = {"kind": str, **_BLOBS_KEYS, **_FILE_KEYS}
-# the [dataset] keys each kind reads besides kind; any other key is an error
-_KIND_KEYS = {"blobs": _BLOBS_KEYS, "csv": _FILE_KEYS}
-_MODEL_KEYS = {"hidden": _int_list}
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "peak_lr": float,
-    "schedule": str,
-    "warmup_epochs": float,
-    "decay_per_epoch": float,
-    "momentum": float,
-    "weight_decay": float,
-    "ema_momentum": _opt_float,
-}
-_EXPERIMENT_KEYS = {
-    "seeds": _int_list,
-    "output": str,
-    "analyses": _str_list,
-    "agreement_variant": str,
-    "transfer_merge": int,
-}
-_SECTIONS = ("dataset", "model", "train", "experiment", "losses")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -276,31 +254,28 @@ def load_config(path) -> ExperimentConfig:
                 f"unknown section [{section}]; choose from {_SECTIONS}"
             )
 
-    ds = _parse_section(parser, "dataset", _DATASET_KEYS)
+    ds = _parse_section(parser, "dataset")
     kind = ds.get("kind", DatasetConfig.kind)
     for key in ds:
         # an unknown kind is DatasetConfig's error
         if kind in _KIND_KEYS and key not in ("kind", *_KIND_KEYS[kind]):
             raise ValueError(
                 f"[dataset] key {key!r} is not read by kind = {kind}; "
-                f"choose from {tuple(_KIND_KEYS[kind])}"
+                f"choose from {_KIND_KEYS[kind]}"
             )
-    model = _parse_section(parser, "model", _MODEL_KEYS, required=("hidden",))
-    train = _parse_section(parser, "train", _TRAIN_KEYS,
-                           required=("epochs", "batch_size", "peak_lr"))
-    exp = _parse_section(parser, "experiment", _EXPERIMENT_KEYS,
-                         required=("seeds", "output"))
-    # TrainConfig calls the product-form knob weight_decay_product
-    if "weight_decay" in train:
-        train["weight_decay_product"] = train.pop("weight_decay")
+    model = _parse_section(parser, "model")
+    train = _parse_section(parser, "train")
+    exp = _parse_section(parser, "experiment")
 
     if not parser.has_section("losses") or not parser.items("losses"):
         raise ValueError("missing [losses] section with at least one loss line")
-    losses = tuple(
-        (name, parse_loss_line(line)) for name, line in parser.items("losses")
-    )
+    losses = []
+    for name, line in parser.items("losses"):
+        try:
+            losses.append((name, parse_loss_line(line)))
+        except ValueError as exc:
+            raise ValueError(f"[losses] {name} = {line!r}: {exc}") from exc
 
-    # keys the file leaves out take ExperimentConfig's defaults
-    exp["output_dir"] = exp.pop("output")
-    return ExperimentConfig(dataset=DatasetConfig(**ds), hidden=model["hidden"],
-                            train=train, losses=losses, **exp)
+    # keys the file leaves out take the dataclasses' defaults
+    return ExperimentConfig(dataset=DatasetConfig(**ds), train=train,
+                            losses=tuple(losses), **model, **exp)

@@ -206,12 +206,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)) without overflow on large |x|."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))  # never overflows

@@ -37,21 +37,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .checks import check_labels, check_matrix, check_range, check_ranges
+from .checks import check_fields, check_labels, check_matrix, check_range, ranged
 from .losses import softmax_xent_rows
 
 DEFAULT_GRID = tuple(np.logspace(-6.0, 5.0, 45))
-# ProbeConfig field -> checks.RANGES key
-_PROBE_RANGES = {"val_fraction": "in (0, 1)", "max_iterations": ">= 1",
-                 "tolerance": "finite and > 0"}
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
     lambda_grid: tuple = DEFAULT_GRID
-    val_fraction: float = 0.1
-    max_iterations: int = 2000
-    tolerance: float = 1e-4  # on the joint (W, b) gradient norm
+    val_fraction: float = ranged("in (0, 1)", 0.1)
+    max_iterations: int = ranged(">= 1", 2000)
+    # on the joint (W, b) gradient norm
+    tolerance: float = ranged("finite and > 0", 1e-4)
     seed: int = 0
 
     def __post_init__(self):
@@ -60,7 +58,7 @@ class ProbeConfig:
             raise ValueError("lambda_grid must be strictly increasing")
         for lam in grid:
             check_range("lambda_grid entry", lam, "finite and >= 0")
-        check_ranges(self, _PROBE_RANGES)
+        check_fields(self)
         object.__setattr__(self, "lambda_grid", grid)
 
 

@@ -5,8 +5,8 @@ dropout masks come from independent child streams of SeedSequence(seed).
 train() copies the input model's parameters into one flat vector theta and
 trains a model whose arrays are views of it, so the Nesterov step, the
 product-form decay and the EMA are in-place vector operations. The input
-model is never mutated. TrainConfig checks every knob once, so the step
-itself checks nothing but finiteness.
+model is never mutated. Each TrainConfig knob is one field line that holds
+its range, all checked once, so the step itself checks nothing but finiteness.
 
 The epoch log evaluates each split in row blocks of at most LOG_BLOCK_ROWS
 rows (a short tail joins the block before it, see _blocks), so its forward
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .checks import check_range, check_ranges
+from .checks import check_fields, ranged
 from .data import Batch
 from .losses import LossSpec, compose_loss, eval_scores, loss_rows, loss_value
 from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
@@ -33,17 +33,6 @@ SCHEDULE_KINDS = ("cosine", "warmup_exp")
 # rows per block of the epoch log's forward (see _blocks)
 LOG_BLOCK_ROWS = 1024
 
-# TrainConfig knob -> checks.RANGES key
-_TRAIN_RANGES = {
-    "epochs": ">= 0",
-    "batch_size": ">= 1",
-    "peak_lr": "finite and > 0",
-    "warmup_epochs": "finite and >= 0",
-    "decay_per_epoch": "finite and > 0",
-    "momentum": "in [0, 1)",
-    "weight_decay_product": "finite and >= 0",
-}
-
 
 class TrainingDiverged(RuntimeError):
     """Loss or parameters went non-finite mid-run."""
@@ -52,21 +41,19 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     loss: LossSpec
-    epochs: int
-    batch_size: int
-    peak_lr: float
+    epochs: int = ranged(">= 0")
+    batch_size: int = ranged(">= 1")
+    peak_lr: float = ranged("finite and > 0")
     schedule: str = "cosine"
-    warmup_epochs: float = 10.0
-    decay_per_epoch: float = 0.975
-    momentum: float = 0.9
-    weight_decay_product: float = 0.0
-    ema_momentum: float | None = None
+    warmup_epochs: float = ranged("finite and >= 0", 10.0)
+    decay_per_epoch: float = ranged("finite and > 0", 0.975)
+    momentum: float = ranged("in [0, 1)", 0.9)
+    weight_decay_product: float = ranged("finite and >= 0", 0.0)
+    ema_momentum: float | None = ranged("in [0, 1)", None)
     seed: int = 0
 
     def __post_init__(self):
-        check_ranges(self, _TRAIN_RANGES)
-        if self.ema_momentum is not None:
-            check_range("ema_momentum", self.ema_momentum, "in [0, 1)")
+        check_fields(self)
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(
                 f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}"

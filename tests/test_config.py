@@ -1,7 +1,14 @@
 """Loss-line and INI experiment config parsing."""
 
+import ast
+import configparser
+import math
+import re
+from dataclasses import MISSING, fields
+
 import pytest
 
+from losslab import config
 from losslab.config import (
     ANALYSES,
     DatasetConfig,
@@ -11,6 +18,8 @@ from losslab.config import (
     parse_loss_line,
 )
 from losslab.losses import LOSS_KINDS, LossSpec, PenaltySpec
+from losslab.probe import ProbeConfig
+from losslab.training import TrainConfig
 
 
 class TestLossLines:
@@ -258,6 +267,17 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=r"missing \[losses\]"):
             load_config(write_ini(tmp_path, bad))
 
+    @pytest.mark.parametrize("line, match", [
+        ("label_smoothing alpha=abc", "could not convert string to float: 'abc'"),
+        ("label_smoothing alpha=1.5", r"alpha must be in \[0, 1\), got 1.5"),
+        ("hinge", "unknown loss kind 'hinge'"),
+    ], ids=["bad-number", "out-of-range", "unknown-kind"])
+    def test_bad_loss_line_names_its_entry(self, tmp_path, line, match):
+        bad = GOOD_INI.replace("label_smoothing alpha=0.1", line)
+        prefix = re.escape(f"[losses] smooth = {line!r}: ")
+        with pytest.raises(ValueError, match=prefix + match):
+            load_config(write_ini(tmp_path, bad))
+
     def test_unknown_analysis_rejected(self, tmp_path):
         bad = GOOD_INI.replace("separation, calibration", "separation, vibes")
         with pytest.raises(ValueError, match="unknown analysis 'vibes'"):
@@ -346,3 +366,179 @@ class TestDatasetConfig:
     def test_negative_spread_rejected(self):
         with pytest.raises(ValueError, match="spread"):
             DatasetConfig(kind="blobs", spread=-1.0)
+
+
+# section -> the fields its keys fill; the rest are set in code
+SECTION_FIELDS = {
+    "dataset": fields(DatasetConfig),
+    "model": [f for f in fields(ExperimentConfig) if f.name == "hidden"],
+    "train": [f for f in fields(TrainConfig) if f.name not in ("loss", "seed")],
+    "experiment": [f for f in fields(ExperimentConfig)
+                   if f.name not in ("dataset", "hidden", "train", "losses")],
+}
+# the two INI keys named apart from the fields they fill
+RENAMES = {"weight_decay_product": "weight_decay", "output_dir": "output"}
+# annotation -> (INI text, parsed value) that every field so annotated accepts
+SAMPLES = {
+    "int": ("3", 3),
+    "float": ("0.5", 0.5),
+    "float | None": ("0.5", 0.5),
+    "str | None": ("x.csv", "x.csv"),
+    "tuple[int, ...]": ("3, 4", (3, 4)),
+    "tuple[str, ...]": ("cka, spectra", ("cka", "spectra")),
+}
+DATASET_LINES = {"blobs": {"kind": "blobs"},
+                 "csv": {"kind": "csv", "path": "a.csv", "eval_path": "b.csv"}}
+
+
+def ini_key(f):
+    return RENAMES.get(f.name, f.name)
+
+
+def sample(f):
+    """(INI text, value) for field f; a str field takes its default, which
+    is one of its choices, or else a path."""
+    if f.type == "str":
+        text = "out" if f.default is MISSING else f.default
+        return text, text
+    return SAMPLES[f.type]
+
+
+def good_sections(kind="blobs"):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(GOOD_INI)
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    sections["dataset"] = dict(DATASET_LINES[kind])
+    return sections
+
+
+def load_sections(tmp_path, sections):
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+    return load_config(write_ini(tmp_path, text))
+
+
+def accepted_keys(tmp_path, section, kind="blobs"):
+    """The keys of [section] that load_config reads with [dataset]'s kind,
+    as its error for an unread key lists them."""
+    # [dataset] lists them when given a field of another kind, the other
+    # sections when given an unknown key
+    if section == "dataset":
+        error = f"is not read by kind = {kind}; choose from "
+        tries = [(f.name, sample(f)[0])
+                 for f in SECTION_FIELDS["dataset"] if f.name != "kind"]
+    else:
+        error = f"unknown key 'bogus' in [{section}]; choose from "
+        tries = [("bogus", "1")]
+    for key, text in tries:
+        sections = good_sections(kind)
+        sections[section][key] = text
+        try:
+            load_sections(tmp_path, sections)
+        except ValueError as exc:
+            if error in str(exc):
+                listed = ast.literal_eval(str(exc).split(error)[1])
+                return ("kind", *listed) if section == "dataset" else listed
+    pytest.fail(f"no key of [{section}] is rejected with {error!r}")
+
+
+def field_value(cfg, section, name):
+    if section == "dataset":
+        return getattr(cfg.dataset, name)
+    if section == "train":
+        return cfg.train[name]
+    return getattr(cfg, name)
+
+
+class TestSchema:
+    """Each key of [dataset], [model], [train] and [experiment] is a field of
+    the dataclass it fills, and its parser, default and range come from that
+    field, so a knob added there is covered here without a new case."""
+
+    @pytest.mark.parametrize("section", ["model", "train", "experiment"])
+    def test_keys_are_the_fields_they_fill(self, tmp_path, section):
+        keys = accepted_keys(tmp_path, section)
+        assert keys == tuple(ini_key(f) for f in SECTION_FIELDS[section])
+
+    def test_dataset_keys_are_its_fields_by_kind(self, tmp_path):
+        read = {kind: accepted_keys(tmp_path, "dataset", kind)
+                for kind in DATASET_LINES}
+        assert set(DATASET_LINES) == set(config.DATASET_KINDS)
+        assert all(keys[0] == "kind" for keys in read.values())
+        # each key but kind is read by exactly one kind
+        names = [key for keys in read.values() for key in keys[1:]]
+        assert sorted(names) == sorted(f.name for f in fields(DatasetConfig)
+                                       if f.name != "kind")
+
+    @pytest.mark.parametrize("section", list(SECTION_FIELDS))
+    def test_every_field_annotation_has_a_parser(self, section):
+        for f in SECTION_FIELDS[section]:
+            assert f.type in config._PARSERS, (section, f.name, f.type)
+
+    @pytest.mark.parametrize("section, kind", [
+        ("dataset", "blobs"), ("dataset", "csv"),
+        ("model", "blobs"), ("train", "blobs"), ("experiment", "blobs"),
+    ])
+    def test_each_key_fills_its_field(self, tmp_path, section, kind):
+        keys = accepted_keys(tmp_path, section, kind)
+        for f in SECTION_FIELDS[section]:
+            if ini_key(f) not in keys or ini_key(f) == "kind":
+                continue
+            text, value = sample(f)
+            sections = good_sections(kind)
+            sections[section][ini_key(f)] = text
+            cfg = load_sections(tmp_path, sections)
+            assert field_value(cfg, section, f.name) == value, f.name
+
+    @pytest.mark.parametrize("section", ["model", "train", "experiment"])
+    def test_field_without_default_makes_key_required(self, tmp_path, section):
+        required = [ini_key(f) for f in SECTION_FIELDS[section]
+                    if f.default is MISSING and f.default_factory is MISSING]
+        assert required
+        for key in required:
+            sections = good_sections()
+            del sections[section][key]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"[{section}] is missing required key {key!r}")):
+                load_sections(tmp_path, sections)
+
+    def test_missing_section_with_required_keys_rejected(self, tmp_path):
+        for section in ("model", "train", "experiment"):
+            sections = good_sections()
+            del sections[section]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"missing required [{section}] section")):
+                load_sections(tmp_path, sections)
+        sections = good_sections()
+        del sections["dataset"]
+        assert load_sections(tmp_path, sections).dataset == DatasetConfig()
+
+
+def _minimal(cls):
+    """Keyword arguments that build a valid cls."""
+    return {
+        TrainConfig: dict(loss=LossSpec("softmax"), epochs=1, batch_size=1,
+                          peak_lr=0.1),
+        ExperimentConfig: dict(dataset=DatasetConfig(), hidden=(4,),
+                               train=dict(epochs=1, batch_size=1, peak_lr=0.1),
+                               seeds=(0,), losses=(("a", LossSpec("softmax")),),
+                               output_dir="out"),
+    }.get(cls, {})
+
+
+RANGED = [(cls, f.name, f.metadata["range"])
+          for cls in (TrainConfig, DatasetConfig, ProbeConfig, ExperimentConfig)
+          for f in fields(cls) if "range" in f.metadata]
+
+
+def test_ranged_fields_found():
+    names = {name for _, name, _ in RANGED}
+    assert {"epochs", "ema_momentum", "spread", "tolerance",
+            "transfer_merge"} <= names
+
+
+@pytest.mark.parametrize("cls, name, valid", RANGED,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in RANGED])
+def test_ranged_field_rejects_nan(cls, name, valid):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {valid}, got nan")):
+        cls(**{**_minimal(cls), name: math.nan})

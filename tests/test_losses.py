@@ -40,7 +40,6 @@ from losslab.losses import (
     softmax_rows,
     softmax_xent,
     softmax_xent_rows,
-    softplus,
     squared_error_loss,
 )
 from losslab.probe import _objective_and_grad
@@ -200,10 +199,6 @@ class TestSigmoid:
         res = sigmoid_xent(np.array([800.0, -800.0, 5.0]), 0)
         assert math.isfinite(res.value)
         assert np.all(np.isfinite(res.grad_logits))
-
-    def test_softplus_matches_naive_in_safe_range(self):
-        x = np.linspace(-30, 30, 101)
-        np.testing.assert_allclose(softplus(x), np.log1p(np.exp(x)), rtol=1e-12)
 
     def test_bias_init_value(self):
         assert abs(sigmoid_bias_init(1000) - (-math.log(1000.0))) < 1e-12
@@ -571,6 +566,11 @@ def reference_xent_rows(Z, t):
     return (m - Z[rows, t]) + np.log1p(np.sum(e, axis=1)), m, np.log1p(np.sum(e, axis=1))
 
 
+def reference_softplus(x):
+    """log(1 + exp(x)) without overflow on large |x|."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def one_hot(t, K):
     return np.eye(K)[t]
 
@@ -619,8 +619,8 @@ class TestOnePassKernels:
         Z = np.vstack([Z, np.full((1, Z.shape[1]), 800.0)])
         t = np.append(t, 0)
         rows = np.arange(Z.shape[0])
-        terms = softplus(Z)
-        terms[rows, t] = softplus(-Z[rows, t])
+        terms = reference_softplus(Z)
+        terms[rows, t] = reference_softplus(-Z[rows, t])
         values, G = losses._sigmoid_ce(Z, t)
         np.testing.assert_array_equal(values, terms.sum(axis=1))
         np.testing.assert_array_equal(G, sigmoid(Z) - one_hot(t, Z.shape[1]))
