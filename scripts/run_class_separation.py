@@ -6,7 +6,9 @@ Usage:
 
 Prints per-loss R2 of the train-split penultimate features (mean over
 seeds with standard error) and checks the adjacent gaps in the order
-softmax < label smoothing < cosine softmax < squared error.
+softmax < label smoothing < cosine softmax < squared error. A gap is
+judged against its pooled standard error, so below 2 seeds no gap can be,
+and the script exits 1.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from losslab.experiments import separation_experiment
-from losslab.harness import _write_csv
+from losslab.harness import _write_csv, mean_stderr
 from losslab.repr_analysis import SEPARATION_INDEXES
 
 # weakest collapse first; gaps are checked pairwise along this order
@@ -33,21 +35,26 @@ def main(argv=None) -> int:
 
     results = separation_experiment(seeds=tuple(range(args.seeds)),
                                     index=args.index)
-    means = {k: float(v.mean()) for k, v in results.items()}
-    errs = {
-        k: float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
-        for k, v in results.items()
-    }
+    # the reports' mean and standard error: no error below 2 seeds
+    stats = {k: mean_stderr(v) for k, v in results.items()}
 
     print(f"{'loss':<18} {'R2 mean':>9} {'stderr':>8}  per-seed")
     for name in ORDER:
+        mean, err = stats[name]
         per_seed = " ".join(f"{r:.4f}" for r in results[name])
-        print(f"{name:<18} {means[name]:>9.4f} {errs[name]:>8.4f}  {per_seed}")
+        err = "-" if err is None else f"{err:.4f}"
+        print(f"{name:<18} {mean:>9.4f} {err:>8}  {per_seed}")
 
     ok = True
     for lo, hi in zip(ORDER, ORDER[1:]):
-        gap = means[hi] - means[lo]
-        pooled = float(np.hypot(errs[hi], errs[lo]))
+        (m_lo, e_lo), (m_hi, e_hi) = stats[lo], stats[hi]
+        gap = m_hi - m_lo
+        if e_lo is None or e_hi is None:
+            ok = False
+            print(f"{hi} - {lo}: gap={gap:.4f} CANNOT BE JUDGED "
+                  "(no standard error below 2 seeds)")
+            continue
+        pooled = float(np.hypot(e_hi, e_lo))
         good = gap > pooled
         ok &= good
         print(f"{hi} - {lo}: gap={gap:.4f} pooled_se={pooled:.4f} "

@@ -37,7 +37,8 @@ output fills output_dir): the field's annotation picks its parser, and a
 field with no default makes it required. Unknown sections or keys are hard errors so a
 typo in a hyperparameter grid fails fast instead of silently training with
 defaults. So is a [dataset] key that its kind does not read, such as
-spread for a csv.
+spread for a csv. Keys and loss names are read as written: Epochs is an
+unknown key, and a loss named Plain breaks the run-name rule.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def format_loss_line(spec: LossSpec) -> str:
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "blobs"
-    # blobs
+    # blobs; their ranges hold for every kind, as metadata.json writes them
     classes: int = ranged(">= 2", 10)
     features: int = ranged(">= 1", 32)
     per_class: int = ranged(">= 1", 500)
@@ -141,9 +142,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}")
-        if self.kind == "blobs":
-            check_fields(self)
-        elif not self.path or not self.eval_path:
+        check_fields(self)
+        if self.kind != "blobs" and not (self.path and self.eval_path):
             raise ValueError(f"{self.kind} datasets need path and eval_path")
 
 
@@ -245,6 +245,7 @@ def _parse_section(parser, section) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys and loss names as written, not lowercased
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")

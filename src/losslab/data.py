@@ -17,14 +17,14 @@ SPLITS = ("train", "eval")
 
 @dataclass
 class Batch:
+    """Labeled rows. It holds no class count: a model holds the labels to its K."""
+
     features: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) int64
-    num_classes: int
+    labels: np.ndarray  # (n,) int64, each >= 0
 
     def __post_init__(self):
-        check_range("num_classes", self.num_classes, ">= 1")
         self.features = check_matrix(self.features, "features", min_rows=0)
-        self.labels, _ = check_labels(self.labels, self.n, self.num_classes)
+        self.labels, _ = check_labels(self.labels, self.n)
 
     @property
     def n(self) -> int:
@@ -34,11 +34,10 @@ class Batch:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def with_classes(self, num_classes: int) -> "Batch":
-        """This batch, or one on the same arrays with num_classes classes."""
-        if num_classes == self.num_classes:
-            return self
-        return Batch(self.features, self.labels, num_classes)
+    @property
+    def num_classes(self) -> int:
+        """The largest label plus one, or 0 for no rows."""
+        return int(self.labels.max()) + 1 if self.n else 0
 
 
 def make_blobs(
@@ -102,7 +101,7 @@ def _draw_blobs(segments, keep, num_classes, feature_dim, spread, seed) -> Batch
     feats *= spread
     feats += means[:, None, :]
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), segments[keep])
-    return Batch(feats.reshape(-1, feature_dim), labels, num_classes)
+    return Batch(feats.reshape(-1, feature_dim), labels)
 
 
 def load_csv(path) -> Batch:
@@ -143,6 +142,5 @@ def load_csv(path) -> Batch:
             rows.append(feats)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    labels = np.array(labels, dtype=np.int64)
-    return Batch(np.array(rows), labels, int(labels.max()) + 1)
+    return Batch(np.array(rows), np.array(labels, dtype=np.int64))
 

@@ -106,19 +106,14 @@ def load_model(path) -> MlpModel:
     return MlpModel(ws, bs, final)
 
 
-def load_experiment_data(ds, split: str, num_classes: int | None = None) -> Batch:
+def load_experiment_data(ds, split: str) -> Batch:
     """The "train" or "eval" split of a DatasetConfig, alone: a blobs task
     draws only that split's rows (data.draw_blob_split), and a csv task
-    reads only that split's file. The class count is num_classes when
-    given, else the task's: blobs' classes, or a file's largest label + 1.
-    """
+    reads only that split's file."""
     if ds.kind == "blobs":
-        data = draw_blob_split(split, ds.per_class, ds.eval_per_class,
+        return draw_blob_split(split, ds.per_class, ds.eval_per_class,
                                ds.classes, ds.features, ds.spread, ds.seed)
-    else:
-        path = (ds.path, ds.eval_path)[split_index(split)]
-        data = load_csv(path)
-    return data if num_classes is None else data.with_classes(num_classes)
+    return load_csv((ds.path, ds.eval_path)[split_index(split)])
 
 
 def run_dir(output_dir, loss_name: str, seed: int) -> Path:
@@ -171,16 +166,15 @@ def write_log_csv(log, path) -> None:
 def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
                seed: int) -> dict:
     """Train one (loss, seed) pair and persist its artifact directory."""
-    batches = [load_experiment_data(config.dataset, split) for split in SPLITS]
-    # both splits take the larger class count of a csv task's files
-    k = max(b.num_classes for b in batches)
-    train_batch, eval_batch = (b.with_classes(k) for b in batches)
+    train_batch, eval_batch = (load_experiment_data(config.dataset, split)
+                               for split in SPLITS)
+    # the one choice of K in losslab: the larger class count of the two
+    # splits, since either file of a csv task may lack the top class
+    k = max(train_batch.num_classes, eval_batch.num_classes)
     # children 0 and 1 of SeedSequence(seed) drive shuffling and dropout
     # inside train(); child 2 is reserved here for weight init
     init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-    model = init_for_spec(
-        train_batch.dim, config.hidden, train_batch.num_classes, spec, init_rng
-    )
+    model = init_for_spec(train_batch.dim, config.hidden, k, spec, init_rng)
     tc = TrainConfig(loss=spec, seed=seed, **config.train)
     result = train(model, train_batch, tc, holdout=eval_batch)
     final_model = result.ema_model if result.ema_model is not None else result.model
@@ -286,8 +280,8 @@ def load_runs(config, batch: Batch | None = None) -> list:
     """Every (loss, seed) run of the grid, loaded once from its model.npz,
     with its penultimate features on batch and nothing else of its forward.
 
-    batch defaults to the config's eval split, drawn or read alone, with
-    the class count of the trained models' final layers; the records share
+    batch defaults to the config's eval split, drawn or read alone, whose
+    labels must lie below the trained heads' class count; the records share
     it. The hidden layers below the penultimate one go through one set of
     buffers that every run reuses (the grid shares config.hidden); each run
     keeps only its features, a new array.
@@ -298,8 +292,8 @@ def load_runs(config, batch: Batch | None = None) -> list:
         for name, _, seed in grid
     ]
     if batch is None:
-        batch = load_experiment_data(config.dataset, "eval",
-                                     models[0].final.num_classes)
+        batch = load_experiment_data(config.dataset, "eval")
+        check_labels(batch.labels, batch.n, models[0].final.num_classes)
     widths = [w.shape[0] for w in models[0].hidden_weights]
     shared = [np.empty((batch.n, w)) for w in widths[:-1]]
     runs = []
@@ -310,7 +304,8 @@ def load_runs(config, batch: Batch | None = None) -> list:
     return runs
 
 
-def _mean_stderr(values) -> tuple:
+def mean_stderr(values) -> tuple:
+    """(mean, standard error) of values; the error is None below 2 values."""
     v = np.asarray(values, dtype=np.float64)
     mean = float(v.mean())
     if v.size < 2:
@@ -326,7 +321,7 @@ def report_accuracy(config) -> dict:
         for seed in config.seeds:
             path = _artifact(run_dir(config.output_dir, name, seed) / "run.json")
             accs.append(json.loads(path.read_text())["eval_acc"])
-        rows.append((name, *_mean_stderr(accs), len(accs)))
+        rows.append((name, *mean_stderr(accs), len(accs)))
     return {"accuracy.csv": (("loss", "mean_eval_acc", "stderr", "n_seeds"), rows)}
 
 
@@ -347,7 +342,7 @@ def report_separation(config, runs) -> dict:
     r2 = [_naming_run([r], class_separation_r2, r.features, r.batch.labels,
                       SEPARATION_INDEXES) for r in runs]
     return {"separation.csv": (("loss", "index", "mean_r2", "stderr"), [
-        (name, ix, *_mean_stderr([v[i] for r, v in zip(runs, r2) if r.name == name]))
+        (name, ix, *mean_stderr([v[i] for r, v in zip(runs, r2) if r.name == name]))
         for name, _ in config.losses
         for i, ix in enumerate(SEPARATION_INDEXES)
     ])}
@@ -401,7 +396,7 @@ def report_calibration(config, runs) -> dict:
         table[name] = {
             "runs": fits,
             "mean": {
-                key: _mean_stderr([f[key] for f in fits])[0]
+                key: mean_stderr([f[key] for f in fits])[0]
                 for key in ("nll", "ece", "temperature", "nll_scaled", "ece_scaled")
             },
         }
@@ -539,9 +534,11 @@ def write_reports(config, kinds=None) -> list:
 
 def dump_activations(model_path, ds, split: str, out_path) -> int:
     """Penultimate features + labels of a saved model on one split of a
-    DatasetConfig, drawn or read alone; returns the row count."""
+    DatasetConfig, drawn or read alone, whose labels must lie below the
+    model's class count; returns the row count."""
     model = load_model(model_path)
-    batch = load_experiment_data(ds, split, model.final.num_classes)
+    batch = load_experiment_data(ds, split)
+    check_labels(batch.labels, batch.n, model.final.num_classes)
     feats = penultimate_features(model, batch.features)
     write_activation_dump(out_path, feats, batch.labels)
     return batch.n

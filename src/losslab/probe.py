@@ -50,7 +50,7 @@ class ProbeConfig:
     max_iterations: int = ranged(">= 1", 2000)
     # on the joint (W, b) gradient norm
     tolerance: float = ranged("finite and > 0", 1e-4)
-    seed: int = 0
+    seed: int = ranged(">= 0", 0)
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.lambda_grid)

@@ -50,7 +50,7 @@ class TrainConfig:
     momentum: float = ranged("in [0, 1)", 0.9)
     weight_decay_product: float = ranged("finite and >= 0", 0.0)
     ema_momentum: float | None = ranged("in [0, 1)", None)
-    seed: int = 0
+    seed: int = ranged(">= 0", 0)
 
     def __post_init__(self):
         check_fields(self)
@@ -108,11 +108,12 @@ def train(
     holdout: Batch | None = None,
 ) -> TrainResult:
     for name, batch in (("dataset", dataset), ("holdout", holdout)):
-        shape = None if batch is None else (batch.dim, batch.num_classes)
-        if shape not in (None, (model.input_dim, model.num_classes)):
+        # a split may lack the top classes, never go past the model's
+        if batch is not None and (batch.dim != model.input_dim
+                                  or batch.num_classes > model.num_classes):
             raise ValueError(
-                f"{name} has {shape[0]} features and {shape[1]} classes, "
-                f"model {model.input_dim} and {model.num_classes}"
+                f"{name} has {batch.dim} features and {batch.num_classes} "
+                f"classes, model {model.input_dim} and {model.num_classes}"
             )
     spec = config.loss
 

@@ -1,6 +1,7 @@
 """CLI subcommands drive the harness end to end."""
 
 import json
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -12,7 +13,7 @@ from losslab.calibration import ece, fit_temperature
 from losslab.cli import build_parser, main
 from losslab.config import load_config
 from losslab.dumps import read_activation_dump
-from losslab.harness import load_runs
+from losslab.harness import load_model, load_runs
 
 INI = """\
 [dataset]
@@ -272,14 +273,15 @@ class TestDegenerateRun:
             assert capsys.readouterr().err == f"error: smooth:seed1: {text}\n"
 
 
-def csv_grid(tmp_path):
-    """The INI grid on train.csv and eval.csv in tmp_path, trained. The eval
-    file lacks the last class, so once the train file is gone the class
-    count must come from the trained models."""
+def csv_grid(tmp_path, classes=(4, 3)):
+    """The INI grid on train.csv and eval.csv in tmp_path, trained; the
+    files hold the first classes[0] and classes[1] of four classes. By
+    default the eval file lacks the last class, so once the train file is
+    gone the class count must come from the trained models."""
     rng = np.random.default_rng(25)
     means = rng.standard_normal((4, 8))
-    for name, per, classes in (("train.csv", 30, 4), ("eval.csv", 10, 3)):
-        labels = np.repeat(np.arange(classes), per)
+    for name, per, k in zip(("train.csv", "eval.csv"), (30, 10), classes):
+        labels = np.repeat(np.arange(k), per)
         feats = means[labels] + 0.8 * rng.standard_normal((labels.size, 8))
         (tmp_path / name).write_text("".join(
             f"{k}," + ",".join(map(repr, row)) + "\n"
@@ -320,6 +322,33 @@ class TestCsvData:
         assert main(argv) == 0, capsys.readouterr().err
         assert target.read_bytes() == before
         assert read_activation_dump(target).data.shape == (30, 16)
+
+    def test_model_takes_the_larger_class_count(self, tmp_path):
+        # run_single picks K once, from both splits: here the train file
+        # lacks the top class that the eval file has
+        csv_grid(tmp_path, classes=(3, 4))
+        for name in ("plain", "smooth"):
+            path = tmp_path / "out" / "runs" / name / "seed0" / "model.npz"
+            assert load_model(path).num_classes == 4
+
+    def test_eval_label_past_the_trained_head_rejected(self, tmp_path, capsys):
+        # the heads have K = 4; an eval row labeled 4 is refused by
+        # load_runs (analyze) and dump_activations (dump) alike
+        ini = csv_grid(tmp_path)
+        eval_csv = tmp_path / "eval.csv"
+        eval_csv.write_text(eval_csv.read_text() + "4," + ",".join(["0.5"] * 8) + "\n")
+        text = "labels must be < 4 (the class count), got 4"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            load_runs(load_config(ini))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+        target = tmp_path / "eval.dump"
+        model = tmp_path / "out" / "runs" / "plain" / "seed0" / "model.npz"
+        assert main(["dump", "--config", str(ini), "--model", str(model),
+                     "--split", "eval", "--dump-out", str(target)]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not target.exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -178,6 +178,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=r"\[train\] is missing required key"):
             load_config(write_ini(tmp_path, bad))
 
+    @pytest.mark.parametrize("good, bad, match", [
+        ("plain = softmax", "Plain = softmax", "loss name 'Plain' must match"),
+        ("epochs = 6", "Epochs = 6", r"unknown key 'Epochs' in \[train\]"),
+        ("seed = 3", "Seed = 3", r"unknown key 'Seed' in \[dataset\]"),
+    ])
+    def test_keys_and_loss_names_read_as_written(self, tmp_path, good, bad, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(write_ini(tmp_path, GOOD_INI.replace(good, bad)))
+
     def test_bad_value_names_section_and_key(self, tmp_path):
         bad = GOOD_INI.replace("epochs = 6", "epochs = six")
         with pytest.raises(ValueError, match=r"\[train\] epochs = 'six'"):
@@ -367,6 +376,18 @@ class TestDatasetConfig:
         with pytest.raises(ValueError, match="spread"):
             DatasetConfig(kind="blobs", spread=-1.0)
 
+    @pytest.mark.parametrize("knob, value, match", [
+        ("spread", math.nan, "spread must be finite and >= 0, got nan"),
+        ("classes", 1, "classes must be >= 2, got 1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_csv_holds_the_blobs_ranges(self, knob, value, match):
+        # metadata.json writes every field of every kind: a nan there
+        # would be the non-JSON token NaN
+        with pytest.raises(ValueError, match=re.escape(match)):
+            DatasetConfig(kind="csv", path="a.csv", eval_path="b.csv",
+                          **{knob: value})
+
 
 # section -> the fields its keys fill; the rest are set in code
 SECTION_FIELDS = {
@@ -535,6 +556,12 @@ def test_ranged_fields_found():
     names = {name for _, name, _ in RANGED}
     assert {"epochs", "ema_momentum", "spread", "tolerance",
             "transfer_merge"} <= names
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, ProbeConfig])
+def test_negative_seed_rejected(cls):
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        cls(**_minimal(cls), seed=-1)
 
 
 @pytest.mark.parametrize("cls, name, valid", RANGED,

@@ -83,14 +83,21 @@ class TestBlobSplit:
 
 class TestBatch:
     def test_label_range_checked(self):
-        with pytest.raises(ValueError):
-            Batch(np.zeros((2, 2)), np.array([0, 5]), 3)
-        with pytest.raises(ValueError):
-            Batch(np.zeros((2, 2)), np.array([0, -1]), 3)
+        # no class count to exceed: a model holds labels to its own K
+        # (training.train, harness.load_runs, harness.dump_activations)
+        assert Batch(np.zeros((2, 2)), np.array([0, 5])).num_classes == 6
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
+            Batch(np.zeros((2, 2)), np.array([0, -1]))
+
+    def test_class_count_is_largest_label_plus_one(self):
+        assert Batch(np.zeros((3, 2)), [2, 0, 2]).num_classes == 3
+        assert Batch(np.zeros((0, 2)), np.zeros(0, np.int64)).num_classes == 0
+        with pytest.raises(AttributeError):
+            Batch(np.zeros((1, 2)), [0]).num_classes = 4
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            Batch(np.zeros((2, 2)), np.array([0]), 3)
+            Batch(np.zeros((2, 2)), np.array([0]))
 
 
 class TestCsv:

@@ -283,7 +283,7 @@ class TestCsvFormat:
         features = rng.standard_normal((40, 16))
         features[3] = 0.0
         run = LoadedRun("plain", LossSpec("softmax"), 0, None,
-                        Batch(features, labels, 4), features)
+                        Batch(features, labels), features)
         reports = tmp_path / "reports"
         reports.mkdir()
         with pytest.raises(DegenerateInputError):
@@ -536,11 +536,11 @@ class TestSmallHelpers:
         assert set(y_tr) == set(y_te) == {0, 1, 2, 3, 4}
 
     def test_mean_stderr_single_run(self):
-        mean, se = harness._mean_stderr([0.5])
+        mean, se = harness.mean_stderr([0.5])
         assert mean == 0.5 and se is None
 
     def test_mean_stderr_hand_checked(self):
-        mean, se = harness._mean_stderr([0.4, 0.6])
+        mean, se = harness.mean_stderr([0.4, 0.6])
         assert mean == pytest.approx(0.5)
         # sample std of {0.4, 0.6} is 0.1414..., over sqrt(2)
         assert se == pytest.approx(0.1)

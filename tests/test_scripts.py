@@ -107,6 +107,19 @@ def test_class_separation_offers_every_index(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_class_separation_cannot_judge_one_seed(monkeypatch, capsys):
+    # one seed has no standard error, so no gap is certified, however wide
+    mod = load_script("run_class_separation")
+    monkeypatch.setattr(mod, "separation_experiment", lambda seeds, index: {
+        name: np.array([0.2 * i]) for i, name in enumerate(mod.ORDER)
+    })
+    assert mod.main(["--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "pooled_se" not in out and " ok" not in out
+    assert out.count("CANNOT BE JUDGED") == len(mod.ORDER) - 1
+    assert out.splitlines()[1].split() == ["softmax", "0.0000", "-", "0.0000"]
+
+
 def test_script_csv_ends_lines_in_bare_line_feeds(monkeypatch, tmp_path, capsys):
     # --out goes through the harness's one CSV writer, like every artifact
     sep = load_script("run_class_separation")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from losslab import training
-from losslab.data import make_blobs
+from losslab.data import Batch, make_blobs
 from losslab.harness import write_log_csv
 from losslab.losses import LOSS_KINDS, FinalLayer, LossSpec, compose_loss, eval_scores
 from losslab.mlp import (
@@ -261,6 +261,9 @@ class TestInputChecks:
         ("holdout", make_blobs(5, 4, 4, 0.2, seed=77), "holdout has 4 features and 4"),
         ("dataset", make_blobs(5, 3, 5, 0.2, seed=77), "dataset has 5 features and 3"),
         ("dataset", make_blobs(5, 4, 4, 0.2, seed=77), "dataset has 4 features and 4"),
+        # one label that reaches the model's K = 3 is enough
+        ("holdout", Batch(np.zeros((2, 4)), [0, 3]), "holdout has 4 features and 4"),
+        ("dataset", Batch(np.zeros((2, 4)), [3, 0]), "dataset has 4 features and 4"),
     ])
     def test_mismatched_split_rejected_before_first_step(
         self, monkeypatch, which, batch, match
@@ -273,6 +276,15 @@ class TestInputChecks:
         splits[which] = batch
         with pytest.raises(ValueError, match=match):
             train(small_model(), splits["dataset"], cfg(), splits["holdout"])
+
+    def test_split_without_the_top_class_accepted(self):
+        # a split may lack classes the model has, as a csv file may
+        data, hold = small_data(), small_data(seed=1)
+        kept = [Batch(b.features[b.labels < 2], b.labels[b.labels < 2])
+                for b in (data, hold)]
+        assert [b.num_classes for b in kept] == [2, 2]
+        r = train(small_model(), kept[0], cfg(epochs=2), kept[1])
+        assert len(r.log) == 2 and r.model.num_classes == 3
 
 
 class TestDivergence:
