@@ -6,31 +6,38 @@ Objective (sum form, bias unregularized):
 
 minimized by damped Newton on (W, b) jointly. With augmented features
 x~ = [x, 1] the Hessian is sum_i (diag(p_i) - p_i p_i^T) kron x~_i x~_i^T
-plus lambda on the weight diagonal. It is factorized by a block Cholesky
-over its K x K grid of (d+1) x (d+1) class blocks; a Hessian that is not
-positive definite ends the fit, reported as not converged. Armijo
-backtracking along the Newton direction keeps the objective from rising.
-Every Newton direction assembles only H's K(K+1)/2 lower blocks, packed
-by block column, each through one (n, d+1) row panel, and factorizes them
-in place, in a workspace that the fit, or the sweep for all its fits,
-allocates once, so directions do not allocate (and page-fault) fresh
-Hessians. Besides the packed blocks the workspace holds only that panel,
-which then takes one (d+1) x (d+1) product at a time, not a panel per
-class. The sweep checks its input once; its fits run unchecked on the
-augmented rows it built.
+plus lambda on the weight diagonal. Softmax does not change when one
+vector is added to every class row, and ||W||^2 picks the representative
+whose weight rows sum to 0 over the classes, so each fit centers its
+start's weight rows and every Newton step then stays in the sum-zero
+subspace. Each direction is solved there, in an orthonormal class basis
+with K-1 columns: a block Cholesky over the (K-1) x (K-1) grid of
+(d+1) x (d+1) blocks, which has no flat bias direction to patch. A
+Hessian that is not positive definite ends the fit, reported as not
+converged. Armijo backtracking along the Newton direction keeps the
+objective from rising. Every Newton direction assembles only the
+(K-1)K/2 lower blocks, packed by block column, each through one
+(n, d+1) row panel, and factorizes them in place, in a workspace that
+the fit, or the sweep for all its fits, allocates once, so directions do
+not allocate (and page-fault) fresh Hessians. Besides the packed blocks
+the workspace holds only that panel, which then takes one
+(d+1) x (d+1) product at a time, not a panel per class. The sweep checks
+its input once; its fits run unchecked on the augmented rows it built.
 
 The regularization path sweeps 45 log-spaced lambdas ascending with warm
 starts. From the third lambda on, a fit starts from the last solution or
 from its secant prediction 2 theta_i - theta_{i-1}, whichever has the
-lower objective at the new lambda. The path picks the best validation
-accuracy (ties to the larger lambda), then refits on the full training
-set from that lambda's solution. It keeps only the two solutions the
-secant reads, the best one so far and the per-lambda scalars, not a fit
-per lambda.
+lower objective at the new lambda; the fit takes the objective, gradient
+and softmax rows computed for that choice. The path picks the best
+validation accuracy (ties to the larger lambda), then refits on the full
+training set from that lambda's solution. It keeps only the two
+solutions the secant reads, the best one so far and the per-lambda
+scalars, not a fit per lambda.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -104,71 +111,91 @@ def _objective_and_grad(theta, Xa, y, lam):
     return value, G, P
 
 
+@functools.lru_cache(maxsize=None)
+def _sum_zero_basis(K):
+    """Q, (K, K-1), read-only: Helmert's orthonormal basis of the class
+    vectors that sum to 0. Column a is a+1 ones, then -(a+1), then zeros,
+    over sqrt((a+1)(a+2))."""
+    a = np.arange(1, K)
+    Q = np.triu(np.ones((K, K - 1)))
+    Q[a, a - 1] = -a
+    Q /= np.sqrt(a * (a + 1.0))
+    Q.flags.writeable = False
+    return Q
+
+
 def _newton_workspace(n, K, D):
     """(R, Hp): the buffers _newton_direction works in. R, max(n, D) D
-    floats, holds one (n, D) row panel while H is assembled and then one
-    D x D product at a time; Hp holds H's K(K+1)/2 lower D x D blocks,
-    packed by block column. A fit, or a whole sweep, reuses them for every
-    direction."""
-    return np.empty(max(n, D) * D), np.empty(K * (K + 1) // 2 * D * D)
+    floats, holds one (n, D) row panel while H~ is assembled and then one
+    D x D product at a time; Hp holds the (K-1)K/2 lower D x D blocks of
+    the Hessian in the sum-zero class basis, packed by block column. A
+    fit, or a whole sweep, reuses them for every direction."""
+    return np.empty(max(n, D) * D), np.empty((K - 1) * K // 2 * D * D)
 
 
 def _newton_direction(P, Xa, lam, G, work=None):
-    """-H^{-1} G by block Cholesky; raises LinAlgError if H is not positive definite.
+    """-H^{-1} G in the sum-zero subspace, by block Cholesky; raises
+    LinAlgError if H is not positive definite there.
 
-    H is a K x K grid of D x D class blocks, D = d + 1, and symmetric, so
-    only its lower blocks are assembled, in the buffers of work (from
-    _newton_workspace for at least n rows; fresh ones when None). Hp packs
-    them by block column: column j is the (K - j, D, D) stack of blocks
-    (j..K-1, j). Block (k, j) is X~^T (X~ * w) with the row weights
-    w = -p_k p_j off the diagonal and p_j - p_j^2 on it, one matmul through
-    R's (n, D) row panel, so R does not grow with K. Each buffer is
-    overwritten before it is read, so nothing carries over from one call
-    to the next.
+    The direction is -Q H~^{-1} Q^T G, with Q from _sum_zero_basis and
+    H~ = (Q kron I)^T H (Q kron I) a (K-1) x (K-1) grid of D x D blocks,
+    D = d + 1. Its class rows sum to 0, and any part of G along the shared
+    shift, which a centered iterate's gradient lacks, is dropped.
 
-    H = L L^T is factorized left-looking, one column at a time and in
+    H~ is symmetric, so only its lower blocks are assembled, in the
+    buffers of work (from _newton_workspace for at least n rows; fresh
+    ones when None). Hp packs them by block column: column j is the
+    (K-1-j, D, D) stack of blocks (j..K-2, j). Block (k, j) is
+    X~^T (X~ * w) with the row weights w = P (q_k * q_j) - u_k u_j, U = P Q,
+    one matmul through R's (n, D) row panel, so R does not grow with K;
+    lambda lands on the weight diagonal of the diagonal blocks. Each
+    buffer is overwritten before it is read, so nothing carries over from
+    one call to the next.
+
+    H~ = L L^T is factorized left-looking, one column at a time and in
     place: column j, less the products of the factor columns left of it
-    (each formed in R, free once H is assembled), has the Schur block S_j
+    (each formed in R, free once H~ is assembled), has the Schur block S_j
     on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError when
-    S_j is not positive definite, which happens exactly when H is not.
+    S_j is not positive definite, which happens exactly when H~ is not.
     L_jj^{-1} turns the blocks below S_j into L's column j, is kept over
     S_j and carries the forward substitution, which then takes block j's
     share out of the residuals below it; the last block needs no column
-    below it, so its share of the direction is S_{K-1}^{-1} times its
+    below it, so its share of the direction is S_{K-2}^{-1} times its
     forward residual. The back substitution climbs through the stored
     L_jj^{-1}. LAPACK sees only D x D blocks, the bulk of the work is
-    matmul, and no temporary is bigger than a D x D block or n floats.
-
-    The bias is unpenalized, so H is singular along b -> b + c 1, where J
-    is flat. Adding e e^T, with e the unit all-ones direction on the bias
-    block, makes H definite without moving the step: G is orthogonal to e,
-    so the step is unchanged off e and zero along it.
+    matmul, and no temporary is bigger than a D x D block or P.
     """
     n, K = P.shape
     D = Xa.shape[1]
     R, Hp = _newton_workspace(n, K, D) if work is None else work
     panel, S = R[:n * D].reshape(n, D), R[:D * D].reshape(D, D)
+    Q = _sum_zero_basis(K)
+    Kr = K - 1
+    Ut = (P @ Q).T
+    # block (k, j)'s row weights are P (q_k * q_j) - u_k u_j; below the
+    # diagonal q_k is Q[0, k] wherever q_j is not 0, so u_j (Q[0, k] - u_k)
+    diag = (P @ (Q * Q)).T - Ut * Ut
+    off = Q[0][:, None] - Ut
     cols, start = [], 0
-    for j in range(K):
-        C = Hp[start:start + (K - j) * D * D].reshape(K - j, D, D)
+    for j in range(Kr):
+        C = Hp[start:start + (Kr - j) * D * D].reshape(Kr - j, D, D)
         start += C.size
-        for k in range(j, K):
-            w = P[:, j] * (1.0 - P[:, j]) if k == j else -(P[:, k] * P[:, j])
+        for k in range(j, Kr):
+            w = diag[j] if k == j else Ut[j] * off[k]
             np.multiply(Xa, w[:, None], out=panel)
             np.matmul(Xa.T, panel, out=C[k - j])
         np.einsum("aa->a", C[0])[:-1] += lam
-        C[:, -1, -1] += 1.0 / K
         cols.append(C)
-    # x goes from G through L^-1 G to H^-1 G
-    x = G.reshape(-1).copy()
+    # x goes from Q^T G through L^-1 Q^T G to H~^-1 Q^T G
+    x = (Q.T @ G).reshape(-1)
     for j, C in enumerate(cols):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
         for i in range(j):
-            Lji = cols[i][j - i:]  # L's blocks (j..K-1, i)
+            Lji = cols[i][j - i:]  # L's blocks (j..Kr-1, i)
             for B, Lki in zip(C, Lji):
                 B -= np.matmul(Lki, Lji[0].T, out=S)
         L = np.linalg.cholesky(C[0])
-        if j == K - 1:
+        if j == Kr - 1:
             x[s] = np.linalg.solve(C[0], x[s])
             break
         M = np.linalg.inv(L)
@@ -177,11 +204,11 @@ def _newton_direction(P, Xa, lam, G, work=None):
         C[0] = M
         x[s] = M @ x[s]
         x[below] -= C[1:].reshape(-1, D) @ x[s]
-    for j in reversed(range(K - 1)):
+    for j in reversed(range(Kr - 1)):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
         C = cols[j]
         x[s] = C[0].T @ (x[s] - C[1:].reshape(-1, D).T @ x[below])
-    return -x.reshape(K, D)
+    return -(Q @ x.reshape(Kr, D))
 
 
 def fit_logreg(
@@ -196,6 +223,11 @@ def fit_logreg(
     work=None,
 ) -> LogRegFit:
     """Damped Newton from (init_weights, init_bias), zeros by default.
+
+    The fit first takes the class mean out of the start's weight rows,
+    which moves no softmax row, so a start whose weight rows share an
+    offset reaches the zero start's optimum. Every Newton step sums to 0
+    over the classes, so the bias keeps init_bias's class sum.
 
     work is a _newton_workspace for at least as many rows as features
     has; every Newton direction builds its row panel in the first n (d+1)
@@ -217,11 +249,25 @@ def fit_logreg(
     return _fit(Xa, y, lam, np.hstack([W, b[:, None]]), tolerance, max_iterations, work)
 
 
-def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None) -> LogRegFit:
+def _centered(theta):
+    """theta = [W, b] with the class mean taken out of W's rows: the
+    start of every fit, in the subspace its Newton steps keep."""
+    W = theta[:, :-1]
+    return np.hstack([W - W.mean(axis=0), theta[:, -1:]])
+
+
+def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None,
+         evaluated=None) -> LogRegFit:
     """fit_logreg on checked inputs: the augmented rows Xa = [X, 1], their
     labels y and the start theta = [W, b], (K, d+1). sweep_and_retrain
-    checks its input once and runs every fit through here."""
-    value, G, P = _objective_and_grad(theta, Xa, y, lam)
+    checks its input once and runs every fit through here.
+
+    evaluated, when given, is _objective_and_grad's (value, G, P) at a
+    theta already centered; otherwise theta is centered and evaluated."""
+    if evaluated is None:
+        theta = _centered(theta)
+        evaluated = _objective_and_grad(theta, Xa, y, lam)
+    value, G, P = evaluated
     trace = [value]
     it = 0
     gn = float(np.linalg.norm(G))
@@ -294,17 +340,21 @@ def stratified_split(labels, val_fraction: float, seed: int):
 
 
 def _path_start(last, prev, Xa, y, lam):
-    """The start, [W, b], of the path fit at lam after the solutions
-    last = theta_i and prev = theta_{i-1} (None before the second fit):
-    theta_i, or the secant prediction 2 theta_i - theta_{i-1} when that has
-    the lower objective at lam. The grid is uniform in log lambda, so the
-    secant extrapolates theta linearly along it."""
-    if prev is None:
-        return last
-    guess = 2.0 * last - prev
-    if _objective_and_grad(guess, Xa, y, lam)[0] < _objective_and_grad(last, Xa, y, lam)[0]:
-        return guess
-    return last
+    """(start, (value, G, P) there) for the path fit at lam after the
+    solutions last = theta_i and prev = theta_{i-1} (None before the
+    second fit): theta_i, or the secant prediction 2 theta_i - theta_{i-1}
+    when that has the lower objective at lam, centered as _fit centers a
+    start. The grid is uniform in log lambda, so the secant extrapolates
+    theta linearly along it."""
+    guess = None if prev is None else _centered(2.0 * last - prev)
+    last = _centered(last)
+    at_last = _objective_and_grad(last, Xa, y, lam)
+    if guess is None:
+        return last, at_last
+    at_guess = _objective_and_grad(guess, Xa, y, lam)
+    if at_guess[0] < at_last[0]:
+        return guess, at_guess
+    return last, at_last
 
 
 def sweep_and_retrain(
@@ -345,9 +395,10 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
     prev = last = best = None
     best_i = 0
     for i, lam in enumerate(grid):
-        start = np.zeros((K, Xa.shape[1])) if last is None else _path_start(
-            last, prev, Xa_tr, ytr, lam)
-        fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work)
+        start, evaluated = (np.zeros((K, Xa.shape[1])), None) if last is None else (
+            _path_start(last, prev, Xa_tr, ytr, lam))
+        fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work,
+                   evaluated)
         prev, last = last, np.hstack([fit.weights, fit.bias[:, None]])
         converged[i], n_iter[i], grad_norm[i] = fit.converged, fit.n_iter, fit.grad_norm
         val_acc[i] = probe_accuracy(fit.weights, fit.bias, Xva, yva)

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
 from losslab import probe
+from losslab.calibration import top1_predictions
 from losslab.probe import (
     ProbeConfig,
     _newton_direction,
@@ -128,6 +129,43 @@ class TestFitLogreg:
                         init_weights=w0, init_bias=b0)
         assert f0.converged and f1.converged
         assert abs(f0.objective - f1.objective) < 1e-4
+
+    def test_shared_weight_offset_start_reaches_zero_start_optimum(self):
+        # softmax ignores a vector added to every weight row, and the fit
+        # centers its start, so the offset start ends where zeros end: the
+        # same objective and predictions, weights that sum to 0 over the
+        # classes, and a bias that keeps its class sum
+        X, y, Xt, _ = acceptance_blobs()
+        rng = np.random.default_rng(11)
+        w0 = np.tile(3.0 * rng.standard_normal(X.shape[1]), (3, 1))
+        b0 = np.array([0.5, -1.0, 2.0])
+        zero = fit_logreg(X, y, 1.0, 3, tolerance=1e-8)
+        shifted = fit_logreg(X, y, 1.0, 3, init_weights=w0, init_bias=b0,
+                             tolerance=1e-8)
+        assert zero.converged and shifted.converged
+        assert shifted.objective == pytest.approx(zero.objective, rel=1e-12)
+        np.testing.assert_allclose(shifted.weights, zero.weights, atol=1e-8)
+        assert np.abs(shifted.weights.sum(axis=0)).max() < 1e-12 * np.abs(w0).max()
+        assert shifted.bias.sum() == pytest.approx(b0.sum(), abs=1e-12)
+        np.testing.assert_allclose(shifted.bias - shifted.bias.mean(),
+                                   zero.bias - zero.bias.mean(), atol=1e-8)
+        for rows in (X, Xt):
+            assert np.array_equal(
+                top1_predictions(rows @ shifted.weights.T + shifted.bias),
+                top1_predictions(rows @ zero.weights.T + zero.bias))
+
+    @pytest.mark.parametrize("init", [None, "offset"])
+    def test_one_class_fit_takes_no_direction(self, init, monkeypatch):
+        # K = 1: the sum-zero basis is empty, the centered start has W = 0
+        # and its gradient is 0, so the fit converges without a direction
+        monkeypatch.setattr(probe, "_newton_direction", None)
+        X, _, _, _ = acceptance_blobs()
+        w0 = None if init is None else np.full((1, X.shape[1]), 2.5)
+        fit = fit_logreg(X, np.zeros(X.shape[0], dtype=int), 1.0, 1,
+                         init_weights=w0, init_bias=np.array([0.7]))
+        assert fit.converged and fit.n_iter == 0 and fit.grad_norm == 0.0
+        assert np.array_equal(fit.weights, np.zeros((1, X.shape[1])))
+        assert fit.bias.tolist() == [0.7]
 
     def test_one_hot_features_are_learnable(self):
         y = np.tile(np.arange(3), 20)
@@ -255,16 +293,16 @@ class TestNewtonDirection:
                                        (20, 4, 41), (7, 2, 3)])
     def test_workspace_holds_rows_and_lower_blocks(self, n, K, D):
         # one (n, D) row panel, or one D x D product when n < D, and the
-        # K(K+1)/2 lower blocks
+        # (K-1)K/2 lower blocks of the sum-zero Hessian
         work = _newton_workspace(n, K, D)
-        floats = max(n, D) * D + K * (K + 1) // 2 * D * D
+        floats = max(n, D) * D + (K - 1) * K // 2 * D * D
         assert sum(buf.size for buf in work) == floats
 
     def test_row_buffer_does_not_grow_with_classes(self):
         # at fixed n, doubling K grows only the packed blocks
         (R5, H5), (R10, H10) = (_newton_workspace(500, K, 65) for K in (5, 10))
         assert R5.size == R10.size == 500 * 65
-        assert (H5.size, H10.size) == (15 * 65 * 65, 55 * 65 * 65)
+        assert (H5.size, H10.size) == (10 * 65 * 65, 45 * 65 * 65)
 
     @pytest.mark.parametrize("K", [2, 5])
     def test_fewer_rows_than_block_width(self, K):
@@ -281,17 +319,37 @@ class TestNewtonDirection:
         assert rel < 1e-8
 
     def test_singular_last_class_block_raises(self):
-        # a zero last column: at lambda = 0 the last class's weight rows
-        # of H are zero, while the leading K-1 class blocks, whose rows of
-        # P now sum below 1, stay positive definite. The factorization gets
-        # through them and fails at the last Schur block.
-        K, D = 4, 7
+        # a class whose probability underflowed on every row: at
+        # lambda = 0, H is flat along that class's weights less their class
+        # mean, which is the last column of the sum-zero basis, so the
+        # factorization fails at the last Schur block
+        K = 4
         P, Xa, G = newton_case(K, seed=20)
         P[:, -1] = 0.0
-        np.linalg.cholesky(dense_hessian(P, Xa, 0.0)[:-D, :-D])
+        P /= P.sum(axis=1, keepdims=True)
         with pytest.raises(np.linalg.LinAlgError):
             _newton_direction(P, Xa, 0.0, G)
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 10])
+    def test_sum_zero_basis_is_orthonormal(self, K):
+        # the Newton blocks' row weights below the diagonal rely on each
+        # column being constant over the support of the columns before it
+        Q = probe._sum_zero_basis(K)
+        assert Q.shape == (K, K - 1) and not Q.flags.writeable
+        np.testing.assert_allclose(Q.T @ Q, np.eye(K - 1), atol=1e-15)
+        np.testing.assert_allclose(Q.sum(axis=0), 0.0, atol=1e-15)
+        for k in range(K - 1):
+            for j in range(k):
+                assert np.array_equal(Q[:, k] * Q[:, j], Q[0, k] * Q[:, j])
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2, 1e3])
+    @pytest.mark.parametrize("K", [2, 3, 5, 10])
+    def test_direction_rows_sum_to_zero(self, K, lam):
+        # the direction lives in the sum-zero subspace: a Newton step
+        # leaves the class sums of W and b where they were
+        P, Xa, G = newton_case(K, seed=K)
+        got = _newton_direction(P, Xa, lam, G)
+        assert np.abs(got.sum(axis=0)).max() <= 1e-12 * np.linalg.norm(got)
 
     def test_reused_workspace_matches_fresh_buffers(self):
         # two calls in a row through one workspace, pre-filled with nan, at
@@ -546,6 +604,24 @@ class TestSweep:
         assert res.refit_grad_norm == final.grad_norm
         assert np.array_equal(res.weights, final.weights)
         assert np.array_equal(res.bias, final.bias)
+
+    def test_no_evaluation_repeats_its_predecessor(self, monkeypatch):
+        # the path start is evaluated once: the fit takes the objective,
+        # gradient and softmax rows _path_start computed for its choice
+        calls = []
+
+        def spy(theta, Xa, y, lam):
+            calls.append((theta.copy(), lam))
+            return objective_and_grad(theta, Xa, y, lam)
+
+        objective_and_grad = probe._objective_and_grad
+        monkeypatch.setattr(probe, "_objective_and_grad", spy)
+        X, y, Xt, yt = acceptance_blobs()
+        res = sweep_and_retrain(X, y, Xt, yt, ProbeConfig(tolerance=1e-6))
+        assert res.converged.all() and res.refit_converged
+        assert len(calls) > res.n_iter.sum() + res.refit_n_iter
+        for (a, lam_a), (b, lam_b) in zip(calls, calls[1:]):
+            assert not (lam_a == lam_b and np.array_equal(a, b))
 
     def test_missing_train_class_rejected(self):
         Xtr = np.random.default_rng(0).standard_normal((20, 3))
