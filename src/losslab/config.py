@@ -128,7 +128,7 @@ def format_loss_line(spec: LossSpec) -> str:
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "blobs"
-    # blobs; their ranges hold for every kind, as metadata.json writes them
+    # blobs; check_fields holds their ranges for every kind
     classes: int = ranged(">= 2", 10)
     features: int = ranged(">= 1", 32)
     per_class: int = ranged(">= 1", 500)
@@ -145,6 +145,11 @@ class DatasetConfig:
         check_fields(self)
         if self.kind != "blobs" and not (self.path and self.eval_path):
             raise ValueError(f"{self.kind} datasets need path and eval_path")
+
+    def record(self) -> dict:
+        """The kind and only the fields it reads, as metadata.json names
+        the task."""
+        return {"kind": self.kind, **{k: getattr(self, k) for k in _KIND_KEYS[self.kind]}}
 
 
 @dataclass(frozen=True)

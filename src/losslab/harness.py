@@ -29,7 +29,7 @@ the blobs experiments reach it through train_runs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -527,7 +527,7 @@ def write_reports(config, kinds=None) -> list:
         "agreement_distance": "1 - agreement, average linkage",
         "spectra_mode": "activations",
         "transfer_merge": config.transfer_merge,
-        "dataset": asdict(config.dataset),
+        "dataset": config.dataset.record(),
     }})
     return written
 

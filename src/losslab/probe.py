@@ -15,7 +15,13 @@ with K-1 columns: a block Cholesky over the (K-1) x (K-1) grid of
 (d+1) x (d+1) blocks, which has no flat bias direction to patch. A
 Hessian that is not positive definite ends the fit, reported as not
 converged. Armijo backtracking along the Newton direction keeps the
-objective from rising. Every Newton direction assembles only the
+objective from rising; a step whose change in the objective is within
+its rounding is judged by the gradient norm instead. After a full step
+that cut the gradient norm by at least REUSE_CONTRACTION, the next
+direction is solved against the factor the fit already holds, not a new
+one; if that step fails the Armijo test, the fit factors afresh at the
+same iterate. Convergence is always judged on the true gradient. Every
+fresh Newton direction assembles only the
 (K-1)K/2 lower blocks, packed by block column, each through one
 (n, d+1) row panel, and factorizes them in place, in a workspace that
 the fit, or the sweep for all its fits, allocates once, so directions do
@@ -24,15 +30,17 @@ the workspace holds only that panel, which then takes one
 (d+1) x (d+1) product at a time, not a panel per class. The sweep checks
 its input once; its fits run unchecked on the augmented rows it built.
 
-The regularization path sweeps 45 log-spaced lambdas ascending with warm
-starts. From the third lambda on, a fit starts from the last solution or
-from its secant prediction 2 theta_i - theta_{i-1}, whichever has the
-lower objective at the new lambda; the fit takes the objective, gradient
-and softmax rows computed for that choice. The path picks the best
-validation accuracy (ties to the larger lambda), then refits on the full
-training set from that lambda's solution. It keeps only the two
-solutions the secant reads, the best one so far and the per-lambda
-scalars, not a fit per lambda.
+The regularization path walks the 45 log-spaced lambdas from the largest
+down with warm starts: at the top the zero start is nearly optimal, and
+each solution is a close start for the next. From the third lambda on, a
+fit starts from the last solution or from its secant prediction
+2 theta_i - theta_{i-1}, whichever has the lower objective at the new
+lambda; the fit takes the objective, gradient and softmax rows computed
+for that choice. The path picks the best validation accuracy, ties to
+the larger lambda (the first seen, so only a strictly better one
+replaces it), then refits on the full training set from that lambda's
+solution. It keeps only the two solutions the secant reads, the best one
+so far and the per-lambda scalars, in grid order, not a fit per lambda.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ from .checks import check_fields, check_labels, check_matrix, check_range, range
 from .losses import softmax_xent_rows
 
 DEFAULT_GRID = tuple(np.logspace(-6.0, 5.0, 45))
+# a fit solves its next direction against the factor it holds after a
+# full step that cut the gradient norm by at least this factor
+REUSE_CONTRACTION = 10.0
+# relative size of the objective's rounding error, as in the line search
+# of scikit-learn's NewtonSolver
+ROUNDING = 16 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,16 @@ def _newton_workspace(n, K, D):
     return np.empty(max(n, D) * D), np.empty((K - 1) * K // 2 * D * D)
 
 
+def _block_columns(Hp, Kr, D):
+    """Hp's packed lower blocks as views, one per block column: column j
+    is the (Kr-j, D, D) stack of blocks (j..Kr-1, j)."""
+    cols, start = [], 0
+    for j in range(Kr):
+        cols.append(Hp[start:start + (Kr - j) * D * D].reshape(Kr - j, D, D))
+        start += cols[-1].size
+    return cols
+
+
 def _newton_direction(P, Xa, lam, G, work=None):
     """-H^{-1} G in the sum-zero subspace, by block Cholesky; raises
     LinAlgError if H is not positive definite there.
@@ -157,13 +181,13 @@ def _newton_direction(P, Xa, lam, G, work=None):
     (each formed in R, free once H~ is assembled), has the Schur block S_j
     on top. np.linalg.cholesky(S_j) gives L_jj and raises LinAlgError when
     S_j is not positive definite, which happens exactly when H~ is not.
-    L_jj^{-1} turns the blocks below S_j into L's column j, is kept over
-    S_j and carries the forward substitution, which then takes block j's
-    share out of the residuals below it; the last block needs no column
-    below it, so its share of the direction is S_{K-2}^{-1} times its
-    forward residual. The back substitution climbs through the stored
-    L_jj^{-1}. LAPACK sees only D x D blocks, the bulk of the work is
-    matmul, and no temporary is bigger than a D x D block or P.
+    L_jj^{-1} turns the blocks below S_j into L's column j and is kept
+    over S_j; the last block needs no column below it and stays S_{K-2}.
+    LAPACK sees only D x D blocks, the bulk of the work is matmul, and no
+    temporary is bigger than a D x D block or P.
+
+    The factor stays in Hp, and the direction is _solve(G, work) on it,
+    so a fit can solve later gradients against it without factoring.
     """
     n, K = P.shape
     D = Xa.shape[1]
@@ -176,34 +200,51 @@ def _newton_direction(P, Xa, lam, G, work=None):
     # diagonal q_k is Q[0, k] wherever q_j is not 0, so u_j (Q[0, k] - u_k)
     diag = (P @ (Q * Q)).T - Ut * Ut
     off = Q[0][:, None] - Ut
-    cols, start = [], 0
-    for j in range(Kr):
-        C = Hp[start:start + (Kr - j) * D * D].reshape(Kr - j, D, D)
-        start += C.size
+    cols = _block_columns(Hp, Kr, D)
+    for j, C in enumerate(cols):
         for k in range(j, Kr):
             w = diag[j] if k == j else Ut[j] * off[k]
             np.multiply(Xa, w[:, None], out=panel)
             np.matmul(Xa.T, panel, out=C[k - j])
         np.einsum("aa->a", C[0])[:-1] += lam
-        cols.append(C)
-    # x goes from Q^T G through L^-1 Q^T G to H~^-1 Q^T G
-    x = (Q.T @ G).reshape(-1)
     for j, C in enumerate(cols):
-        s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
         for i in range(j):
             Lji = cols[i][j - i:]  # L's blocks (j..Kr-1, i)
             for B, Lki in zip(C, Lji):
                 B -= np.matmul(Lki, Lji[0].T, out=S)
         L = np.linalg.cholesky(C[0])
+        if j < Kr - 1:
+            M = np.linalg.inv(L)
+            for B in C[1:]:
+                B[...] = np.matmul(B, M.T, out=S)
+            C[0] = M
+    return _solve(G, (R, Hp))
+
+
+def _solve(G, work):
+    """-Q H~^{-1} Q^T G from the factor that _newton_direction left in
+    work's packed blocks: column j holds L_jj^{-1} over L's blocks below
+    it, and the last column holds S_{K-2}. The forward substitution runs
+    through each stored L_jj^{-1} and takes block j's share out of the
+    residuals below it; the last block's share is S_{K-2}^{-1} times its
+    forward residual; the back substitution climbs through the stored
+    L_jj^{-1}. A fit can thus solve for a new gradient against the
+    Hessian it factored at an earlier iterate; on the factor's own
+    gradient this is, bit for bit, the direction _newton_direction
+    returned."""
+    K, D = G.shape
+    Kr = K - 1
+    cols = _block_columns(work[1], Kr, D)
+    Q = _sum_zero_basis(K)
+    # x goes from Q^T G through L^-1 Q^T G to H~^-1 Q^T G
+    x = (Q.T @ G).reshape(-1)
+    for j, C in enumerate(cols):
+        s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
         if j == Kr - 1:
             x[s] = np.linalg.solve(C[0], x[s])
-            break
-        M = np.linalg.inv(L)
-        for B in C[1:]:
-            B[...] = np.matmul(B, M.T, out=S)
-        C[0] = M
-        x[s] = M @ x[s]
-        x[below] -= C[1:].reshape(-1, D) @ x[s]
+        else:
+            x[s] = C[0] @ x[s]
+            x[below] -= C[1:].reshape(-1, D) @ x[s]
     for j in reversed(range(Kr - 1)):
         s, below = slice(j * D, (j + 1) * D), slice((j + 1) * D, None)
         C = cols[j]
@@ -263,7 +304,14 @@ def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None,
     checks its input once and runs every fit through here.
 
     evaluated, when given, is _objective_and_grad's (value, G, P) at a
-    theta already centered; otherwise theta is centered and evaluated."""
+    theta already centered; otherwise theta is centered and evaluated.
+
+    A step factors the Hessian afresh (_newton_direction) unless the step
+    before it was a full step that cut ||G|| by at least
+    REUSE_CONTRACTION; then it solves against the factor left in work
+    (_solve) and tries the full step only. If that fails the Armijo test,
+    the same iterate is factored afresh and the fit goes on. Every step
+    counts in n_iter; the fit stops when ||G|| <= tolerance."""
     if evaluated is None:
         theta = _centered(theta)
         evaluated = _objective_and_grad(theta, Xa, y, lam)
@@ -273,26 +321,39 @@ def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None,
     gn = float(np.linalg.norm(G))
     if work is None:
         work = _newton_workspace(Xa.shape[0], theta.shape[0], Xa.shape[1])
+    reuse = False
     while gn > tolerance and it < max_iterations:
-        try:
-            direction = _newton_direction(P, Xa, lam, G, work)
-        except np.linalg.LinAlgError:
-            break  # Hessian not positive definite: reported as not converged
+        if reuse:
+            direction = _solve(G, work)
+        else:
+            try:
+                direction = _newton_direction(P, Xa, lam, G, work)
+            except np.linalg.LinAlgError:
+                break  # Hessian not positive definite: reported as not converged
         slope = float(np.sum(G * direction))
-        # Armijo backtracking on f(theta + t direction) from the full step
+        # Armijo backtracking on f(theta + t direction) from the full step;
+        # a reused factor gets the full step only. A change in f within its
+        # rounding says nothing, so such a step is judged by its gradient
         step = 1.0
         accepted = False
         while step > 1e-20:
             theta2 = theta + step * direction
             v2, G2, P2 = _objective_and_grad(theta2, Xa, y, lam)
-            if v2 <= value + 1e-4 * step * slope:
+            gn2 = float(np.linalg.norm(G2))
+            if v2 <= value + 1e-4 * step * slope or (
+                    abs(v2 - value) <= ROUNDING * abs(value) and gn2 < gn):
                 accepted = True
+                break
+            if reuse:
                 break
             step *= 0.5
         if not accepted:
+            if reuse:
+                reuse = False  # factor afresh at this theta
+                continue
             break  # stalled at float precision
-        theta, value, G, P = theta2, v2, G2, P2
-        gn = float(np.linalg.norm(G))
+        reuse = step == 1.0 and gn2 * REUSE_CONTRACTION <= gn
+        theta, value, G, P, gn = theta2, v2, G2, P2, gn2
         trace.append(value)
         it += 1
 
@@ -377,9 +438,14 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
     width, int64 labels y and yt in [0, K). harness.transfer_probe checks
     its input once and calls this directly.
 
-    The path keeps only what the next fit, the refit and ProbeResult read:
-    the last two solutions, for the secant start, the best one so far, and
-    the per-lambda scalars."""
+    The path visits the grid from the largest lambda down, the first fit
+    from zeros, and writes each lambda's scalars at its grid index. A
+    lambda becomes the best only with a strictly higher validation
+    accuracy, so ties go to the larger lambda, which was seen first. The
+    path keeps only what the next fit, the refit and ProbeResult read: the
+    last two solutions, for the secant start, the best one so far, and the
+    per-lambda scalars. All fits share one workspace, and each fit starts
+    with a fresh factor, never one left by the fit before."""
     tr, va = stratified_split(y, config.val_fraction, config.seed)
     if np.count_nonzero(np.bincount(y[tr])) < K:
         raise ValueError("a class is missing from the probe training split")
@@ -393,8 +459,9 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
     converged = np.zeros(len(grid), dtype=bool)
     work = _newton_workspace(X.shape[0], K, Xa.shape[1])  # the refit's rows
     prev = last = best = None
-    best_i = 0
-    for i, lam in enumerate(grid):
+    best_i = len(grid) - 1
+    for i in reversed(range(len(grid))):
+        lam = grid[i]
         start, evaluated = (np.zeros((K, Xa.shape[1])), None) if last is None else (
             _path_start(last, prev, Xa_tr, ytr, lam))
         fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work,
@@ -403,8 +470,8 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
         converged[i], n_iter[i], grad_norm[i] = fit.converged, fit.n_iter, fit.grad_norm
         val_acc[i] = probe_accuracy(fit.weights, fit.bias, Xva, yva)
         norms[i] = float(np.linalg.norm(fit.weights))
-        # ties go to the larger lambda: the grid ascends, so keep >=
-        if val_acc[i] >= val_acc[best_i]:
+        # ties go to the larger lambda, which the descending walk saw first
+        if best is None or val_acc[i] > val_acc[best_i]:
             best_i, best = i, last
     best_lambda = grid[best_i]
 

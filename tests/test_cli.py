@@ -301,6 +301,10 @@ class TestCsvData:
         ini = csv_grid(tmp_path)
         assert main(["analyze", "--config", str(ini)]) == 0
         reports = tmp_path / "out" / "reports"
+        # metadata.json names the csv task by what it reads, no blobs defaults
+        meta = json.loads((reports / "metadata.json").read_text())
+        assert meta["dataset"] == {"kind": "csv", "path": str(tmp_path / "train.csv"),
+                                   "eval_path": str(tmp_path / "eval.csv")}
         before = {p.name: p.read_bytes() for p in reports.iterdir()}
         shutil.rmtree(reports)
         (tmp_path / "train.csv").unlink()

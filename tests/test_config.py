@@ -382,8 +382,8 @@ class TestDatasetConfig:
         ("seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_csv_holds_the_blobs_ranges(self, knob, value, match):
-        # metadata.json writes every field of every kind: a nan there
-        # would be the non-JSON token NaN
+        # check_fields holds every field to its range whatever the kind,
+        # so a csv config built in code carries no blobs knob out of range
         with pytest.raises(ValueError, match=re.escape(match)):
             DatasetConfig(kind="csv", path="a.csv", eval_path="b.csv",
                           **{knob: value})

@@ -224,6 +224,9 @@ class TestReports:
         assert meta["seeds"] == [0, 1]
         assert meta["losses"]["plain"] == "softmax"
         assert meta["transfer_merge"] == 5
+        # the kind and the fields it reads, not the csv paths' nulls
+        assert meta["dataset"] == dict(kind="blobs", classes=4, features=8, per_class=30,
+                                       eval_per_class=10, spread=0.8, seed=3)
 
 
 RUN_NAMES = "plain:seed0,plain:seed1,smooth:seed0,smooth:seed1"

@@ -13,6 +13,7 @@ from losslab.probe import (
     ProbeConfig,
     _newton_direction,
     _newton_workspace,
+    _solve,
     fit_logreg,
     probe_accuracy,
     stratified_split,
@@ -78,6 +79,34 @@ def newton_case(K, seed, n=60, d=6):
     R = P.copy()
     R[np.arange(n), np.arange(n) % K] -= 1.0
     return P, Xa, R.T @ Xa
+
+
+def record_directions(monkeypatch, reuse_scale=1.0):
+    """Spy on the two ways a fit takes a direction. Returns a list that
+    gets ("fresh", G, work) for each _newton_direction, which factors the
+    Hessian, and ("reuse", G, work) for each _solve against a factor held
+    from an earlier iterate, whose direction the spy scales by
+    reuse_scale; the solve inside _newton_direction is not listed."""
+    calls, inside = [], []
+    newton_direction, solve = probe._newton_direction, probe._solve
+
+    def spy_direction(P, Xa, lam, G, work=None):
+        calls.append(("fresh", G.copy(), work))
+        inside.append(True)
+        try:
+            return newton_direction(P, Xa, lam, G, work)
+        finally:
+            inside.pop()
+
+    def spy_solve(G, work):
+        if inside:
+            return solve(G, work)
+        calls.append(("reuse", G.copy(), work))
+        return reuse_scale * solve(G, work)
+
+    monkeypatch.setattr(probe, "_newton_direction", spy_direction)
+    monkeypatch.setattr(probe, "_solve", spy_solve)
+    return calls
 
 
 def two_blob_features(rng, n_per=40, gap=6.0):
@@ -228,6 +257,22 @@ class TestFitLogreg:
         np.testing.assert_allclose(fit.bias - fit.bias.mean(),
                                    b_ref - b_ref.mean(), atol=1e-7)
 
+    @pytest.mark.parametrize("lam,k,d", [(1.0, 2, 8), (0.1, 3, 8), (1e-2, 3, 8)])
+    def test_steps_within_rounding_are_judged_by_the_gradient(self, lam, k, d):
+        # near the optimum a Newton step moves J by less than its rounding,
+        # so the Armijo test on J alone rejects good steps. On this data
+        # it ran to 2,000 iterations with ||G|| at 1e-10 to 1e-8: with a
+        # fresh factor every step in the first and third case, and with
+        # factor reuse in the first two
+        rng = np.random.default_rng(100 + k)
+        n = 20 * k
+        y = np.arange(n) % k
+        X = 0.8 * rng.standard_normal((k, d))[y] + rng.standard_normal((n, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logreg(X, y, lam, k, tolerance=1e-12)
+        assert fit.converged and fit.n_iter < 30
+
     @pytest.mark.parametrize("lam,tol", [
         (np.nan, 1e-4), (np.inf, 1e-4), (0.1, np.nan), (0.1, np.inf),
         (-1e-300, 1e-4), (0.1, 0.0), (0.1, -1.0),
@@ -363,19 +408,35 @@ class TestNewtonDirection:
             fresh = _newton_direction(P, Xa, lam, G)
             assert np.array_equal(_newton_direction(P, Xa, lam, G, work), fresh)
 
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2, 1e3])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 10])
+    def test_solve_reproduces_the_fresh_direction(self, K, lam):
+        # _solve on the factor that _newton_direction left in a nan-filled
+        # workspace gives that direction bit for bit, and serves another
+        # gradient as a solve against the same Hessian
+        P, Xa, G = newton_case(K, seed=K)
+        work = _newton_workspace(*P.shape, Xa.shape[1])
+        for buf in work:
+            buf.fill(np.nan)
+        direction = _newton_direction(P, Xa, lam, G, work)
+        assert np.array_equal(_solve(G, work), direction)
+        G2 = newton_case(K, seed=K + 50)[2]
+        if K > 1:
+            ref = -np.linalg.solve(dense_hessian(P, Xa, lam), G2.reshape(-1))
+            got = _solve(G2, work).reshape(-1)
+            assert np.linalg.norm(got - ref) < 1e-8 * np.linalg.norm(ref)
+
     def test_one_fit_passes_one_workspace_to_every_direction(self, monkeypatch):
-        seen = []
-
-        def spy(P, Xa, lam, G, work=None):
-            seen.append(work)
-            return _newton_direction(P, Xa, lam, G, work)
-
-        monkeypatch.setattr(probe, "_newton_direction", spy)
+        # each step factors afresh or reuses the held factor, always in one
+        # workspace; no reused direction fails here, so the two counts add
+        # up to the steps
+        calls = record_directions(monkeypatch)
         X, y, _, _ = acceptance_blobs()
         fit = fit_logreg(X, y, 1.0, 3, tolerance=1e-8)
         assert fit.converged and fit.n_iter >= 3
-        assert len(seen) == fit.n_iter
-        assert seen[0] is not None and all(w is seen[0] for w in seen)
+        fresh = sum(kind == "fresh" for kind, _, _ in calls)
+        assert 0 < fresh < len(calls) == fit.n_iter
+        assert calls[0][2] is not None and all(w is calls[0][2] for _, _, w in calls)
 
     def test_sweep_shares_one_workspace_across_its_fits(self, monkeypatch):
         # a workspace with spare rows, pre-filled with nan, gives the fit
@@ -390,16 +451,48 @@ class TestNewtonDirection:
             assert shared.n_iter == fresh.n_iter and shared.n_iter > 0
             assert np.array_equal(shared.weights, fresh.weights)
             assert np.array_equal(shared.bias, fresh.bias)
-        seen = []
-
-        def spy(P, Xa, lam, G, work=None):
-            seen.append(work[1])
-            return _newton_direction(P, Xa, lam, G, work)
-
-        monkeypatch.setattr(probe, "_newton_direction", spy)
+        calls = record_directions(monkeypatch)
         res = sweep_and_retrain(X, y, Xt, yt, ProbeConfig(tolerance=1e-6))
-        assert len(seen) == res.n_iter.sum() + res.refit_n_iter
-        assert all(H is seen[0] for H in seen)
+        # fresh factorizations plus reuse solves: one per step
+        assert len(calls) == res.n_iter.sum() + res.refit_n_iter
+        assert all(w[1] is calls[0][2][1] for _, _, w in calls)
+
+    def test_contraction_decides_reuse(self, monkeypatch):
+        # at lambda = 1e2 a reused factor's step cuts ||G|| by less than
+        # REUSE_CONTRACTION, and the next direction is factored afresh
+        calls = record_directions(monkeypatch)
+        X, y, _, _ = acceptance_blobs()
+        fit = fit_logreg(X, y, 1e2, 3, tolerance=1e-8)
+        assert fit.converged
+        norms = [np.linalg.norm(G) for _, G, _ in calls] + [fit.grad_norm]
+        kinds = [kind for kind, _, _ in calls]
+        assert kinds[0] == "fresh"
+        for i, kind in enumerate(kinds[1:], 1):
+            # a direction reuses exactly when the step before it was full
+            # (every step is, here) and cut ||G|| by the factor
+            cut = norms[i - 1] >= probe.REUSE_CONTRACTION * norms[i]
+            assert (kind == "reuse") == cut
+        assert ("reuse", "fresh") in zip(kinds, kinds[1:])
+
+    def test_failed_reuse_takes_a_fresh_factor_and_converges(self, monkeypatch):
+        # a spy stretches every reused direction 3-fold, past the Armijo
+        # bound: the fit factors afresh at the same theta, where the failed
+        # solve was, and still reaches the unspied optimum
+        X, y, _, _ = acceptance_blobs()
+        plain = fit_logreg(X, y, 1.0, 3, tolerance=1e-8)
+        calls = record_directions(monkeypatch, reuse_scale=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logreg(X, y, 1.0, 3, tolerance=1e-8)
+        assert fit.converged
+        reused = [i for i, (kind, _, _) in enumerate(calls) if kind == "reuse"]
+        assert reused
+        for i in reused:
+            kind, G, _ = calls[i + 1]
+            assert kind == "fresh" and np.array_equal(G, calls[i][1])
+        assert len(calls) == fit.n_iter + len(reused)
+        assert fit.objective == pytest.approx(plain.objective, rel=1e-12)
+        np.testing.assert_allclose(fit.weights, plain.weights, atol=1e-8)
 
 
 class TestSplit:
@@ -546,64 +639,82 @@ class TestSweep:
 
     def test_path_and_refit_are_fit_logreg_bit_for_bit(self):
         # the sweep's unchecked fits against fit_logreg on the same rows and
-        # starts: the first path fit from zeros, the second from the first
-        # (fewer than two earlier fits, so no secant), the refit from the best
+        # starts: the path descends, so its first fit, at the larger lambda,
+        # starts from zeros, the second from the first (fewer than two
+        # earlier fits, so no secant), and the refit from the best
         X, y, Xt, yt = acceptance_blobs()
         cfg = ProbeConfig(lambda_grid=(1e-2, 1.0), tolerance=1e-6, seed=0)
         res = sweep_and_retrain(X, y, Xt, yt, cfg)
         tr, _ = stratified_split(y, cfg.val_fraction, cfg.seed)
-        first = fit_logreg(X[tr], y[tr], 1e-2, 3, tolerance=cfg.tolerance)
-        second = fit_logreg(X[tr], y[tr], 1.0, 3, first.weights, first.bias,
+        first = fit_logreg(X[tr], y[tr], 1.0, 3, tolerance=cfg.tolerance)
+        second = fit_logreg(X[tr], y[tr], 1e-2, 3, first.weights, first.bias,
                             tolerance=cfg.tolerance)
-        best = (first, second)[cfg.lambda_grid.index(res.best_lambda)]
+        best = (second, first)[cfg.lambda_grid.index(res.best_lambda)]
         final = fit_logreg(X, y, res.best_lambda, 3, best.weights, best.bias,
                            tolerance=cfg.tolerance)
-        assert res.n_iter.tolist() == [first.n_iter, second.n_iter]
-        assert res.grad_norm.tolist() == [first.grad_norm, second.grad_norm]
+        assert res.n_iter.tolist() == [second.n_iter, first.n_iter]
+        assert res.grad_norm.tolist() == [second.grad_norm, first.grad_norm]
         assert res.refit_n_iter == final.n_iter > 0
         assert np.array_equal(res.weights, final.weights)
         assert np.array_equal(res.bias, final.bias)
 
     def test_trimmed_path_is_fit_logreg_bit_for_bit(self):
         # the path keeps only its last two solutions and the best one: on
-        # a grid whose best lambda (1e2, the last of a five-way tie) comes
-        # before the last two, it matches a chain of fit_logreg calls that
-        # keeps every fit and picks each start by the secant rule itself,
-        # which takes the secant at 1 through 1e2 and the last solution at
-        # 1e3 and 1e4
+        # a grid whose best lambda (1e2, the largest of a six-way tie)
+        # comes before the last two fits of the descending walk, it matches
+        # a chain of fit_logreg calls that keeps every fit and picks each
+        # start by the secant rule itself. That takes the secant from 1e2
+        # down, except at 0.9, where the secant from 1 steps a decade as
+        # 10 -> 1 did and the last solution wins
         X, y, Xt, yt = acceptance_blobs()
         keep = np.flatnonzero(np.arange(y.size) < np.array([30, 45, 68])[y])
         X, y = X[keep], y[keep]  # 30, 15 and 8 rows: large lambdas pick class 0
-        cfg = ProbeConfig(lambda_grid=(1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4),
+        cfg = ProbeConfig(lambda_grid=(1e-2, 1e-1, 0.9, 1.0, 10.0, 1e2, 1e3, 1e4),
                           tolerance=1e-6)
         res = sweep_and_retrain(X, y, Xt, yt, cfg)
         tr, va = stratified_split(y, cfg.val_fraction, cfg.seed)
-        fits, val_acc, secant = [], [], []
-        for lam in cfg.lambda_grid:
-            thetas = [np.concatenate([f.weights.ravel(), f.bias]) for f in fits[-2:]]
+        fits, val_acc, secant = {}, {}, []
+        order = list(reversed(range(len(cfg.lambda_grid))))
+        for step, i in enumerate(order):
+            lam = cfg.lambda_grid[i]
+            thetas = [np.concatenate([fits[j].weights.ravel(), fits[j].bias])
+                      for j in order[max(step - 2, 0):step]]
             start = thetas[-1] if thetas else np.zeros(3 * 6)
             if len(thetas) == 2:
                 guess = 2.0 * thetas[1] - thetas[0]
                 secant.append(reference_objective(guess, X[tr], y[tr], lam, 3)[0]
                               < reference_objective(start, X[tr], y[tr], lam, 3)[0])
                 start = guess if secant[-1] else start
-            fit = fit_logreg(X[tr], y[tr], lam, 3, start[:15].reshape(3, 5),
-                             start[15:], tolerance=cfg.tolerance)
-            fits.append(fit)
-            val_acc.append(probe_accuracy(fit.weights, fit.bias, X[va], y[va]))
+            fits[i] = fit_logreg(X[tr], y[tr], lam, 3, start[:15].reshape(3, 5),
+                                 start[15:], tolerance=cfg.tolerance)
+            val_acc[i] = probe_accuracy(fits[i].weights, fits[i].bias, X[va], y[va])
+        val_acc = [val_acc[i] for i in range(len(cfg.lambda_grid))]
         best = max(i for i, a in enumerate(val_acc) if a == max(val_acc))
-        assert best < len(cfg.lambda_grid) - 2
-        assert secant == [True, True, True, False, False]
+        assert best > 1  # not among the last two fits of the walk
+        assert secant == [True, True, True, False, True, True]
         final = fit_logreg(X, y, cfg.lambda_grid[best], 3, fits[best].weights,
                            fits[best].bias, tolerance=cfg.tolerance)
         assert res.best_lambda == cfg.lambda_grid[best]
         assert res.val_accuracy.tolist() == val_acc
-        assert res.n_iter.tolist() == [f.n_iter for f in fits]
-        assert res.grad_norm.tolist() == [f.grad_norm for f in fits]
+        assert res.n_iter.tolist() == [fits[i].n_iter for i in range(len(fits))]
+        assert res.grad_norm.tolist() == [fits[i].grad_norm for i in range(len(fits))]
         assert res.refit_n_iter == final.n_iter > 0
         assert res.refit_grad_norm == final.grad_norm
         assert np.array_equal(res.weights, final.weights)
         assert np.array_equal(res.bias, final.bias)
+
+    def test_sweep_factors_less_than_it_steps(self, monkeypatch):
+        # on the acceptance data the walk down the grid reuses factors:
+        # fewer factorizations than Newton steps, and every fit converges
+        calls = record_directions(monkeypatch)
+        X, y, Xt, yt = acceptance_blobs()
+        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sweep_and_retrain(X, y, Xt, yt, cfg)
+        assert res.converged.all() and res.refit_converged
+        fresh = sum(kind == "fresh" for kind, _, _ in calls)
+        assert 0 < fresh < res.n_iter.sum()
 
     def test_no_evaluation_repeats_its_predecessor(self, monkeypatch):
         # the path start is evaluated once: the fit takes the objective,
