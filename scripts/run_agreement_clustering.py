@@ -6,7 +6,9 @@ Usage:
 
 Trains softmax and squared error across seeds, builds the pairwise
 agreement matrix on the shared eval split, and prints the within-loss
-vs cross-loss seed-means plus the first average-linkage merges.
+vs cross-loss seed-means plus the first average-linkage merges. It exits
+0 only if the within-loss mean is the higher and each of the first
+JUDGED_MERGES merges joins runs of one loss, however many --merges prints.
 """
 
 import argparse
@@ -14,6 +16,10 @@ import sys
 
 from losslab.agreement import AGREEMENT_VARIANTS
 from losslab.experiments import agreement_experiment
+
+# the merges that must each join runs of one loss, as acceptance
+# criterion 8 requires
+JUDGED_MERGES = 3
 
 
 def main(argv=None) -> int:
@@ -36,15 +42,16 @@ def main(argv=None) -> int:
     # merged clusters get ids above the run count, in merge order
     cluster = {i: {i} for i in range(len(names))}
     ok = out["within_mean"] > out["cross_mean"]
-    for step, (a, b, dist) in enumerate(out["merges"][:args.merges]):
+    for step, (a, b, dist) in enumerate(out["merges"]):
         members = cluster[int(a)] | cluster[int(b)]
         cluster[len(names) + step] = members
-        losses = {loss_of[i] for i in members}
-        pure = "within-loss" if len(losses) == 1 else "MIXED"
-        listed = ", ".join(names[i] for i in sorted(members))
-        print(f"merge {step}: d={dist:.4f} [{listed}] {pure}")
-        if step == 0:
-            ok &= len(losses) == 1
+        pure = len({loss_of[i] for i in members}) == 1
+        if step < JUDGED_MERGES:
+            ok &= pure
+        if step < args.merges:
+            listed = ", ".join(names[i] for i in sorted(members))
+            print(f"merge {step}: d={dist:.4f} [{listed}] "
+                  f"{'within-loss' if pure else 'MIXED'}")
 
     return 0 if ok else 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import check_labels, check_matrix
+from .checks import check_choice, check_labels, check_matrix
 
 AGREEMENT_VARIANTS = (
     "same_top1",
@@ -36,8 +36,7 @@ def _pair_agreement(pi, pj, y, variant: str) -> float:
 
 def agreement_matrix(predictions, labels, variant: str = "same_top1") -> np.ndarray:
     """(m, m) symmetric agreement of m prediction vectors, NaN where undefined."""
-    if variant not in AGREEMENT_VARIANTS:
-        raise ValueError(f"variant must be one of {AGREEMENT_VARIANTS}, got {variant!r}")
+    check_choice("variant", variant, AGREEMENT_VARIANTS)
     P = check_matrix(predictions, "predictions")
     m, n = P.shape
     preds = check_labels(P, m * n, name="predictions")[0].reshape(m, n)

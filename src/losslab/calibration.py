@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_labels, check_matrix, check_range
+from .checks import check_choice, check_labels, check_matrix, check_range
 from .losses import LOSS_KINDS, row_max, sigmoid, softmax_rows
 
 PROB_CLAMP = 1e-12
@@ -45,8 +45,7 @@ def _checked(scores, labels=None, loss_kind="softmax") -> tuple:
     """(L, y): scores as a finite (n, K) matrix with K >= 2 (a (K,) row is
     n = 1) and labels as n ints in [0, K), or None without labels; and
     loss_kind one of LOSS_KINDS."""
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
+    check_choice("loss_kind", loss_kind, LOSS_KINDS)
     L = check_matrix(np.atleast_2d(scores), "logits")
     check_range("classes", L.shape[1], ">= 2")
     return L, None if labels is None else check_labels(labels, *L.shape)[0]

@@ -2,9 +2,12 @@
 
 Every public function checks the arrays and scalar knobs it is given here,
 once, on entry; the kernels behind it trust their arguments, and a config
-knob is a ranged dataclass field. File formats (the csv loader, activation
-dumps) keep their own checks, which name the line or byte offset of the bad
-input.
+knob is a ranged or chosen dataclass field. A value picked by name (a loss
+kind, a schedule, an analysis) is held to its tuple of choices by
+check_choice, with one message: ``<name> must be one of <choices>, got
+<value!r>``. File formats (the csv loader, activation dumps, the INI's
+section and key names) keep their own checks, which name the line, byte
+offset, section or key of the bad input.
 """
 
 from __future__ import annotations
@@ -40,18 +43,33 @@ def check_range(name: str, value, valid: str):
     return value
 
 
+def check_choice(name: str, value, choices: tuple):
+    """value, if it is one of choices; else ValueError."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
 def ranged(valid: str, default=MISSING):
     """A dataclass field that check_fields holds to RANGES[valid]."""
     return field(default=default, metadata={"range": valid})
 
 
+def chosen(choices: tuple, default=MISSING):
+    """A dataclass field that check_fields holds to one of choices."""
+    return field(default=default, metadata={"choices": choices})
+
+
 def check_fields(obj) -> None:
-    """check_range on each ranged field of the dataclass obj, in field
-    order; a field set to None is unset and not checked."""
+    """check_range on each ranged field and check_choice on each chosen
+    field of the dataclass obj, in field order; a ranged field set to None
+    is unset and not checked."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if "range" in f.metadata and value is not None:
             check_range(f.name, value, f.metadata["range"])
+        if "choices" in f.metadata:
+            check_choice(f.name, value, f.metadata["choices"])
 
 
 def check_matrix(X, name: str = "matrix", dim: int | None = None,

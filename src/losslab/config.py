@@ -48,8 +48,8 @@ import re
 from dataclasses import MISSING, dataclass, fields
 
 from .agreement import AGREEMENT_VARIANTS
-from .checks import check_fields, check_range, ranged
-from .losses import LOSS_KINDS, LOSS_PARAMS, PENALTY_KINDS, LossSpec, PenaltySpec
+from .checks import check_choice, check_fields, check_range, chosen, ranged
+from .losses import LOSS_KINDS, LOSS_PARAMS, LossSpec, PenaltySpec
 from .training import TrainConfig
 
 ANALYSES = (
@@ -81,9 +81,8 @@ def parse_loss_line(text: str) -> LossSpec:
     parts = text.split()
     if not parts:
         raise ValueError("empty loss line")
-    kind = parts[0]
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
+    # LossSpec checks the kind too, but LOSS_PARAMS[kind] comes first
+    kind = check_choice("kind", parts[0], LOSS_KINDS)
     fields = {name: field for name, field, _ in LOSS_PARAMS[kind]}
     params = {}
     penalties = []
@@ -92,10 +91,6 @@ def parse_loss_line(text: str) -> LossSpec:
         if not eq or not val:
             raise ValueError(f"malformed token {tok!r} in loss line {text!r}")
         if tok.startswith("+"):
-            if name not in PENALTY_KINDS:
-                raise ValueError(
-                    f"unknown penalty {name!r}; choose from {PENALTY_KINDS}"
-                )
             penalties.append(PenaltySpec(name, float(val)))
         else:
             if name not in fields:
@@ -127,7 +122,7 @@ def format_loss_line(spec: LossSpec) -> str:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    kind: str = "blobs"
+    kind: str = chosen(DATASET_KINDS, "blobs")
     # blobs; check_fields holds their ranges for every kind
     classes: int = ranged(">= 2", 10)
     features: int = ranged(">= 1", 32)
@@ -140,8 +135,6 @@ class DatasetConfig:
     eval_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
-            raise ValueError(f"dataset kind must be one of {DATASET_KINDS}")
         check_fields(self)
         if self.kind != "blobs" and not (self.path and self.eval_path):
             raise ValueError(f"{self.kind} datasets need path and eval_path")
@@ -161,7 +154,7 @@ class ExperimentConfig:
     losses: tuple  # ((name, LossSpec), ...)
     output_dir: str
     analyses: tuple[str, ...] = ()
-    agreement_variant: str = "same_top1"
+    agreement_variant: str = chosen(AGREEMENT_VARIANTS, "same_top1")
     transfer_merge: int = ranged(">= 2", 5)
 
     def __post_init__(self):
@@ -186,14 +179,9 @@ class ExperimentConfig:
         # the knobs are shared by every run, so one TrainConfig checks them all
         TrainConfig(loss=self.losses[0][1], seed=self.seeds[0], **self.train)
         for a in self.analyses:
-            if a not in ANALYSES:
-                raise ValueError(f"unknown analysis {a!r}; choose from {ANALYSES}")
+            check_choice("analysis", a, ANALYSES)
         if len(set(self.analyses)) != len(self.analyses):
             raise ValueError(f"duplicate analyses in {self.analyses}")
-        if self.agreement_variant not in AGREEMENT_VARIANTS:
-            raise ValueError(
-                f"agreement_variant must be one of {AGREEMENT_VARIANTS}"
-            )
         check_fields(self)
 
 
@@ -249,7 +237,9 @@ def _parse_section(parser, section) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # with no default section, [DEFAULT] is one more unknown section, not
+    # keys merged into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
     parser.optionxform = str  # keys and loss names as written, not lowercased
     read = parser.read(path)
     if not read:

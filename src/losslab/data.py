@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_labels, check_matrix, check_range
+from .checks import check_choice, check_labels, check_matrix, check_range
 
 SPLITS = ("train", "eval")
 
@@ -77,9 +77,7 @@ def draw_blob_split(
 
 def split_index(split: str) -> int:
     """0 for "train", 1 for "eval"; ValueError for any other split name."""
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-    return SPLITS.index(split)
+    return SPLITS.index(check_choice("split", split, SPLITS))
 
 
 def _draw_blobs(segments, keep, num_classes, feature_dim, spread, seed) -> Batch:

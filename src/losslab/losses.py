@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .checks import check_labels, check_matrix, check_range
+from .checks import check_fields, check_labels, check_matrix, check_range, chosen
 
 NORM_EPS = 1e-12
 
@@ -106,12 +106,11 @@ class FinalLayer:
 class PenaltySpec:
     """Additive regularizer attached to a base objective."""
 
-    kind: str  # "logit_penalty" or "extra_final_l2"
+    kind: str = chosen(PENALTY_KINDS)
     value: float
 
     def __post_init__(self):
-        if self.kind not in PENALTY_KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
+        check_fields(self)
         check_range("penalty value", self.value, "finite and >= 0")
 
 
@@ -125,7 +124,7 @@ class LossSpec:
     with defaults.
     """
 
-    kind: str
+    kind: str = chosen(LOSS_KINDS)
     alpha: float = 0.1  # label_smoothing
     keep_prob: float = 0.7  # dropout
     lambda_final: float = 8e-4  # extra_final_l2
@@ -137,8 +136,7 @@ class LossSpec:
     extra_penalties: tuple[PenaltySpec, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in LOSS_PARAMS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+        check_fields(self)
         for _, name, valid in LOSS_PARAMS[self.kind]:
             check_range(name, getattr(self, name), valid)
         object.__setattr__(self, "extra_penalties", tuple(self.extra_penalties))

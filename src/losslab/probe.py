@@ -32,15 +32,16 @@ its input once; its fits run unchecked on the augmented rows it built.
 
 The regularization path walks the 45 log-spaced lambdas from the largest
 down with warm starts: at the top the zero start is nearly optimal, and
-each solution is a close start for the next. From the third lambda on, a
-fit starts from the last solution or from its secant prediction
-2 theta_i - theta_{i-1}, whichever has the lower objective at the new
-lambda; the fit takes the objective, gradient and softmax rows computed
-for that choice. The path picks the best validation accuracy, ties to
-the larger lambda (the first seen, so only a strictly better one
-replaces it), then refits on the full training set from that lambda's
-solution. It keeps only the two solutions the secant reads, the best one
-so far and the per-lambda scalars, in grid order, not a fit per lambda.
+each solution is a close start for the next. A fit is given candidate
+starts and begins at the one with the lowest objective, with the
+objective, gradient and softmax rows it computed there. From the third
+lambda on, the candidates are the last solution and its secant
+prediction 2 theta_i - theta_{i-1}. The path picks the best validation
+accuracy, ties to the larger lambda (the first seen, so only a strictly
+better one replaces it), then refits on the full training set from that
+lambda's solution. It keeps only the two solutions the secant reads, the
+best one so far and the per-lambda scalars, in grid order, not a fit per
+lambda.
 """
 
 from __future__ import annotations
@@ -287,24 +288,19 @@ def fit_logreg(
     if W.shape != (K, d) or b.shape != (K,):
         raise ValueError(f"init shapes {W.shape}/{b.shape} do not match ({K},{d})")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    return _fit(Xa, y, lam, np.hstack([W, b[:, None]]), tolerance, max_iterations, work)
+    return _fit(Xa, y, lam, (np.hstack([W, b[:, None]]),), tolerance, max_iterations,
+                work)
 
 
-def _centered(theta):
-    """theta = [W, b] with the class mean taken out of W's rows: the
-    start of every fit, in the subspace its Newton steps keep."""
-    W = theta[:, :-1]
-    return np.hstack([W - W.mean(axis=0), theta[:, -1:]])
-
-
-def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None,
-         evaluated=None) -> LogRegFit:
+def _fit(Xa, y, lam, starts, tolerance, max_iterations, work=None) -> LogRegFit:
     """fit_logreg on checked inputs: the augmented rows Xa = [X, 1], their
-    labels y and the start theta = [W, b], (K, d+1). sweep_and_retrain
-    checks its input once and runs every fit through here.
+    labels y and a tuple of candidate starts [W, b], (K, d+1).
+    sweep_and_retrain checks its input once and runs every fit through
+    here.
 
-    evaluated, when given, is _objective_and_grad's (value, G, P) at a
-    theta already centered; otherwise theta is centered and evaluated.
+    Each start has the class mean taken out of its weight rows, the
+    subspace the Newton steps keep, and is evaluated in turn; the fit
+    begins at the one with the lowest objective, the first on a tie.
 
     A step factors the Hessian afresh (_newton_direction) unless the step
     before it was a full step that cut ||G|| by at least
@@ -312,10 +308,12 @@ def _fit(Xa, y, lam, theta, tolerance, max_iterations, work=None,
     (_solve) and tries the full step only. If that fails the Armijo test,
     the same iterate is factored afresh and the fit goes on. Every step
     counts in n_iter; the fit stops when ||G|| <= tolerance."""
-    if evaluated is None:
-        theta = _centered(theta)
-        evaluated = _objective_and_grad(theta, Xa, y, lam)
-    value, G, P = evaluated
+    candidates = []
+    for start in starts:
+        W = start[:, :-1]
+        theta = np.hstack([W - W.mean(axis=0), start[:, -1:]])
+        candidates.append((theta, _objective_and_grad(theta, Xa, y, lam)))
+    theta, (value, G, P) = min(candidates, key=lambda c: c[1][0])
     trace = [value]
     it = 0
     gn = float(np.linalg.norm(G))
@@ -400,24 +398,6 @@ def stratified_split(labels, val_fraction: float, seed: int):
     return np.sort(train_idx), np.sort(val_idx)
 
 
-def _path_start(last, prev, Xa, y, lam):
-    """(start, (value, G, P) there) for the path fit at lam after the
-    solutions last = theta_i and prev = theta_{i-1} (None before the
-    second fit): theta_i, or the secant prediction 2 theta_i - theta_{i-1}
-    when that has the lower objective at lam, centered as _fit centers a
-    start. The grid is uniform in log lambda, so the secant extrapolates
-    theta linearly along it."""
-    guess = None if prev is None else _centered(2.0 * last - prev)
-    last = _centered(last)
-    at_last = _objective_and_grad(last, Xa, y, lam)
-    if guess is None:
-        return last, at_last
-    at_guess = _objective_and_grad(guess, Xa, y, lam)
-    if at_guess[0] < at_last[0]:
-        return guess, at_guess
-    return last, at_last
-
-
 def sweep_and_retrain(
     features_train,
     labels_train,
@@ -461,11 +441,12 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
     prev = last = best = None
     best_i = len(grid) - 1
     for i in reversed(range(len(grid))):
-        lam = grid[i]
-        start, evaluated = (np.zeros((K, Xa.shape[1])), None) if last is None else (
-            _path_start(last, prev, Xa_tr, ytr, lam))
-        fit = _fit(Xa_tr, ytr, lam, start, config.tolerance, config.max_iterations, work,
-                   evaluated)
+        # the grid is uniform in log lambda, so the secant start
+        # 2 theta_i - theta_{i-1} extrapolates theta linearly along it
+        starts = ((np.zeros((K, Xa.shape[1])),) if last is None else
+                  (last,) if prev is None else (last, 2.0 * last - prev))
+        fit = _fit(Xa_tr, ytr, grid[i], starts, config.tolerance, config.max_iterations,
+                   work)
         prev, last = last, np.hstack([fit.weights, fit.bias[:, None]])
         converged[i], n_iter[i], grad_norm[i] = fit.converged, fit.n_iter, fit.grad_norm
         val_acc[i] = probe_accuracy(fit.weights, fit.bias, Xva, yva)
@@ -475,7 +456,7 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
             best_i, best = i, last
     best_lambda = grid[best_i]
 
-    final = _fit(Xa, y, best_lambda, best, config.tolerance, config.max_iterations,
+    final = _fit(Xa, y, best_lambda, (best,), config.tolerance, config.max_iterations,
                  work)
     return ProbeResult(
         best_lambda=best_lambda,

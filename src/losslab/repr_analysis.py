@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import check_labels, check_matrix
+from .checks import check_choice, check_labels, check_matrix
 from .losses import NORM_EPS, DegenerateInputError, FinalLayer
 
 SEPARATION_INDEXES = ("cosine", "cosine_mean_subtracted", "euclidean")
@@ -105,8 +105,7 @@ def class_separation_r2(
     """
     indexes = (index,) if isinstance(index, str) else tuple(index)
     for ix in indexes:
-        if ix not in SEPARATION_INDEXES:
-            raise ValueError(f"index must be one of {SEPARATION_INDEXES}, got {ix!r}")
+        check_choice("index", ix, SEPARATION_INDEXES)
     X = check_matrix(X)
     y, k = check_labels(labels, X.shape[0], num_classes)
     counts = np.bincount(y, minlength=k)

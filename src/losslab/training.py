@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .checks import check_fields, ranged
+from .checks import check_fields, chosen, ranged
 from .data import Batch
 from .losses import LossSpec, compose_loss, eval_scores, loss_rows, loss_value
 from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
@@ -44,7 +44,7 @@ class TrainConfig:
     epochs: int = ranged(">= 0")
     batch_size: int = ranged(">= 1")
     peak_lr: float = ranged("finite and > 0")
-    schedule: str = "cosine"
+    schedule: str = chosen(SCHEDULE_KINDS, "cosine")
     warmup_epochs: float = ranged("finite and >= 0", 10.0)
     decay_per_epoch: float = ranged("finite and > 0", 0.975)
     momentum: float = ranged("in [0, 1)", 0.9)
@@ -54,10 +54,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.schedule not in SCHEDULE_KINDS:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}"
-            )
 
 
 @dataclass

@@ -17,7 +17,8 @@ from losslab.config import (
     load_config,
     parse_loss_line,
 )
-from losslab.losses import LOSS_KINDS, LossSpec, PenaltySpec
+from losslab.agreement import AGREEMENT_VARIANTS
+from losslab.losses import LOSS_KINDS, PENALTY_KINDS, LossSpec, PenaltySpec
 from losslab.probe import ProbeConfig
 from losslab.training import TrainConfig
 
@@ -44,7 +45,8 @@ class TestLossLines:
         )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown loss kind"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"kind must be one of {LOSS_KINDS}, got 'hinge'")):
             parse_loss_line("hinge")
 
     def test_unknown_param_rejected(self):
@@ -52,7 +54,8 @@ class TestLossLines:
             parse_loss_line("softmax gamma=2")
 
     def test_unknown_penalty_rejected(self):
-        with pytest.raises(ValueError, match="unknown penalty"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"kind must be one of {PENALTY_KINDS}, got 'ridge'")):
             parse_loss_line("softmax +ridge=0.1")
 
     def test_malformed_token_rejected(self):
@@ -168,6 +171,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=r"unknown section \[extras\]"):
             load_config(path)
 
+    @pytest.mark.parametrize("keys", ["seed = 3\n", "epochs = 3\n", ""],
+                             ids=["seed", "epochs", "empty"])
+    def test_default_section_rejected(self, tmp_path, keys):
+        # configparser would merge its keys into every section
+        path = write_ini(tmp_path, f"[DEFAULT]\n{keys}\n" + GOOD_INI)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown section [DEFAULT]; choose from {config._SECTIONS}")):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = GOOD_INI.replace("peak_lr = 0.05", "peak_lr = 0.05\nlr_decay = 2")
         with pytest.raises(ValueError, match=r"unknown key 'lr_decay' in \[train\]"):
@@ -262,7 +274,7 @@ class TestLoadConfig:
         ini = GOOD_INI.replace(GOOD_INI.split("\n\n")[0], (
             "[dataset]\nkind = idx\npath = a.idx\neval_path = b.idx"))
         with pytest.raises(ValueError,
-                           match=r"dataset kind must be one of \('blobs', 'csv'\)"):
+                           match=r"kind must be one of \('blobs', 'csv'\), got 'idx'"):
             load_config(write_ini(tmp_path, ini))
 
     def test_weight_decay_key_renamed_for_trainer(self, tmp_path):
@@ -279,7 +291,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("line, match", [
         ("label_smoothing alpha=abc", "could not convert string to float: 'abc'"),
         ("label_smoothing alpha=1.5", r"alpha must be in \[0, 1\), got 1.5"),
-        ("hinge", "unknown loss kind 'hinge'"),
+        ("hinge", re.escape(f"kind must be one of {LOSS_KINDS}, got 'hinge'")),
     ], ids=["bad-number", "out-of-range", "unknown-kind"])
     def test_bad_loss_line_names_its_entry(self, tmp_path, line, match):
         bad = GOOD_INI.replace("label_smoothing alpha=0.1", line)
@@ -289,7 +301,8 @@ class TestLoadConfig:
 
     def test_unknown_analysis_rejected(self, tmp_path):
         bad = GOOD_INI.replace("separation, calibration", "separation, vibes")
-        with pytest.raises(ValueError, match="unknown analysis 'vibes'"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"analysis must be one of {ANALYSES}, got 'vibes'")):
             load_config(write_ini(tmp_path, bad))
 
     def test_percent_literal_survives(self, tmp_path):
@@ -365,7 +378,8 @@ class TestDatasetConfig:
         assert ds.classes >= 2 and ds.per_class >= 1
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="dataset kind"):
+        with pytest.raises(ValueError, match=re.escape(
+                "kind must be one of ('blobs', 'csv'), got 'imagenet'")):
             DatasetConfig(kind="imagenet")
 
     def test_csv_needs_paths(self):
@@ -544,6 +558,7 @@ def _minimal(cls):
                                train=dict(epochs=1, batch_size=1, peak_lr=0.1),
                                seeds=(0,), losses=(("a", LossSpec("softmax")),),
                                output_dir="out"),
+        PenaltySpec: dict(kind="logit_penalty", value=0.0),
     }.get(cls, {})
 
 
@@ -562,6 +577,30 @@ def test_ranged_fields_found():
 def test_negative_seed_rejected(cls):
     with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
         cls(**_minimal(cls), seed=-1)
+
+
+CHOSEN = [(cls, f.name, f.metadata["choices"])
+          for cls in (TrainConfig, DatasetConfig, ExperimentConfig, LossSpec,
+                      PenaltySpec)
+          for f in fields(cls) if "choices" in f.metadata]
+
+
+def test_chosen_fields_found():
+    assert [(cls.__name__, name, choices) for cls, name, choices in CHOSEN] == [
+        ("TrainConfig", "schedule", ("cosine", "warmup_exp")),
+        ("DatasetConfig", "kind", ("blobs", "csv")),
+        ("ExperimentConfig", "agreement_variant", AGREEMENT_VARIANTS),
+        ("LossSpec", "kind", LOSS_KINDS),
+        ("PenaltySpec", "kind", PENALTY_KINDS),
+    ]
+
+
+@pytest.mark.parametrize("cls, name, choices", CHOSEN,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in CHOSEN])
+def test_chosen_field_rejects_bogus(cls, name, choices):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be one of {choices}, got 'bogus'")):
+        cls(**{**_minimal(cls), name: "bogus"})
 
 
 @pytest.mark.parametrize("cls, name, valid", RANGED,

@@ -7,12 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from losslab.agreement import agreement_matrix, linkage_dendrogram
+from losslab.agreement import AGREEMENT_VARIANTS, agreement_matrix, linkage_dendrogram
 from losslab.calibration import ece, fit_temperature, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
 from losslab.data import Batch, draw_blob_split, make_blobs
 from losslab.harness import train_runs, transfer_probe
 from losslab.losses import (
+    LOSS_KINDS,
+    PENALTY_KINDS,
     FinalLayer,
     LossSpec,
     PenaltySpec,
@@ -33,6 +35,7 @@ from losslab.losses import (
 from losslab.mlp import init_mlp
 from losslab.probe import ProbeConfig, fit_logreg, stratified_split, sweep_and_retrain
 from losslab.repr_analysis import (
+    SEPARATION_INDEXES,
     angular_visual_hardness,
     class_separation_r2,
     cka_matrix,
@@ -226,6 +229,18 @@ KNOB_CASES = [
                  "jobs must be >= 1, got -1", id="train_runs-jobs-minus_1"),
     pytest.param(lambda: train_runs([], jobs=2.5),
                  "jobs must be an integer, got 2.5", id="train_runs-jobs-fractional"),
+    pytest.param(lambda: LossSpec("hinge"),
+                 re.escape(f"kind must be one of {LOSS_KINDS}, got 'hinge'"),
+                 id="LossSpec-kind"),
+    pytest.param(lambda: PenaltySpec("l1", 0.1),
+                 re.escape(f"kind must be one of {PENALTY_KINDS}, got 'l1'"),
+                 id="PenaltySpec-kind"),
+    pytest.param(lambda: agreement_matrix([[0, 1], [1, 1]], [0, 1], "nonsense"),
+                 re.escape(f"variant must be one of {AGREEMENT_VARIANTS}, got 'nonsense'"),
+                 id="agreement_matrix-variant"),
+    pytest.param(lambda: class_separation_r2(*valid_input(), "centroid"),
+                 re.escape(f"index must be one of {SEPARATION_INDEXES}, got 'centroid'"),
+                 id="class_separation_r2-index"),
 ]
 
 

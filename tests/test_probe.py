@@ -717,8 +717,8 @@ class TestSweep:
         assert 0 < fresh < res.n_iter.sum()
 
     def test_no_evaluation_repeats_its_predecessor(self, monkeypatch):
-        # the path start is evaluated once: the fit takes the objective,
-        # gradient and softmax rows _path_start computed for its choice
+        # each candidate start is evaluated once: the fit begins with the
+        # objective, gradient and softmax rows it computed to choose it
         calls = []
 
         def spy(theta, Xa, y, lam):

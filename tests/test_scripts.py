@@ -120,6 +120,36 @@ def test_class_separation_cannot_judge_one_seed(monkeypatch, capsys):
     assert out.splitlines()[1].split() == ["softmax", "0.0000", "-", "0.0000"]
 
 
+# average-linkage merges of three seeds each of losses a and b, as rows
+# (cluster, cluster, height); the second "mixed" merge joins b:seed0 to
+# the pair a:seed0, a:seed1
+AGREEMENT_MERGES = {
+    "within": [[0, 1, 0.1], [3, 4, 0.2], [2, 6, 0.3], [5, 7, 0.4], [8, 9, 0.9]],
+    "mixed": [[0, 1, 0.1], [3, 6, 0.2], [2, 7, 0.3], [4, 8, 0.4], [5, 9, 0.9]],
+}
+
+
+@pytest.mark.parametrize("shown", ["1", "4"])
+@pytest.mark.parametrize("merges, code", [("within", 0), ("mixed", 1)])
+def test_agreement_script_judges_the_first_three_merges(monkeypatch, capsys,
+                                                        merges, code, shown):
+    # the first three merges must each join one loss's runs, however many
+    # of them --merges prints
+    mod = load_script("run_agreement_clustering")
+    monkeypatch.setattr(mod, "agreement_experiment", lambda seeds, variant: {
+        "names": [f"{loss}:seed{s}" for loss in "ab" for s in range(3)],
+        "loss_of": ["a"] * 3 + ["b"] * 3,
+        "within_mean": 0.9,
+        "cross_mean": 0.5,
+        "merges": np.array(AGREEMENT_MERGES[merges]),
+    })
+    assert mod.main(["--merges", shown]) == code
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("merge ")]
+    assert len(printed) == int(shown)
+    assert printed[0].endswith("[a:seed0, a:seed1] within-loss")
+
+
 def test_script_csv_ends_lines_in_bare_line_feeds(monkeypatch, tmp_path, capsys):
     # --out goes through the harness's one CSV writer, like every artifact
     sep = load_script("run_class_separation")
