@@ -63,13 +63,17 @@ def chosen(choices: tuple, default=MISSING):
 def check_fields(obj) -> None:
     """check_range on each ranged field and check_choice on each chosen
     field of the dataclass obj, in field order; a ranged field set to None
-    is unset and not checked."""
+    is unset and not checked. A tuple value has each of its entries held to
+    the field's rule, and a field annotated as a tuple must hold one."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if "range" in f.metadata and value is not None:
-            check_range(f.name, value, f.metadata["range"])
-        if "choices" in f.metadata:
-            check_choice(f.name, value, f.metadata["choices"])
+        for v in value if isinstance(value, tuple) else (value,):
+            if "range" in f.metadata and v is not None:
+                check_range(f.name, v, f.metadata["range"])
+            if "choices" in f.metadata:
+                check_choice(f.name, v, f.metadata["choices"])
+        if str(f.type).startswith("tuple") and not isinstance(value, tuple):
+            raise TypeError(f"{f.name} must be a tuple, got {value!r}")
 
 
 def check_matrix(X, name: str = "matrix", dim: int | None = None,

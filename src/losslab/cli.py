@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import harness
+from .checks import check_choice
 from .config import ANALYSES, load_config
 from .data import SPLITS
 
@@ -32,13 +33,9 @@ def _experiment(args):
 
 
 def _pick_loss(config, name):
-    if name is None:
-        return config.losses[0]
-    for pair in config.losses:
-        if pair[0] == name:
-            return pair
-    known = tuple(n for n, _ in config.losses)
-    raise ValueError(f"no loss named {name!r} in config; choose from {known}")
+    names = tuple(n for n, _ in config.losses)
+    name = names[0] if name is None else check_choice("loss", name, names)
+    return config.losses[names.index(name)]
 
 
 def cmd_train(args) -> int:

@@ -48,7 +48,7 @@ import re
 from dataclasses import MISSING, dataclass, fields
 
 from .agreement import AGREEMENT_VARIANTS
-from .checks import check_choice, check_fields, check_range, chosen, ranged
+from .checks import check_choice, check_fields, chosen, ranged
 from .losses import LOSS_KINDS, LOSS_PARAMS, LossSpec, PenaltySpec
 from .training import TrainConfig
 
@@ -148,21 +148,23 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig
-    hidden: tuple[int, ...]
-    train: dict  # TrainConfig knobs minus loss and seed
-    seeds: tuple[int, ...]
+    hidden: tuple[int, ...] = ranged(">= 1")
+    train: TrainConfig  # the recipe every (loss, seed) run shares
+    seeds: tuple[int, ...] = ranged(">= 0")
     losses: tuple  # ((name, LossSpec), ...)
     output_dir: str
-    analyses: tuple[str, ...] = ()
+    analyses: tuple[str, ...] = chosen(ANALYSES, ())
     agreement_variant: str = chosen(AGREEMENT_VARIANTS, "same_top1")
     transfer_merge: int = ranged(">= 2", 5)
 
     def __post_init__(self):
+        check_fields(self)
+        if not isinstance(self.train, TrainConfig):
+            raise TypeError(f"train must be a TrainConfig, got {self.train!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate seeds")
-        check_range("seeds", min(self.seeds), ">= 0")
         if not self.losses:
             raise ValueError("need at least one loss")
         names = [name for name, _ in self.losses]
@@ -175,14 +177,8 @@ class ExperimentConfig:
                 )
         if not self.hidden:
             raise ValueError("hidden needs at least one width")
-        check_range("hidden widths", min(self.hidden), ">= 1")
-        # the knobs are shared by every run, so one TrainConfig checks them all
-        TrainConfig(loss=self.losses[0][1], seed=self.seeds[0], **self.train)
-        for a in self.analyses:
-            check_choice("analysis", a, ANALYSES)
         if len(set(self.analyses)) != len(self.analyses):
             raise ValueError(f"duplicate analyses in {self.analyses}")
-        check_fields(self)
 
 
 # field annotation -> parser of the INI value that fills the field; list
@@ -202,7 +198,7 @@ _RENAMED_KEYS = {"weight_decay_product": "weight_decay", "output_dir": "output"}
 _SECTION_FIELDS = {
     "dataset": fields(DatasetConfig),
     "model": [f for f in fields(ExperimentConfig) if f.name == "hidden"],
-    "train": [f for f in fields(TrainConfig) if f.name not in ("loss", "seed")],
+    "train": fields(TrainConfig),
     "experiment": [f for f in fields(ExperimentConfig)
                    if f.name not in ("dataset", "hidden", "train", "losses")],
 }
@@ -273,5 +269,5 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"[losses] {name} = {line!r}: {exc}") from exc
 
     # keys the file leaves out take the dataclasses' defaults
-    return ExperimentConfig(dataset=DatasetConfig(**ds), train=train,
+    return ExperimentConfig(dataset=DatasetConfig(**ds), train=TrainConfig(**train),
                             losses=tuple(losses), **model, **exp)

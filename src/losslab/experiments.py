@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .harness import (
 from .losses import LOSS_KINDS, LossSpec
 from .probe import ProbeConfig
 from .repr_analysis import class_separation_r2
+from .training import TrainConfig
 
 # ten classes, 500/class, means a couple spreads apart: moderate overlap.
 # data seed picked so squared-error training keeps every feature row alive
@@ -56,7 +58,7 @@ def _train(recipes, seeds, task: DatasetConfig, output_dir) -> tuple:
         ExperimentConfig(
             dataset=task,
             hidden=(64, 64),
-            train={"epochs": 40, "batch_size": 128, "peak_lr": 0.05, **knobs},
+            train=replace(TrainConfig(epochs=40, batch_size=128, peak_lr=0.05), **knobs),
             seeds=tuple(seeds),
             losses=((name, spec),),
             analyses=(),

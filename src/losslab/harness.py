@@ -41,7 +41,7 @@ from .calibration import (
     probs_from_logits,
     top1_predictions,
 )
-from .checks import check_labels, check_matrix, check_range
+from .checks import check_choice, check_labels, check_matrix, check_range
 from .config import ExperimentConfig, format_loss_line
 from .data import SPLITS, Batch, draw_blob_split, load_csv, split_index
 # read_activation_dump is unused here; perfbench/tracer.py patches it here
@@ -68,7 +68,7 @@ from .repr_analysis import (
 # linear_cka is unused here too (report_cka calls cka_matrix); the tracer
 # patches it here
 from .repr_analysis import linear_cka  # noqa: F401
-from .training import TrainConfig, train
+from .training import train
 
 FMT = "%.10g"
 
@@ -175,8 +175,8 @@ def run_single(config: ExperimentConfig, loss_name: str, spec: LossSpec,
     # inside train(); child 2 is reserved here for weight init
     init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
     model = init_for_spec(train_batch.dim, config.hidden, k, spec, init_rng)
-    tc = TrainConfig(loss=spec, seed=seed, **config.train)
-    result = train(model, train_batch, tc, holdout=eval_batch)
+    result = train(model, train_batch, config.train, holdout=eval_batch,
+                   loss=spec, seed=seed)
     final_model = result.ema_model if result.ema_model is not None else result.model
 
     out = run_dir(config.output_dir, loss_name, seed)
@@ -496,8 +496,12 @@ def write_reports(config, kinds=None) -> list:
     """The only writer of reports/: each kind's tables as its reporter
     returns them (default: accuracy, then the config's analyses), then
     metadata.json, the grid and every report's settings. Returns the paths
-    in that order. The runs load once, after accuracy, and only for an
-    analysis; reporters are looked up per call, so a patched one runs."""
+    in that order. A bad kind raises before any file is written. The runs
+    load once, after accuracy, and only for an analysis; reporters are
+    looked up per call, so a patched one runs."""
+    kinds = ("accuracy", *config.analyses) if kinds is None else tuple(kinds)
+    for kind in kinds:
+        check_choice("report kind", kind, ("accuracy", *REPORTERS))
     rdir = reports_dir(config.output_dir)
     rdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -512,7 +516,7 @@ def write_reports(config, kinds=None) -> list:
             written.append(path)
 
     runs = None
-    for kind in ("accuracy", *config.analyses) if kinds is None else kinds:
+    for kind in kinds:
         if kind == "accuracy":
             write(report_accuracy(config))
         else:

@@ -136,10 +136,10 @@ class LossSpec:
     extra_penalties: tuple[PenaltySpec, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "extra_penalties", tuple(self.extra_penalties))
         check_fields(self)
         for _, name, valid in LOSS_PARAMS[self.kind]:
             check_range(name, getattr(self, name), valid)
-        object.__setattr__(self, "extra_penalties", tuple(self.extra_penalties))
 
 
 @dataclass

@@ -76,7 +76,9 @@ class ProbeConfig:
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.lambda_grid)
-        if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        if not grid:
+            raise ValueError("lambda_grid is empty")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
         for lam in grid:
             check_range("lambda_grid entry", lam, "finite and >= 0")

@@ -1,7 +1,8 @@
 """Minibatch trainer: Nesterov SGD, LR schedules, decay, EMA, epoch logging.
 
-Fully deterministic for a fixed (model, dataset, config): shuffling and
-dropout masks come from independent child streams of SeedSequence(seed).
+Fully deterministic for a fixed (model, dataset, config, loss, seed); the
+config is the recipe every run of a grid shares. Shuffling and dropout
+masks come from independent child streams of SeedSequence(seed).
 train() copies the input model's parameters into one flat vector theta and
 trains a model whose arrays are views of it, so the Nesterov step, the
 product-form decay and the EMA are in-place vector operations. The input
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .checks import check_fields, chosen, ranged
+from .checks import check_fields, check_range, chosen, ranged
 from .data import Batch
 from .losses import LossSpec, compose_loss, eval_scores, loss_rows, loss_value
 from .mlp import MlpModel, forward_hidden, model_from_params, penultimate_features
@@ -40,7 +41,6 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: LossSpec
     epochs: int = ranged(">= 0")
     batch_size: int = ranged(">= 1")
     peak_lr: float = ranged("finite and > 0")
@@ -50,7 +50,6 @@ class TrainConfig:
     momentum: float = ranged("in [0, 1)", 0.9)
     weight_decay_product: float = ranged("finite and >= 0", 0.0)
     ema_momentum: float | None = ranged("in [0, 1)", None)
-    seed: int = ranged(">= 0", 0)
 
     def __post_init__(self):
         check_fields(self)
@@ -97,12 +96,9 @@ def loss_and_grads(
     return res.value, grads
 
 
-def train(
-    model: MlpModel,
-    dataset: Batch,
-    config: TrainConfig,
-    holdout: Batch | None = None,
-) -> TrainResult:
+def train(model: MlpModel, dataset: Batch, config: TrainConfig,
+          holdout: Batch | None = None, *, loss: LossSpec, seed: int) -> TrainResult:
+    check_range("seed", seed, ">= 0")
     for name, batch in (("dataset", dataset), ("holdout", holdout)):
         # a split may lack the top classes, never go past the model's
         if batch is not None and (batch.dim != model.input_dim
@@ -111,9 +107,7 @@ def train(
                 f"{name} has {batch.dim} features and {batch.num_classes} "
                 f"classes, model {model.input_dim} and {model.num_classes}"
             )
-    spec = config.loss
-
-    ss = np.random.SeedSequence(config.seed)
+    ss = np.random.SeedSequence(seed)
     shuffle_ss, dropout_ss = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
@@ -146,11 +140,11 @@ def train(
             idx = perm[start : start + config.batch_size]
             lr = float(lr_at(config, step, total_steps, steps_per_epoch))
             value, grads = loss_and_grads(
-                model, spec, dataset.features[idx], dataset.labels[idx], dropout_rng
+                model, loss, dataset.features[idx], dataset.labels[idx], dropout_rng
             )
             if not np.isfinite(value):
                 raise TrainingDiverged(
-                    f"non-finite loss at step {step} (kind {spec.kind!r}, lr {lr:g})"
+                    f"non-finite loss at step {step} (kind {loss.kind!r}, lr {lr:g})"
                 )
             grad = np.concatenate(grads, axis=None)
             if config.weight_decay_product > 0.0 and lr > 0.0:
@@ -162,14 +156,14 @@ def train(
             # exact: a reduction such as a sum could overflow on finite theta
             if not np.isfinite(theta).all():
                 raise TrainingDiverged(
-                    f"non-finite parameters after step {step} (kind {spec.kind!r})"
+                    f"non-finite parameters after step {step} (kind {loss.kind!r})"
                 )
             if ema is not None:
                 ema *= ema_m
                 ema += (1.0 - ema_m) * theta
             step += 1
 
-        log.append(_epoch_record(model, spec, dataset, holdout, epoch, lr, buffers))
+        log.append(_epoch_record(model, loss, dataset, holdout, epoch, lr, buffers))
 
     ema_model = model_from_params(model, ema) if ema is not None else None
     return TrainResult(model=model, ema_model=ema_model, log=log)

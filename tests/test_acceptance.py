@@ -54,6 +54,7 @@ from losslab.repr_analysis import (
     linear_cka,
     one_hot_matrix,
 )
+from losslab.training import TrainConfig
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -597,7 +598,7 @@ def test_07_determinism_and_convergence(tmp_path):
             out = tmp_path / f"{kind}_{run}"
             run_all(ExperimentConfig(
                 dataset=CONVERGENCE_TASK, hidden=(64, 64),
-                train={"epochs": 12, "batch_size": 64, "peak_lr": lr},
+                train=TrainConfig(epochs=12, batch_size=64, peak_lr=lr),
                 seeds=(0,), losses=((kind, spec),), analyses=(),
                 output_dir=str(out),
             ))

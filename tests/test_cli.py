@@ -99,7 +99,7 @@ class TestSweepAndTrain:
         assert main(["train", "--config", str(ini), "--loss", "nope"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "no loss named 'nope'" in err
+        assert "loss must be one of ('plain', 'smooth'), got 'nope'" in err
 
 
 class TestAnalysisCommands:

@@ -4,7 +4,7 @@ import ast
 import configparser
 import math
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
@@ -154,7 +154,7 @@ class TestLoadConfig:
         assert cfg.dataset.kind == "blobs"
         assert cfg.dataset.classes == 4
         assert cfg.hidden == (16, 16)
-        assert cfg.train == {"epochs": 6, "batch_size": 32, "peak_lr": 0.05}
+        assert cfg.train == TrainConfig(epochs=6, batch_size=32, peak_lr=0.05)
         assert cfg.seeds == (0, 1)
         assert [name for name, _ in cfg.losses] == ["plain", "smooth"]
         assert cfg.losses[1][1].alpha == 0.1
@@ -211,7 +211,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("good, bad, match", [
         ("epochs = 6", "epochs = -1", "epochs must be >= 0"),
-        ("hidden = 16, 16", "hidden = 16, 0", "hidden widths must be >= 1"),
+        ("hidden = 16, 16", "hidden = 16, 0", "hidden must be >= 1, got 0"),
         ("peak_lr = 0.05", "peak_lr = nan", "peak_lr must be finite and > 0"),
         ("peak_lr = 0.05", "peak_lr = inf", "peak_lr must be finite and > 0"),
         ("peak_lr = 0.05", "peak_lr = 0.05\nschedule = warmup_exp\n"
@@ -280,8 +280,7 @@ class TestLoadConfig:
     def test_weight_decay_key_renamed_for_trainer(self, tmp_path):
         ini = GOOD_INI.replace("peak_lr = 0.05", "peak_lr = 0.05\nweight_decay = 0.99")
         cfg = load_config(write_ini(tmp_path, ini))
-        assert cfg.train["weight_decay_product"] == 0.99
-        assert "weight_decay" not in cfg.train
+        assert cfg.train.weight_decay_product == 0.99
 
     def test_missing_losses_rejected(self, tmp_path):
         bad = GOOD_INI.split("[losses]")[0]
@@ -302,7 +301,7 @@ class TestLoadConfig:
     def test_unknown_analysis_rejected(self, tmp_path):
         bad = GOOD_INI.replace("separation, calibration", "separation, vibes")
         with pytest.raises(ValueError, match=re.escape(
-                f"analysis must be one of {ANALYSES}, got 'vibes'")):
+                f"analyses must be one of {ANALYSES}, got 'vibes'")):
             load_config(write_ini(tmp_path, bad))
 
     def test_percent_literal_survives(self, tmp_path):
@@ -316,7 +315,7 @@ class TestExperimentConfigValidation:
         return dict(
             dataset=DatasetConfig(kind="blobs"),
             hidden=(16,),
-            train={"epochs": 1, "batch_size": 8, "peak_lr": 0.1},
+            train=TrainConfig(epochs=1, batch_size=8, peak_lr=0.1),
             seeds=(0,),
             losses=(("plain", LossSpec("softmax")),),
             analyses=(),
@@ -360,12 +359,33 @@ class TestExperimentConfigValidation:
     ], ids=["epochs", "batch_size", "hidden", "seeds", "transfer_merge"])
     def test_fractional_count_rejected(self, field, value):
         kwargs = self.base_kwargs()
-        if field in kwargs["train"]:
-            kwargs["train"][field] = value
-        else:
-            kwargs[field] = value
         with pytest.raises(ValueError, match="must be an integer, got"):
-            ExperimentConfig(**kwargs)
+            if hasattr(kwargs["train"], field):
+                replace(kwargs["train"], **{field: value})
+            else:
+                ExperimentConfig(**{**kwargs, field: value})
+
+    # each entry of a tuple knob is held to the field's rule, not just the
+    # smallest one; these used to build and fail inside a run
+    @pytest.mark.parametrize("field, value, match", [
+        ("seeds", (0, 1.5), "seeds must be an integer, got 1.5"),
+        ("hidden", (8, 16.5), "hidden must be an integer, got 16.5"),
+        ("analyses", ("cka", "vibes"),
+         f"analyses must be one of {ANALYSES}, got 'vibes'"),
+    ], ids=["seeds", "hidden", "analyses"])
+    def test_every_tuple_entry_checked(self, field, value, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ExperimentConfig(**{**self.base_kwargs(), field: value})
+
+    def test_train_dict_rejected(self):
+        with pytest.raises(TypeError, match="train must be a TrainConfig"):
+            ExperimentConfig(**{**self.base_kwargs(),
+                                "train": dict(epochs=1, batch_size=8, peak_lr=0.1)})
+
+    def test_tuple_field_needs_a_tuple(self):
+        # a str would pass the choice as one entry, then read as letters
+        with pytest.raises(TypeError, match="analyses must be a tuple, got 'cka'"):
+            ExperimentConfig(**{**self.base_kwargs(), "analyses": "cka"})
 
     def test_all_analyses_accepted(self):
         cfg = ExperimentConfig(**{**self.base_kwargs(), "analyses": ANALYSES})
@@ -407,7 +427,7 @@ class TestDatasetConfig:
 SECTION_FIELDS = {
     "dataset": fields(DatasetConfig),
     "model": [f for f in fields(ExperimentConfig) if f.name == "hidden"],
-    "train": [f for f in fields(TrainConfig) if f.name not in ("loss", "seed")],
+    "train": fields(TrainConfig),
     "experiment": [f for f in fields(ExperimentConfig)
                    if f.name not in ("dataset", "hidden", "train", "losses")],
 }
@@ -481,7 +501,7 @@ def field_value(cfg, section, name):
     if section == "dataset":
         return getattr(cfg.dataset, name)
     if section == "train":
-        return cfg.train[name]
+        return getattr(cfg.train, name)
     return getattr(cfg, name)
 
 
@@ -552,10 +572,9 @@ class TestSchema:
 def _minimal(cls):
     """Keyword arguments that build a valid cls."""
     return {
-        TrainConfig: dict(loss=LossSpec("softmax"), epochs=1, batch_size=1,
-                          peak_lr=0.1),
+        TrainConfig: dict(epochs=1, batch_size=1, peak_lr=0.1),
         ExperimentConfig: dict(dataset=DatasetConfig(), hidden=(4,),
-                               train=dict(epochs=1, batch_size=1, peak_lr=0.1),
+                               train=TrainConfig(epochs=1, batch_size=1, peak_lr=0.1),
                                seeds=(0,), losses=(("a", LossSpec("softmax")),),
                                output_dir="out"),
         PenaltySpec: dict(kind="logit_penalty", value=0.0),
@@ -570,10 +589,11 @@ RANGED = [(cls, f.name, f.metadata["range"])
 def test_ranged_fields_found():
     names = {name for _, name, _ in RANGED}
     assert {"epochs", "ema_momentum", "spread", "tolerance",
-            "transfer_merge"} <= names
+            "transfer_merge", "seeds", "hidden"} <= names
 
 
-@pytest.mark.parametrize("cls", [TrainConfig, ProbeConfig])
+# a run's training seed is an argument of training.train, checked there
+@pytest.mark.parametrize("cls", [ProbeConfig])
 def test_negative_seed_rejected(cls):
     with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
         cls(**_minimal(cls), seed=-1)
@@ -589,6 +609,7 @@ def test_chosen_fields_found():
     assert [(cls.__name__, name, choices) for cls, name, choices in CHOSEN] == [
         ("TrainConfig", "schedule", ("cosine", "warmup_exp")),
         ("DatasetConfig", "kind", ("blobs", "csv")),
+        ("ExperimentConfig", "analyses", ANALYSES),
         ("ExperimentConfig", "agreement_variant", AGREEMENT_VARIANTS),
         ("LossSpec", "kind", LOSS_KINDS),
         ("PenaltySpec", "kind", PENALTY_KINDS),

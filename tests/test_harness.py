@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from losslab.data import Batch
 from losslab.losses import DegenerateInputError, LossSpec
 from losslab.mlp import init_mlp
 from losslab.probe import ProbeConfig
+from losslab.training import TrainConfig
 
 RUN_FILES = (
     "model.npz",
@@ -51,7 +53,7 @@ def tiny_config(output_dir) -> ExperimentConfig:
             eval_per_class=10, spread=0.8, seed=3,
         ),
         hidden=(16, 16),
-        train={"epochs": 6, "batch_size": 32, "peak_lr": 0.05},
+        train=TrainConfig(epochs=6, batch_size=32, peak_lr=0.05),
         seeds=(0, 1),
         losses=(
             ("plain", LossSpec("softmax")),
@@ -319,6 +321,19 @@ class TestPureReporters:
                 assert path.read_bytes() == (expected / path.name).read_bytes()
         assert tree_digest(tmp_path / "reports") == tree_digest(expected)
 
+    def test_bad_kind_writes_nothing(self, experiment, tmp_path):
+        # every kind is checked before the first report is written
+        config, _ = experiment
+        shutil.copytree(Path(config.output_dir) / "runs", tmp_path / "runs")
+        copy = replace(config, output_dir=str(tmp_path))
+        before = tree_digest(tmp_path)
+        kinds = ("accuracy", *ANALYSES)
+        with pytest.raises(ValueError, match=re.escape(
+                f"report kind must be one of {kinds}, got 'bogus'")):
+            write_reports(copy, ("accuracy", "separation", "bogus"))
+        assert tree_digest(tmp_path) == before
+        assert not (tmp_path / "reports").exists()
+
 
 class TestFeaturePath:
     def test_reports_need_no_dumps(self, experiment, tmp_path):
@@ -346,7 +361,7 @@ class TestFeaturePath:
         ))
         ema = replace(base, output_dir=str(tmp_path / "ema"),
                       losses=(("ema", LossSpec("softmax")),),
-                      train={**base.train, "ema_momentum": 0.9})
+                      train=replace(base.train, ema_momentum=0.9))
         run_all(kinds)
         run_all(ema)
         checked = 0
@@ -390,7 +405,7 @@ class TestDeterminism:
             base = tiny_config(out)
             configs = {
                 "fast": base,
-                "slow": replace(base, train={**base.train, "peak_lr": 0.02}),
+                "slow": replace(base, train=replace(base.train, peak_lr=0.02)),
             }
             runs = [
                 (config, name, LossSpec("softmax"), seed)
@@ -418,7 +433,7 @@ class TestFailurePropagation:
         config = tiny_config(tmp_path)
         boom = ExperimentConfig(
             dataset=config.dataset, hidden=config.hidden,
-            train={**config.train, "peak_lr": 1e6},
+            train=replace(config.train, peak_lr=1e6),
             seeds=(0,), losses=(("boom", LossSpec("squared_error")),),
             analyses=(), output_dir=str(tmp_path / "boom"),
         )

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from losslab.losses import LossSpec
 from losslab.optim import lr_at, sgd_nesterov_step, weight_decay_grad
 from losslab.training import TrainConfig
 
 
 def schedule(peak_lr, **knobs):
-    return TrainConfig(loss=LossSpec("softmax"), epochs=1, batch_size=1,
-                       peak_lr=peak_lr, **knobs)
+    return TrainConfig(epochs=1, batch_size=1, peak_lr=peak_lr, **knobs)
 
 
 class TestNesterov:

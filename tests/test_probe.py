@@ -747,6 +747,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             ProbeConfig(lambda_grid=(1.0, 0.5))
 
+    @pytest.mark.parametrize("grid, match", [
+        ((), "lambda_grid is empty"),
+        ((1.0, 1.0), "lambda_grid must be strictly increasing"),
+    ], ids=["empty", "repeat"])
+    def test_bad_grid_named(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            ProbeConfig(lambda_grid=grid)
+
     @pytest.mark.parametrize("bad", [
         dict(lambda_grid=(1e-3, np.nan)),
         dict(lambda_grid=(1e-3, np.inf)),

@@ -1,6 +1,7 @@
 """Trainer behavior: determinism, logging, divergence, decay, EMA."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,15 +40,18 @@ def small_model(seed=0, spec=LossSpec("softmax")):
 
 def cfg(**kw):
     base = dict(
-        loss=LossSpec("softmax"),
         epochs=5,
         batch_size=16,
         peak_lr=0.1,
         momentum=0.9,
-        seed=0,
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def fit(model, data, holdout=None, *, loss=LossSpec("softmax"), seed=0, **knobs):
+    """train() under cfg(**knobs), with the run's loss and seed."""
+    return train(model, data, cfg(**knobs), holdout, loss=loss, seed=seed)
 
 
 class TestConfigValidation:
@@ -110,8 +114,8 @@ class TestDeterminism:
         data = small_data()
         m = small_model()
         spec = LossSpec("dropout", keep_prob=0.7)
-        r1 = train(m, data, cfg(loss=spec, seed=3))
-        r2 = train(m, data, cfg(loss=spec, seed=3))
+        r1 = fit(m, data, loss=spec, seed=3)
+        r2 = fit(m, data, loss=spec, seed=3)
         for a, b in zip(r1.model.params(), r2.model.params()):
             np.testing.assert_array_equal(a, b)
         assert [rec.train_loss for rec in r1.log] == [rec.train_loss for rec in r2.log]
@@ -119,8 +123,8 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         data = small_data()
         m = small_model()
-        r1 = train(m, data, cfg(seed=3))
-        r2 = train(m, data, cfg(seed=4))
+        r1 = fit(m, data, seed=3)
+        r2 = fit(m, data, seed=4)
         assert any(
             not np.array_equal(a, b)
             for a, b in zip(r1.model.params(), r2.model.params())
@@ -130,14 +134,14 @@ class TestDeterminism:
         data = small_data()
         m = small_model()
         before = [p.copy() for p in m.params()]
-        train(m, data, cfg())
+        fit(m, data)
         for a, b in zip(before, m.params()):
             np.testing.assert_array_equal(a, b)
 
     def test_zero_epochs_returns_input_params(self):
         data = small_data()
         m = small_model()
-        r = train(m, data, cfg(epochs=0))
+        r = fit(m, data, epochs=0)
         for a, b in zip(m.params(), r.model.params()):
             np.testing.assert_array_equal(a, b)
         assert r.log == []
@@ -162,9 +166,8 @@ def test_loss_nonincreasing_on_noise_free_data(spec, lr):
     # deterministic loss must go down every epoch
     data = make_blobs(10, 3, 4, 0.0, seed=11)
     m = small_model(seed=2, spec=spec)
-    config = cfg(loss=spec, epochs=8, batch_size=30, peak_lr=lr,
-                 momentum=0.0, schedule="cosine", seed=5)
-    r = train(m, data, config)
+    r = fit(m, data, loss=spec, epochs=8, batch_size=30, peak_lr=lr,
+            momentum=0.0, schedule="cosine", seed=5)
     losses = [rec.train_loss for rec in r.log]
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-12, f"loss went up: {losses}"
@@ -174,7 +177,7 @@ class TestLogging:
     def test_log_rows_and_holdout(self):
         data = small_data()
         hold = make_blobs(5, 3, 4, 0.2, seed=77)
-        r = train(small_model(), data, cfg(epochs=4), holdout=hold)
+        r = fit(small_model(), data, hold, epochs=4)
         assert len(r.log) == 4
         assert [rec.epoch for rec in r.log] == [1, 2, 3, 4]
         for rec in r.log:
@@ -184,7 +187,7 @@ class TestLogging:
 
     def test_log_csv_round_trip(self, tmp_path):
         data = small_data()
-        r = train(small_model(), data, cfg(epochs=3))
+        r = fit(small_model(), data, epochs=3)
         p = tmp_path / "log.csv"
         write_log_csv(r.log, p)
         header = p.read_text().splitlines()[0]
@@ -215,9 +218,8 @@ class TestLogging:
         # one block, then several; batch 600 gives four steps an epoch, as 16
         # does on the small split
         for data, hold, batch_size in ((small_data(), None, 16), (big, big_hold, 600)):
-            r = train(small_model(spec=spec), data,
-                      cfg(loss=spec, epochs=2, peak_lr=1e-3, batch_size=batch_size),
-                      holdout=hold)
+            r = fit(small_model(spec=spec), data, hold, loss=spec, epochs=2,
+                    peak_lr=1e-3, batch_size=batch_size)
             final = r.model.final
 
             def acc(batch):
@@ -236,7 +238,7 @@ class TestLogging:
         data = small_data()
         hold = make_blobs(40, 3, 4, 0.2, seed=77)
         assert hold.n > data.n
-        r = train(small_model(), data, cfg(epochs=3), holdout=hold)
+        r = fit(small_model(), data, hold, epochs=3)
         final = r.model.final
 
         def acc(batch):
@@ -251,7 +253,7 @@ class TestLogging:
 
     def test_learns_separable_data(self):
         data = make_blobs(30, 3, 4, 0.05, seed=8)
-        r = train(small_model(seed=1), data, cfg(epochs=30, peak_lr=0.2))
+        r = fit(small_model(seed=1), data, epochs=30, peak_lr=0.2)
         assert r.log[-1].train_acc > 0.95
 
 
@@ -275,7 +277,21 @@ class TestInputChecks:
         splits = {"dataset": small_data(), "holdout": small_data(seed=1)}
         splits[which] = batch
         with pytest.raises(ValueError, match=match):
-            train(small_model(), splits["dataset"], cfg(), splits["holdout"])
+            fit(small_model(), splits["dataset"], splits["holdout"])
+
+    @pytest.mark.parametrize("seed, match", [
+        (-1, "seed must be >= 0, got -1"),
+        (np.nan, "seed must be >= 0, got nan"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "nan", "fractional"])
+    def test_bad_seed_rejected_before_first_step(self, monkeypatch, seed, match):
+        def no_step(*args, **kwargs):
+            raise AssertionError("trained before checking its seed")
+
+        monkeypatch.setattr(training, "loss_and_grads", no_step)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            train(small_model(), small_data(), cfg(), loss=LossSpec("softmax"),
+                  seed=seed)
 
     def test_split_without_the_top_class_accepted(self):
         # a split may lack classes the model has, as a csv file may
@@ -283,7 +299,7 @@ class TestInputChecks:
         kept = [Batch(b.features[b.labels < 2], b.labels[b.labels < 2])
                 for b in (data, hold)]
         assert [b.num_classes for b in kept] == [2, 2]
-        r = train(small_model(), kept[0], cfg(epochs=2), kept[1])
+        r = fit(small_model(), kept[0], kept[1], epochs=2)
         assert len(r.log) == 2 and r.model.num_classes == 3
 
 
@@ -294,15 +310,15 @@ class TestDivergence:
         spec = LossSpec("squared_error", kappa=9.0, target_magnitude=60.0,
                         loss_scale=10.0)
         with pytest.raises(TrainingDiverged):
-            train(small_model(), data, cfg(loss=spec, peak_lr=1e8, epochs=50))
+            fit(small_model(), data, loss=spec, peak_lr=1e8, epochs=50)
 
 
 class TestWeightDecayInTrainer:
     def test_decay_shrinks_weights_not_biases(self):
         data = small_data()
         m = small_model()
-        plain = train(m, data, cfg(epochs=10, seed=6))
-        decayed = train(m, data, cfg(epochs=10, seed=6, weight_decay_product=5e-3))
+        plain = fit(m, data, epochs=10, seed=6)
+        decayed = fit(m, data, epochs=10, seed=6, weight_decay_product=5e-3)
         norm = lambda model: sum(
             float(np.sum(w**2)) for w in model.hidden_weights
         ) + float(np.sum(model.final.weights**2))
@@ -313,8 +329,8 @@ class TestWeightDecayInTrainer:
         # so the one step of this run must skip decay and move nothing
         data = small_data()
         m = small_model()
-        r = train(m, data, cfg(epochs=1, batch_size=data.n, schedule="warmup_exp",
-                               weight_decay_product=5e-3))
+        r = fit(m, data, epochs=1, batch_size=data.n, schedule="warmup_exp",
+                weight_decay_product=5e-3)
         for a, b in zip(r.model.params(), m.params(), strict=True):
             assert np.array_equal(a, b)
 
@@ -322,7 +338,7 @@ class TestWeightDecayInTrainer:
 class TestEmaInTrainer:
     def test_ema_model_present_and_distinct(self):
         data = small_data()
-        r = train(small_model(), data, cfg(epochs=5, ema_momentum=0.99))
+        r = fit(small_model(), data, epochs=5, ema_momentum=0.99)
         assert r.ema_model is not None
         diffs = [
             np.max(np.abs(a - b))
@@ -331,13 +347,13 @@ class TestEmaInTrainer:
         assert max(diffs) > 0.0
 
     def test_no_ema_by_default(self):
-        r = train(small_model(), small_data(), cfg(epochs=1))
+        r = fit(small_model(), small_data(), epochs=1)
         assert r.ema_model is None
 
 
-def reference_train(model, data, config):
+def reference_train(model, data, config, loss, seed):
     """The per-array loop: Nesterov, product-form decay and EMA on lists."""
-    ss = np.random.SeedSequence(config.seed)
+    ss = np.random.SeedSequence(seed)
     shuffle_ss, dropout_ss = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
@@ -359,7 +375,7 @@ def reference_train(model, data, config):
         for start in range(0, data.n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             lr = float(lr_at(config, step, total, steps_per_epoch))
-            _, grads = loss_and_grads(as_model(params), config.loss,
+            _, grads = loss_and_grads(as_model(params), loss,
                                       data.features[idx], data.labels[idx],
                                       dropout_rng)
             if lr > 0.0:
@@ -380,10 +396,10 @@ def reference_train(model, data, config):
 def test_flat_step_matches_per_array_reference():
     data = small_data(seed=4)
     model = init_mlp(4, (8, 6), 3, np.random.default_rng(9))
-    config = cfg(loss=LossSpec("dropout", keep_prob=0.8), epochs=3,
-                 weight_decay_product=5e-3, ema_momentum=0.9, seed=2)
-    result = train(model, data, config)
-    ref_model, ref_ema = reference_train(model, data, config)
+    config = cfg(epochs=3, weight_decay_product=5e-3, ema_momentum=0.9)
+    loss = LossSpec("dropout", keep_prob=0.8)
+    result = train(model, data, config, loss=loss, seed=2)
+    ref_model, ref_ema = reference_train(model, data, config, loss, 2)
     for got, want in ((result.model, ref_model), (result.ema_model, ref_ema)):
         for a, b in zip(got.params(), want.params(), strict=True):
             assert np.array_equal(a, b)
