@@ -5,9 +5,10 @@ once, on entry; the kernels behind it trust their arguments, and a config
 knob is a ranged or chosen dataclass field. A value picked by name (a loss
 kind, a schedule, an analysis) is held to its tuple of choices by
 check_choice, with one message: ``<name> must be one of <choices>, got
-<value!r>``. File formats (the csv loader, activation dumps, the INI's
-section and key names) keep their own checks, which name the line, byte
-offset, section or key of the bad input.
+<value!r>``, and a key its kind does not read fails check_read. File
+formats (the csv loader, activation dumps, the INI's section and key
+names) keep their own checks, which name the line, byte offset, section
+or key of the bad input.
 """
 
 from __future__ import annotations
@@ -50,9 +51,12 @@ def check_choice(name: str, value, choices: tuple):
     return value
 
 
-def ranged(valid: str, default=MISSING):
-    """A dataclass field that check_fields holds to RANGES[valid]."""
-    return field(default=default, metadata={"range": valid})
+def ranged(valid: str | None = None, default=MISSING, *, kinds=(), key=None):
+    """A dataclass field that check_fields holds to RANGES[valid], if given,
+    that only kinds read (kind_fields), and that key names in an INI file
+    or loss line where that is not the field's name."""
+    facts = {"range": valid, "kinds": kinds, "key": key}
+    return field(default=default, metadata={k: v for k, v in facts.items() if v})
 
 
 def chosen(choices: tuple, default=MISSING):
@@ -74,6 +78,20 @@ def check_fields(obj) -> None:
                 check_choice(f.name, v, f.metadata["choices"])
         if str(f.type).startswith("tuple") and not isinstance(value, tuple):
             raise TypeError(f"{f.name} must be a tuple, got {value!r}")
+
+
+def kind_fields(cls, kind: str) -> dict:
+    """key -> name of each field of the dataclass cls that kind reads, in order."""
+    return {f.metadata.get("key", f.name): f.name for f in fields(cls)
+            if kind in f.metadata.get("kinds", ())}
+
+
+def check_read(key: str, kind: str, keys: tuple) -> str:
+    """key, if it is one of keys, those kind reads; else ValueError."""
+    if key not in keys:
+        raise ValueError(
+            f"key {key!r} is not read by kind = {kind}; choose from {keys}")
+    return key
 
 
 def check_matrix(X, name: str = "matrix", dim: int | None = None,

@@ -32,13 +32,15 @@ names to loss lines:
     cos05 = cosine_softmax temperature=0.05 +logit_penalty=6e-4
 
 A key outside [losses] fills the field of its name in DatasetConfig,
-TrainConfig or ExperimentConfig (weight_decay fills weight_decay_product,
-output fills output_dir): the field's annotation picks its parser, and a
-field with no default makes it required. Unknown sections or keys are hard errors so a
-typo in a hyperparameter grid fails fast instead of silently training with
-defaults. So is a [dataset] key that its kind does not read, such as
-spread for a csv. Keys and loss names are read as written: Epochs is an
-unknown key, and a loss named Plain breaks the run-name rule.
+TrainConfig or ExperimentConfig, or whose line names it (weight_decay
+fills weight_decay_product, output fills output_dir): the field's
+annotation picks its parser, and a field with no default makes it
+required. Unknown sections or keys are hard errors so a typo in a
+hyperparameter grid fails fast instead of silently training with
+defaults. So is a [dataset] key or loss-line knob that its kind does not
+read, such as spread for a csv (checks.kind_fields). Keys and loss names
+are read as written: Epochs is an unknown key, and a loss named Plain
+breaks the run-name rule.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ import re
 from dataclasses import MISSING, dataclass, fields
 
 from .agreement import AGREEMENT_VARIANTS
-from .checks import check_choice, check_fields, chosen, ranged
-from .losses import LOSS_KINDS, LOSS_PARAMS, LossSpec, PenaltySpec
+from .checks import check_choice, check_fields, check_read, chosen, kind_fields, ranged
+from .losses import LOSS_KINDS, LossSpec, PenaltySpec
 from .training import TrainConfig
 
 ANALYSES = (
@@ -62,11 +64,7 @@ ANALYSES = (
     "spectra",
     "transfer",
 )
-# the [dataset] keys each kind reads besides kind; any other key is an error
-_KIND_KEYS = {"blobs": ("classes", "features", "per_class", "eval_per_class",
-                        "spread", "seed"),
-              "csv": ("path", "eval_path")}
-DATASET_KINDS = tuple(_KIND_KEYS)
+DATASET_KINDS = ("blobs", "csv")
 
 _RUN_NAME = re.compile(r"^[a-z0-9][a-z0-9_\-]*$")
 
@@ -76,14 +74,14 @@ def parse_loss_line(text: str) -> LossSpec:
 
     Penalty tokens start with ``+`` and append to extra_penalties in the
     order written; plain tokens set the kind's own knobs, and a knob its
-    kind does not read (``losses.LOSS_PARAMS``) is an error.
+    kind does not read is an error.
     """
     parts = text.split()
     if not parts:
         raise ValueError("empty loss line")
-    # LossSpec checks the kind too, but LOSS_PARAMS[kind] comes first
+    # LossSpec checks the kind too, but the kind's knobs are read first
     kind = check_choice("kind", parts[0], LOSS_KINDS)
-    fields = {name: field for name, field, _ in LOSS_PARAMS[kind]}
+    fields = kind_fields(LossSpec, kind)
     params = {}
     penalties = []
     for tok in parts[1:]:
@@ -93,14 +91,10 @@ def parse_loss_line(text: str) -> LossSpec:
         if tok.startswith("+"):
             penalties.append(PenaltySpec(name, float(val)))
         else:
-            if name not in fields:
-                raise ValueError(
-                    f"unknown loss parameter {name!r} for {kind}; "
-                    f"choose from {tuple(fields)}"
-                )
-            if fields[name] in params:
+            field = fields[check_read(name, kind, tuple(fields))]
+            if field in params:
                 raise ValueError(f"duplicate parameter {name!r} in {text!r}")
-            params[fields[name]] = float(val)
+            params[field] = float(val)
     return LossSpec(kind, extra_penalties=tuple(penalties), **params)
 
 
@@ -113,8 +107,8 @@ def _number(x: float) -> str:
 def format_loss_line(spec: LossSpec) -> str:
     """Inverse of parse_loss_line, canonical key order."""
     toks = [spec.kind]
-    for name, field, _ in LOSS_PARAMS[spec.kind]:
-        toks.append(f"{name}={_number(getattr(spec, field))}")
+    for key, name in kind_fields(LossSpec, spec.kind).items():
+        toks.append(f"{key}={_number(getattr(spec, name))}")
     for pen in spec.extra_penalties:
         toks.append(f"+{pen.kind}={_number(pen.value)}")
     return " ".join(toks)
@@ -123,16 +117,15 @@ def format_loss_line(spec: LossSpec) -> str:
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = chosen(DATASET_KINDS, "blobs")
-    # blobs; check_fields holds their ranges for every kind
-    classes: int = ranged(">= 2", 10)
-    features: int = ranged(">= 1", 32)
-    per_class: int = ranged(">= 1", 500)
-    eval_per_class: int = ranged(">= 1", 100)
-    spread: float = ranged("finite and >= 0", 1.0)
-    seed: int = ranged(">= 0", 0)
-    # csv
-    path: str | None = None
-    eval_path: str | None = None
+    # check_fields holds the blobs ranges for every kind
+    classes: int = ranged(">= 2", 10, kinds=("blobs",))
+    features: int = ranged(">= 1", 32, kinds=("blobs",))
+    per_class: int = ranged(">= 1", 500, kinds=("blobs",))
+    eval_per_class: int = ranged(">= 1", 100, kinds=("blobs",))
+    spread: float = ranged("finite and >= 0", 1.0, kinds=("blobs",))
+    seed: int = ranged(">= 0", 0, kinds=("blobs",))
+    path: str | None = ranged(default=None, kinds=("csv",))
+    eval_path: str | None = ranged(default=None, kinds=("csv",))
 
     def __post_init__(self):
         check_fields(self)
@@ -142,7 +135,8 @@ class DatasetConfig:
     def record(self) -> dict:
         """The kind and only the fields it reads, as metadata.json names
         the task."""
-        return {"kind": self.kind, **{k: getattr(self, k) for k in _KIND_KEYS[self.kind]}}
+        return {"kind": self.kind,
+                **{k: getattr(self, k) for k in kind_fields(self, self.kind).values()}}
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,7 @@ class ExperimentConfig:
     train: TrainConfig  # the recipe every (loss, seed) run shares
     seeds: tuple[int, ...] = ranged(">= 0")
     losses: tuple  # ((name, LossSpec), ...)
-    output_dir: str
+    output_dir: str = ranged(key="output")
     analyses: tuple[str, ...] = chosen(ANALYSES, ())
     agreement_variant: str = chosen(AGREEMENT_VARIANTS, "same_top1")
     transfer_merge: int = ranged(">= 2", 5)
@@ -167,6 +161,9 @@ class ExperimentConfig:
             raise ValueError("duplicate seeds")
         if not self.losses:
             raise ValueError("need at least one loss")
+        for pair in self.losses:
+            if not isinstance(pair, tuple) or tuple(map(type, pair)) != (str, LossSpec):
+                raise TypeError(f"losses must hold (name, LossSpec) pairs, got {pair!r}")
         names = [name for name, _ in self.losses]
         if len(set(names)) != len(names):
             raise ValueError("duplicate loss names")
@@ -192,8 +189,6 @@ _PARSERS = {
     "tuple[int, ...]": lambda raw: tuple(map(int, raw.replace(",", " ").split())),
     "tuple[str, ...]": lambda raw: tuple(raw.replace(",", " ").split()),
 }
-# the two fields whose INI key has another name -> that key
-_RENAMED_KEYS = {"weight_decay_product": "weight_decay", "output_dir": "output"}
 # section -> the fields its keys fill; [losses] holds loss lines instead
 _SECTION_FIELDS = {
     "dataset": fields(DatasetConfig),
@@ -209,7 +204,7 @@ def _parse_section(parser, section) -> dict:
     """[section] as field -> value, each value read by the parser of its
     field's annotation. An unknown key raises, and so does a missing key
     whose field has no default, or a missing section that has such a key."""
-    keys = {_RENAMED_KEYS.get(f.name, f.name): f for f in _SECTION_FIELDS[section]}
+    keys = {f.metadata.get("key", f.name): f for f in _SECTION_FIELDS[section]}
     required = [key for key, f in keys.items()
                 if f.default is MISSING and f.default_factory is MISSING]
     if not parser.has_section(section):
@@ -248,13 +243,14 @@ def load_config(path) -> ExperimentConfig:
 
     ds = _parse_section(parser, "dataset")
     kind = ds.get("kind", DatasetConfig.kind)
-    for key in ds:
-        # an unknown kind is DatasetConfig's error
-        if kind in _KIND_KEYS and key not in ("kind", *_KIND_KEYS[kind]):
-            raise ValueError(
-                f"[dataset] key {key!r} is not read by kind = {kind}; "
-                f"choose from {_KIND_KEYS[kind]}"
-            )
+    if kind in DATASET_KINDS:  # an unknown kind is DatasetConfig's error
+        keys = tuple(kind_fields(DatasetConfig, kind))
+        try:
+            for key in ds:
+                if key != "kind":
+                    check_read(key, kind, keys)
+        except ValueError as exc:
+            raise ValueError(f"[dataset] {exc}") from exc
     model = _parse_section(parser, "model")
     train = _parse_section(parser, "train")
     exp = _parse_section(parser, "experiment")

@@ -13,8 +13,9 @@ kinds of part, each written once:
   (lambda/2) ||W||^2. logit_penalty is softmax plus beta, extra_final_l2
   softmax plus lambda.
 
-``LOSS_PARAMS`` lists each kind's parameters once; ``LossSpec``, the
-public objective functions and ``config``'s loss lines read it. Inputs
+Each kind's parameters are ``LossSpec`` field lines that name the kinds
+reading them (``checks.kind_fields``); the public objective functions and
+``config``'s loss lines go through ``LossSpec``. Inputs
 are validated once, by the public functions, through ``losslab.checks``;
 the kernels behind them trust their arguments. Everything is plain numpy
 and deterministic (dropout takes an explicit seed or Generator).
@@ -42,28 +43,14 @@ from functools import partial
 
 import numpy as np
 
-from .checks import check_fields, check_labels, check_matrix, check_range, chosen
+from .checks import (check_fields, check_labels, check_matrix, check_range, chosen,
+                     ranged)
 
 NORM_EPS = 1e-12
 
-# kind -> ((name in a loss line, LossSpec field, checks.RANGES key), ...)
-LOSS_PARAMS = {
-    "softmax": (),
-    "label_smoothing": (("alpha", "alpha", "in [0, 1)"),),
-    "dropout": (("keep_prob", "keep_prob", "in (0, 1]"),),
-    "extra_final_l2": (("lambda", "lambda_final", "finite and >= 0"),),
-    "logit_penalty": (("beta", "beta", "finite and >= 0"),),
-    "logit_norm": (("temperature", "temperature", "finite and > 0"),),
-    "cosine_softmax": (("temperature", "temperature", "finite and > 0"),),
-    "sigmoid": (),
-    "squared_error": (
-        ("kappa", "kappa", "finite and > 0"),
-        ("target_magnitude", "target_magnitude", "finite"),
-        ("loss_scale", "loss_scale", "finite and > 0"),
-    ),
-}
-
-LOSS_KINDS = tuple(LOSS_PARAMS)
+LOSS_KINDS = ("softmax", "label_smoothing", "dropout", "extra_final_l2",
+              "logit_penalty", "logit_norm", "cosine_softmax", "sigmoid",
+              "squared_error")
 
 PENALTY_KINDS = ("logit_penalty", "extra_final_l2")
 
@@ -107,39 +94,38 @@ class PenaltySpec:
     """Additive regularizer attached to a base objective."""
 
     kind: str = chosen(PENALTY_KINDS)
-    value: float
+    value: float = ranged("finite and >= 0")
 
     def __post_init__(self):
         check_fields(self)
-        check_range("penalty value", self.value, "finite and >= 0")
 
 
 @dataclass(frozen=True)
 class LossSpec:
     """A base objective plus optional additive penalties.
 
-    Only the fields ``LOSS_PARAMS`` lists for ``kind`` are read;
-    constructing a spec with out-of-range values for its own kind raises
-    immediately so config typos fail fast rather than training quietly
-    with defaults.
+    Each knob is read only by the kinds its field line names, and every
+    knob is held to its range whatever the kind, so a config typo fails
+    when the spec is built rather than training quietly with defaults.
     """
 
     kind: str = chosen(LOSS_KINDS)
-    alpha: float = 0.1  # label_smoothing
-    keep_prob: float = 0.7  # dropout
-    lambda_final: float = 8e-4  # extra_final_l2
-    beta: float = 6e-4  # logit_penalty
-    temperature: float = 0.05  # logit_norm / cosine_softmax
-    kappa: float = 1.0  # squared_error: weight on the target term
-    target_magnitude: float = 1.0  # squared_error: desired target logit
-    loss_scale: float = 1.0  # squared_error: overall multiplier
+    alpha: float = ranged("in [0, 1)", 0.1, kinds=("label_smoothing",))
+    keep_prob: float = ranged("in (0, 1]", 0.7, kinds=("dropout",))
+    lambda_final: float = ranged("finite and >= 0", 8e-4, kinds=("extra_final_l2",),
+                                 key="lambda")
+    beta: float = ranged("finite and >= 0", 6e-4, kinds=("logit_penalty",))
+    temperature: float = ranged("finite and > 0", 0.05,
+                                kinds=("logit_norm", "cosine_softmax"))
+    # squared_error: weight on the target term, target logit, overall multiplier
+    kappa: float = ranged("finite and > 0", 1.0, kinds=("squared_error",))
+    target_magnitude: float = ranged("finite", 1.0, kinds=("squared_error",))
+    loss_scale: float = ranged("finite and > 0", 1.0, kinds=("squared_error",))
     extra_penalties: tuple[PenaltySpec, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "extra_penalties", tuple(self.extra_penalties))
         check_fields(self)
-        for _, name, valid in LOSS_PARAMS[self.kind]:
-            check_range(name, getattr(self, name), valid)
 
 
 @dataclass

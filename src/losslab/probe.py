@@ -67,7 +67,7 @@ ROUNDING = 16 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    lambda_grid: tuple = DEFAULT_GRID
+    lambda_grid: tuple[float, ...] = ranged("finite and >= 0", DEFAULT_GRID)
     val_fraction: float = ranged("in (0, 1)", 0.1)
     max_iterations: int = ranged(">= 1", 2000)
     # on the joint (W, b) gradient norm
@@ -75,15 +75,14 @@ class ProbeConfig:
     seed: int = ranged(">= 0", 0)
 
     def __post_init__(self):
-        grid = tuple(float(v) for v in self.lambda_grid)
+        if np.iterable(self.lambda_grid):  # a scalar fails check_fields
+            object.__setattr__(self, "lambda_grid", tuple(map(float, self.lambda_grid)))
+        check_fields(self)
+        grid = self.lambda_grid
         if not grid:
             raise ValueError("lambda_grid is empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
-        for lam in grid:
-            check_range("lambda_grid entry", lam, "finite and >= 0")
-        check_fields(self)
-        object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass

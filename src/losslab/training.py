@@ -48,7 +48,7 @@ class TrainConfig:
     warmup_epochs: float = ranged("finite and >= 0", 10.0)
     decay_per_epoch: float = ranged("finite and > 0", 0.975)
     momentum: float = ranged("in [0, 1)", 0.9)
-    weight_decay_product: float = ranged("finite and >= 0", 0.0)
+    weight_decay_product: float = ranged("finite and >= 0", 0.0, key="weight_decay")
     ema_momentum: float | None = ranged("in [0, 1)", None)
 
     def __post_init__(self):

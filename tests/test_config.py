@@ -18,6 +18,7 @@ from losslab.config import (
     parse_loss_line,
 )
 from losslab.agreement import AGREEMENT_VARIANTS
+from losslab.checks import kind_fields
 from losslab.losses import LOSS_KINDS, PENALTY_KINDS, LossSpec, PenaltySpec
 from losslab.probe import ProbeConfig
 from losslab.training import TrainConfig
@@ -50,7 +51,8 @@ class TestLossLines:
             parse_loss_line("hinge")
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError, match="unknown loss parameter"):
+        with pytest.raises(ValueError, match=re.escape(
+                "key 'gamma' is not read by kind = softmax; choose from ()")):
             parse_loss_line("softmax gamma=2")
 
     def test_unknown_penalty_rejected(self):
@@ -77,6 +79,9 @@ class TestLossLines:
         "cosine_softmax temperature=0.03",
         "squared_error kappa=9 target_magnitude=10 loss_scale=0.5",
         "sigmoid +logit_penalty=0.001",
+        "extra_final_l2 lambda=0.002",
+        "logit_penalty beta=0.001 +logit_penalty=0.0002 +extra_final_l2=0.0001",
+        "logit_norm temperature=0.1 +extra_final_l2=0.0005",
     ])
     def test_format_parse_round_trip(self, line):
         spec = parse_loss_line(line)
@@ -93,7 +98,10 @@ class TestLossLines:
         "label_smoothing lambda=0.001",
     ])
     def test_param_of_another_kind_rejected(self, line):
-        with pytest.raises(ValueError, match="unknown loss parameter"):
+        kind, token = line.split()
+        key = token.partition("=")[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"key {key!r} is not read by kind = {kind}; choose from ")):
             parse_loss_line(line)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -377,6 +385,16 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match=re.escape(match)):
             ExperimentConfig(**{**self.base_kwargs(), field: value})
 
+    @pytest.mark.parametrize("entry", [
+        ("a", "softmax"), ("a",), ["a", LossSpec("softmax")], (1, LossSpec("softmax")),
+    ], ids=["str-spec", "no-spec", "list", "int-name"])
+    def test_loss_entry_must_be_a_name_and_spec(self, entry):
+        # such an entry used to build, and failed only inside its first run
+        losses = (("plain", LossSpec("softmax")), entry)
+        with pytest.raises(TypeError, match=re.escape(
+                f"losses must hold (name, LossSpec) pairs, got {entry!r}")):
+            ExperimentConfig(**{**self.base_kwargs(), "losses": losses})
+
     def test_train_dict_rejected(self):
         with pytest.raises(TypeError, match="train must be a TrainConfig"):
             ExperimentConfig(**{**self.base_kwargs(),
@@ -390,6 +408,51 @@ class TestExperimentConfigValidation:
     def test_all_analyses_accepted(self):
         cfg = ExperimentConfig(**{**self.base_kwargs(), "analyses": ANALYSES})
         assert cfg.analyses == ANALYSES
+
+
+# every kind's keys, in the order loss lines and metadata.json write them
+KIND_KEYS = {
+    (LossSpec, "softmax"): (),
+    (LossSpec, "label_smoothing"): ("alpha",),
+    (LossSpec, "dropout"): ("keep_prob",),
+    (LossSpec, "extra_final_l2"): ("lambda",),
+    (LossSpec, "logit_penalty"): ("beta",),
+    (LossSpec, "logit_norm"): ("temperature",),
+    (LossSpec, "cosine_softmax"): ("temperature",),
+    (LossSpec, "sigmoid"): (),
+    (LossSpec, "squared_error"): ("kappa", "target_magnitude", "loss_scale"),
+    (DatasetConfig, "blobs"): ("classes", "features", "per_class", "eval_per_class",
+                               "spread", "seed"),
+    (DatasetConfig, "csv"): ("path", "eval_path"),
+}
+KINDED = (LossSpec, DatasetConfig)
+
+
+def kind_choices(cls):
+    return next(f for f in fields(cls) if f.name == "kind").metadata["choices"]
+
+
+def test_kind_fields_are_the_kind_keys():
+    assert {(cls, kind): tuple(kind_fields(cls, kind))
+            for cls in KINDED for kind in kind_choices(cls)} == KIND_KEYS
+
+
+@pytest.mark.parametrize("cls", KINDED, ids=lambda c: c.__name__)
+def test_every_kinds_entry_is_a_kind(cls):
+    for f in fields(cls):
+        assert set(f.metadata.get("kinds", ())) <= set(kind_choices(cls)), f.name
+
+
+@pytest.mark.parametrize("knob, value, match", [
+    ("alpha", 1.5, "alpha must be in [0, 1), got 1.5"),
+    ("keep_prob", 0.0, "keep_prob must be in (0, 1], got 0.0"),
+    ("temperature", -1.0, "temperature must be finite and > 0, got -1.0"),
+])
+def test_every_loss_kind_holds_every_range(knob, value, match):
+    # like DatasetConfig, a spec holds every knob to its range whatever the
+    # kind, so no out-of-range knob rides along unread
+    with pytest.raises(ValueError, match=re.escape(match)):
+        LossSpec("softmax", **{knob: value})
 
 
 class TestDatasetConfig:
@@ -578,18 +641,21 @@ def _minimal(cls):
                                seeds=(0,), losses=(("a", LossSpec("softmax")),),
                                output_dir="out"),
         PenaltySpec: dict(kind="logit_penalty", value=0.0),
+        LossSpec: dict(kind="softmax"),
     }.get(cls, {})
 
 
 RANGED = [(cls, f.name, f.metadata["range"])
-          for cls in (TrainConfig, DatasetConfig, ProbeConfig, ExperimentConfig)
+          for cls in (TrainConfig, DatasetConfig, ProbeConfig, ExperimentConfig,
+                      LossSpec, PenaltySpec)
           for f in fields(cls) if "range" in f.metadata]
 
 
 def test_ranged_fields_found():
     names = {name for _, name, _ in RANGED}
-    assert {"epochs", "ema_momentum", "spread", "tolerance",
-            "transfer_merge", "seeds", "hidden"} <= names
+    assert {"epochs", "ema_momentum", "spread", "tolerance", "transfer_merge",
+            "seeds", "hidden", "lambda_grid", "alpha", "lambda_final",
+            "value"} <= names
 
 
 # a run's training seed is an argument of training.train, checked there

@@ -207,9 +207,9 @@ KNOB_CASES = [
     pytest.param(lambda: dropout_xent(LAYER, *valid_input(), 0.7, n_samples=0, seed=0),
                  "n_samples must be >= 1", id="dropout_xent-n_samples"),
     pytest.param(lambda: PenaltySpec("logit_penalty", math.nan),
-                 "penalty value must be finite", id="PenaltySpec-nan"),
+                 "value must be finite and >= 0, got nan", id="PenaltySpec-nan"),
     pytest.param(lambda: PenaltySpec("extra_final_l2", -1e-9),
-                 "penalty value must be finite", id="PenaltySpec-negative"),
+                 "value must be finite and >= 0, got -1e-09", id="PenaltySpec-negative"),
     pytest.param(lambda: stratified_split(np.arange(8) % 2, -0.5, 0),
                  r"val_fraction must be in \(0, 1\), got -0.5",
                  id="stratified_split-val_fraction-negative"),

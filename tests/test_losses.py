@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losslab import losses
+from losslab.checks import kind_fields
 from losslab.losses import (
     LOSS_KINDS,
-    LOSS_PARAMS,
     DegenerateInputError,
     FinalLayer,
     LossSpec,
@@ -671,7 +671,7 @@ def test_evaluate_is_compose_value_and_eval_scores(spec):
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize(
     "kind,field",
-    [(kind, field) for kind, params in LOSS_PARAMS.items() for _, field, _ in params],
+    [(kind, name) for kind in LOSS_KINDS for name in kind_fields(LossSpec, kind).values()],
 )
 def test_nonfinite_parameter_rejected(kind, field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
