@@ -7,8 +7,8 @@ array with K >= 2, labels in [0, K) and a loss kind from
 Probabilities are softmax rows for every kind except sigmoid, whose
 per-class sigmoids are renormalized by the row sum. ece and
 fit_temperature bin them with the unchecked _report, and the temperature
-search calls the unchecked _probs and _nll. ECE uses 15 equal-width
-right-closed bins on (0, 1]; confidence 0 lands in bin 1.
+search calls the unchecked _probs and _nll. ECE uses ECE_BINS = 15
+equal-width right-closed bins on (0, 1]; confidence 0 lands in bin 1.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .checks import check_choice, check_labels, check_matrix, check_range
 from .losses import LOSS_KINDS, row_max, sigmoid, softmax_rows
 
 PROB_CLAMP = 1e-12
+ECE_BINS = 15
 
 
 @dataclass
@@ -83,27 +84,26 @@ def _nll(P: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-np.log(picked)))
 
 
-def ece(scores, labels, loss_kind: str = "softmax", n_bins: int = 15) -> CalibrationReport:
+def ece(scores, labels, loss_kind: str = "softmax") -> CalibrationReport:
     """NLL, ECE and bins of probs_from_logits(scores, loss_kind) against labels."""
     L, y = _checked(scores, labels, loss_kind=loss_kind)
-    check_range("n_bins", n_bins, ">= 1")
-    return _report(_probs(L, loss_kind), y, n_bins)
+    return _report(_probs(L, loss_kind), y)
 
 
-def _report(P: np.ndarray, y: np.ndarray, n_bins: int = 15) -> CalibrationReport:
+def _report(P: np.ndarray, y: np.ndarray) -> CalibrationReport:
     """ece's binning on probabilities P and labels y, without the checks."""
     n = P.shape[0]
     conf = row_max(P)[:, 0]
     correct = top1_predictions(P) == y
     # right-closed bins on (0, 1]; conf 0 goes to the first bin
-    idx = np.clip(np.ceil(conf * n_bins).astype(int) - 1, 0, n_bins - 1)
+    idx = np.clip(np.ceil(conf * ECE_BINS).astype(int) - 1, 0, ECE_BINS - 1)
 
     bins = []
     total = 0.0
-    for b in range(n_bins):
+    for b in range(ECE_BINS):
         mask = idx == b
         count = int(mask.sum())
-        lo, hi = b / n_bins, (b + 1) / n_bins
+        lo, hi = b / ECE_BINS, (b + 1) / ECE_BINS
         if count == 0:
             bins.append(CalibrationBin(lo, hi, 0, None, None))
             continue

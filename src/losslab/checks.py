@@ -145,3 +145,10 @@ def check_labels(labels, n: int, num_classes: int | None = None,
         return raw.astype(np.int64), num_classes or 0
     k = _label_bounds(name, raw.min(), raw.max(), num_classes)
     return raw.astype(np.int64, copy=False), k
+
+
+def present_classes(y) -> tuple:
+    """(y, counts): int labels y numbered over the classes present, in order."""
+    counts = np.bincount(y)  # np.unique would import numpy.ma
+    present = counts > 0
+    return (np.cumsum(present) - 1)[y], counts[present]

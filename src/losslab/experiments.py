@@ -27,6 +27,7 @@ import numpy as np
 
 from .agreement import agreement_matrix, linkage_dendrogram
 from .calibration import top1_predictions
+from .checks import check_choice
 from .config import DatasetConfig, ExperimentConfig
 from .harness import (
     load_experiment_data,
@@ -129,25 +130,23 @@ TRANSFER_TASK = DatasetConfig(spread=1.75, seed=11)
 
 
 def temperature_experiment(
-    taus=(0.01, 0.03, 0.05, 0.08),
-    seeds=(0, 1, 2),
-    merge: int = 5,
-    index: str = "cosine",
+    taus=tuple(TEMPERATURE_RECIPES), seeds=(0, 1, 2), merge: int = 5
 ) -> dict:
     """{tau: {"r2": per-seed array, "transfer": per-seed array}}.
 
-    R2 is on the train split. Transfer is probe accuracy on penultimate
-    features of the transfer task's eval split with labels k -> k mod
-    merge, half probe-train / half probe-test per coarse class.
+    Each tau is a TEMPERATURE_RECIPES key. Cosine R2 is on the train
+    split. Transfer is probe accuracy on penultimate features of the
+    transfer task's eval split with labels k -> k mod merge, half
+    probe-train / half probe-test per coarse class.
     """
+    recipes = [
+        (f"tau{i}", LossSpec("cosine_softmax", temperature=tau),
+         TEMPERATURE_RECIPES[check_choice("tau", tau, tuple(TEMPERATURE_RECIPES))])
+        for i, tau in enumerate(taus)
+    ]
     train_batch = load_experiment_data(SEPARATION_TASK, "train")
     transfer_batch = load_experiment_data(TRANSFER_TASK, "eval")
     probe_cfg = ProbeConfig(tolerance=1e-3, max_iterations=1000)
-    recipes = [
-        (f"tau{i}", LossSpec("cosine_softmax", temperature=tau),
-         TEMPERATURE_RECIPES.get(tau, dict(epochs=80, peak_lr=0.05)))
-        for i, tau in enumerate(taus)
-    ]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         configs, _ = _train(recipes, seeds, SEPARATION_TASK, tmp)
@@ -158,7 +157,7 @@ def temperature_experiment(
                 ).test_accuracy
                 for run in load_runs(config, transfer_batch)
             ]
-            out[tau] = {"r2": _r2s(config, train_batch, index),
+            out[tau] = {"r2": _r2s(config, train_batch, "cosine"),
                         "transfer": np.asarray(accs)}
     return out
 
@@ -229,12 +228,12 @@ CONVERGENCE_RECIPES = {
 assert tuple(CONVERGENCE_RECIPES) == LOSS_KINDS
 
 
-def convergence_experiment(seed: int = 0) -> dict:
-    """{kind: final train accuracy} for every objective on easy blobs."""
+def convergence_experiment() -> dict:
+    """{kind: final train accuracy at seed 0} for every objective on easy blobs."""
     recipes = [
         (kind, spec, dict(epochs=100, batch_size=64, peak_lr=lr))
         for kind, (spec, lr) in CONVERGENCE_RECIPES.items()
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        _, summaries = _train(recipes, (seed,), CONVERGENCE_TASK, tmp)
+        _, summaries = _train(recipes, (0,), CONVERGENCE_TASK, tmp)
     return {s["loss"]: s["final_train_acc"] for s in summaries}

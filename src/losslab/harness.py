@@ -41,7 +41,8 @@ from .calibration import (
     probs_from_logits,
     top1_predictions,
 )
-from .checks import check_choice, check_labels, check_matrix, check_range
+from .checks import (check_choice, check_labels, check_matrix, check_range,
+                     present_classes)
 from .config import ExperimentConfig, format_loss_line
 from .data import SPLITS, Batch, draw_blob_split, load_csv, split_index
 # read_activation_dump is unused here; perfbench/tracer.py patches it here
@@ -446,17 +447,22 @@ def report_spectra(config, runs) -> dict:
 
 def transfer_probe(features, labels, merge: int,
                    probe_config: ProbeConfig) -> ProbeResult:
-    """Probe on coarse labels, class k mod merge. Each coarse class is
-    split in half by stratified_split(y, 0.5, 0): its validation side
-    trains the probe and the rest tests it. The rows are checked here, once:
-    the sweep runs on them unchecked."""
+    """Probe on coarse labels, class k mod merge; the classes are those
+    present. Each coarse class is split in half by stratified_split(y,
+    0.5): its validation side trains the probe and the rest tests it. The
+    rows and class sizes are checked here, once: the sweep runs unchecked."""
     X = check_matrix(features, "features")
     y, _ = check_labels(labels, X.shape[0])
     check_range("merge", merge, ">= 2")
-    y = y % merge
-    te, tr = stratified_split(y, 0.5, 0)
-    return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config,
-                             int(y.max()) + 1)
+    y, counts = present_classes(y % merge)
+    # the half split trains on min(max(1, round(n / 2)), n - 1) of n rows: 1
+    # at n = 2, 2 at n = 3; the sweep's own split needs a class with 2
+    if counts.min() < 2 or counts.max() < 3:
+        raise ValueError(f"transfer_merge = {merge} gives coarse classes of "
+                         f"{counts.tolist()} rows; the transfer probe needs at "
+                         "least 2 rows in each and 3 in one")
+    te, tr = stratified_split(y, 0.5)
+    return sweep_and_retrain(X[tr], y[tr], X[te], y[te], probe_config, counts.size)
 
 
 def report_transfer(config, runs) -> dict:
@@ -504,6 +510,7 @@ def write_reports(config, kinds=None) -> list:
         check_choice("report kind", kind, ("accuracy", *REPORTERS))
     rdir = reports_dir(config.output_dir)
     rdir.mkdir(parents=True, exist_ok=True)
+    (rdir / "metadata.json").unlink(missing_ok=True)  # so a failed call leaves none
     written = []
 
     def write(tables):

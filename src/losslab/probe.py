@@ -53,10 +53,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import top1_predictions
-from .checks import check_fields, check_labels, check_matrix, check_range, ranged
+from .checks import (check_fields, check_labels, check_matrix, check_range,
+                     present_classes, ranged)
 from .losses import softmax_xent_rows
 
 DEFAULT_GRID = tuple(np.logspace(-6.0, 5.0, 45))
+# the share of each class's training rows that validates the lambda path
+VAL_FRACTION = 0.1
 # a fit solves its next direction against the factor it holds after a
 # full step that cut the gradient norm by at least this factor
 REUSE_CONTRACTION = 10.0
@@ -68,11 +71,9 @@ ROUNDING = 16 * np.finfo(np.float64).eps
 @dataclass(frozen=True)
 class ProbeConfig:
     lambda_grid: tuple[float, ...] = ranged("finite and >= 0", DEFAULT_GRID)
-    val_fraction: float = ranged("in (0, 1)", 0.1)
     max_iterations: int = ranged(">= 1", 2000)
     # on the joint (W, b) gradient norm
     tolerance: float = ranged("finite and > 0", 1e-4)
-    seed: int = ranged(">= 0", 0)
 
     def __post_init__(self):
         if np.iterable(self.lambda_grid):  # a scalar fails check_fields
@@ -263,7 +264,6 @@ def fit_logreg(
     init_bias=None,
     tolerance: float = 1e-4,
     max_iterations: int = 2000,
-    work=None,
 ) -> LogRegFit:
     """Damped Newton from (init_weights, init_bias), zeros by default.
 
@@ -271,12 +271,6 @@ def fit_logreg(
     which moves no softmax row, so a start whose weight rows share an
     offset reaches the zero start's optimum. Every Newton step sums to 0
     over the classes, so the bias keeps init_bias's class sum.
-
-    work is a _newton_workspace for at least as many rows as features
-    has; every Newton direction builds its row panel in the first n (d+1)
-    floats of its row buffer. None allocates one for this fit. A sweep
-    passes one workspace to all of its fits, so no fit allocates (and
-    page-faults) a fresh Hessian.
     """
     X = check_matrix(features, "features")
     y, K = check_labels(labels, X.shape[0], num_classes)
@@ -289,15 +283,14 @@ def fit_logreg(
     if W.shape != (K, d) or b.shape != (K,):
         raise ValueError(f"init shapes {W.shape}/{b.shape} do not match ({K},{d})")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    return _fit(Xa, y, lam, (np.hstack([W, b[:, None]]),), tolerance, max_iterations,
-                work)
+    return _fit(Xa, y, lam, (np.hstack([W, b[:, None]]),), tolerance, max_iterations)
 
 
 def _fit(Xa, y, lam, starts, tolerance, max_iterations, work=None) -> LogRegFit:
     """fit_logreg on checked inputs: the augmented rows Xa = [X, 1], their
-    labels y and a tuple of candidate starts [W, b], (K, d+1).
-    sweep_and_retrain checks its input once and runs every fit through
-    here.
+    labels y and a tuple of candidate starts [W, b], (K, d+1), in work, a
+    _newton_workspace for at least Xa's rows (None: a new one).
+    sweep_and_retrain checks its input once and runs every fit through here.
 
     Each start has the class mean taken out of its weight rows, the
     subspace the Newton steps keep, and is evaluated in turn; the fit
@@ -371,32 +364,28 @@ def probe_accuracy(W, b, X, y) -> float:
     return float(np.mean(top1_predictions(X @ W.T + b) == np.asarray(y)))
 
 
-def stratified_split(labels, val_fraction: float, seed: int):
-    """(train_idx, val_idx): seeded per-class split, train side never empty.
+def stratified_split(labels, val_fraction: float):
+    """(train_idx, val_idx): per-class split, train side never empty.
 
     labels are checked as check_labels does and val_fraction must be in
-    (0, 1), as in ProbeConfig. harness.transfer_probe splits its coarse
-    classes through it at 0.5 and seed 0, with the validation side as the
-    probe's training rows.
+    (0, 1). Each class present, in ascending order, permutes its rows with
+    one default_rng(0). The sweep splits at VAL_FRACTION, and
+    harness.transfer_probe its coarse classes at 0.5.
     """
-    y, _ = check_labels(labels, np.size(labels))
+    y, counts = present_classes(check_labels(labels, np.size(labels))[0])
     check_range("val_fraction", val_fraction, "in (0, 1)")
-    rng = np.random.default_rng(seed)
+    if np.all(counts < 2):
+        raise ValueError("every class holds 1 row; a split needs a class "
+                         "with at least 2 rows")
+    rng = np.random.default_rng(0)
     train_idx, val_idx = [], []
-    # the classes present, ascending; np.unique would import numpy.ma
-    for k in np.flatnonzero(np.bincount(y)):
-        idx = np.where(y == k)[0]
-        idx = rng.permutation(idx)
+    for k in range(counts.size):
+        idx = rng.permutation(np.flatnonzero(y == k))
         # at least one row, capped so train survives
         n_val = min(max(1, int(round(val_fraction * idx.size))), idx.size - 1)
         val_idx.append(idx[:n_val])
         train_idx.append(idx[n_val:])
-    train_idx = np.concatenate(train_idx)
-    val_idx = np.concatenate(val_idx)
-    if val_idx.size == 0:
-        raise ValueError("every class holds 1 row; a split needs a class "
-                         "with at least 2 rows")
-    return np.sort(train_idx), np.sort(val_idx)
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
 
 
 def sweep_and_retrain(
@@ -427,7 +416,7 @@ def _sweep_and_retrain(X, y, Xt, yt, config, K) -> ProbeResult:
     last two solutions, for the secant start, the best one so far, and the
     per-lambda scalars. All fits share one workspace, and each fit starts
     with a fresh factor, never one left by the fit before."""
-    tr, va = stratified_split(y, config.val_fraction, config.seed)
+    tr, va = stratified_split(y, VAL_FRACTION)
     if np.count_nonzero(np.bincount(y[tr])) < K:
         raise ValueError("a class is missing from the probe training split")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import check_choice, check_labels, check_matrix
+from .checks import check_choice, check_labels, check_matrix, present_classes
 from .losses import NORM_EPS, DegenerateInputError, FinalLayer
 
 SEPARATION_INDEXES = ("cosine", "cosine_mean_subtracted", "euclidean")
@@ -83,14 +83,14 @@ def _class_sums(X, y, k) -> np.ndarray:
     return np.stack([X[y == c].sum(axis=0) for c in range(k)])
 
 
-def class_separation_r2(
-    X, labels, index="cosine", num_classes: int | None = None
-):
+def class_separation_r2(X, labels, index="cosine"):
     """One minus within-class over overall mean pairwise distance.
 
-    Pair sums include self-pairs. Classes are weighted 1/(K N_k^2) in the
-    numerator and class pairs 1/(K^2 N_j N_k) in the denominator, so the
-    whole thing reduces to per-class means:
+    The K classes are the labels present: labels {0, 2} give, bit for
+    bit, the value of the same rows labeled {0, 1}. Pair sums include
+    self-pairs. Classes are weighted 1/(K N_k^2) in the numerator and
+    class pairs 1/(K^2 N_j N_k) in the denominator, so the whole thing
+    reduces to per-class means:
 
         cosine:    1 - mean_k(1 - ||m_k||^2) / (1 - ||mean_k m_k||^2)
         euclidean: 1 - mean_k 2(q_k - ||m_k||^2) / 2(mean q_k - ||mean m_k||^2)
@@ -107,22 +107,19 @@ def class_separation_r2(
     for ix in indexes:
         check_choice("index", ix, SEPARATION_INDEXES)
     X = check_matrix(X)
-    y, k = check_labels(labels, X.shape[0], num_classes)
-    counts = np.bincount(y, minlength=k)
-    # the per-class means divide by the counts
-    if np.any(counts == 0):
-        raise ValueError(f"empty classes {np.where(counts == 0)[0].tolist()}")
+    y, counts = present_classes(check_labels(labels, X.shape[0])[0])
     sq = np.sum(X * X, axis=1)
-    values = tuple(_separation(X, sq, y, k, counts, ix) for ix in indexes)
+    values = tuple(_separation(X, sq, y, counts, ix) for ix in indexes)
     return values[0] if isinstance(index, str) else values
 
 
-def _separation(X, sq, y, k, counts, index) -> float:
+def _separation(X, sq, y, counts, index) -> float:
     """class_separation_r2 of one index on checked X and labels."""
     if index == "cosine_mean_subtracted":
         X = X - X.mean(axis=0)
         sq = np.sum(X * X, axis=1)
     cosine = index != "euclidean"
+    k = counts.size
     means = _class_sums(_normalize_rows(X, sq) if cosine else X, y, k) / counts[:, None]
     grand = means.mean(axis=0)
     if cosine:

@@ -663,7 +663,7 @@ def test_09_probe_mechanics():
 
         sweep = sweep_and_retrain(
             X, y, Xt, yt,
-            ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0),
+            ProbeConfig(max_iterations=6000, tolerance=1e-6),
         )
     shrinks = bool(np.all(np.diff(sweep.weight_norms) <= 1e-8))
 

@@ -273,15 +273,15 @@ class TestDegenerateRun:
             assert capsys.readouterr().err == f"error: smooth:seed1: {text}\n"
 
 
-def csv_grid(tmp_path, classes=(4, 3)):
+def csv_grid(tmp_path, classes=((0, 1, 2, 3), (0, 1, 2))):
     """The INI grid on train.csv and eval.csv in tmp_path, trained; the
-    files hold the first classes[0] and classes[1] of four classes. By
-    default the eval file lacks the last class, so once the train file is
-    gone the class count must come from the trained models."""
+    files hold classes[0] and classes[1] of four classes. By default the
+    eval file lacks the last class, so once the train file is gone the
+    class count must come from the trained models."""
     rng = np.random.default_rng(25)
     means = rng.standard_normal((4, 8))
     for name, per, k in zip(("train.csv", "eval.csv"), (30, 10), classes):
-        labels = np.repeat(np.arange(k), per)
+        labels = np.repeat(k, per)
         feats = means[labels] + 0.8 * rng.standard_normal((labels.size, 8))
         (tmp_path / name).write_text("".join(
             f"{k}," + ",".join(map(repr, row)) + "\n"
@@ -330,10 +330,24 @@ class TestCsvData:
     def test_model_takes_the_larger_class_count(self, tmp_path):
         # run_single picks K once, from both splits: here the train file
         # lacks the top class that the eval file has
-        csv_grid(tmp_path, classes=(3, 4))
+        csv_grid(tmp_path, classes=((0, 1, 2), (0, 1, 2, 3)))
         for name in ("plain", "smooth"):
             path = tmp_path / "out" / "runs" / name / "seed0" / "model.npz"
             assert load_model(path).num_classes == 4
+
+    def test_eval_labels_with_a_gap_analyze(self, tmp_path, capsys):
+        # the eval file holds classes {0, 2, 3} of the trained four: the
+        # separation and transfer classes are those present, so all eight
+        # analyses run, and the probe predicts coarse classes {0, 2, 3}
+        ini = csv_grid(tmp_path, classes=((0, 1, 2, 3), (0, 2, 3)))
+        ini.write_text(ini.read_text().replace(
+            "avh, spectra\n", "avh, spectra, transfer\n"))
+        assert main(["analyze", "--config", str(ini)]) == 0, capsys.readouterr().err
+        reports = tmp_path / "out" / "reports"
+        meta = json.loads((reports / "metadata.json").read_text())
+        assert len(meta["analyses"]) == 8
+        rows = (reports / "transfer.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(",5," in row for row in rows)
 
     def test_eval_label_past_the_trained_head_rejected(self, tmp_path, capsys):
         # the heads have K = 4; an eval row labeled 4 is refused by
@@ -353,6 +367,30 @@ class TestCsvData:
                      "--split", "eval", "--dump-out", str(target)]) == 1
         assert capsys.readouterr().err == f"error: {text}\n"
         assert not target.exists()
+
+
+@pytest.mark.parametrize("eval_per_class", [1, 2])
+def test_smallest_transfer_split(tmp_path, capsys, eval_per_class):
+    # 10 classes at transfer_merge 5: one eval row per class gives coarse
+    # classes of 2 rows, one probe-training row each and no validation
+    # row, which the error names; two rows per class are enough
+    ini = tmp_path / "exp.ini"
+    ini.write_text(INI.format(out=tmp_path / "out")
+                   .replace("classes = 4", "classes = 10")
+                   .replace("eval_per_class = 10", f"eval_per_class = {eval_per_class}")
+                   .replace("analyses = separation, cka, sparsity, calibration, "
+                            "agreement, avh, spectra, transfer", "analyses = transfer"))
+    assert main(["sweep", "--config", str(ini)]) == 0
+    capsys.readouterr()
+    code = main(["analyze", "--config", str(ini)])
+    if eval_per_class == 1:
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: transfer_merge = 5 gives coarse classes of [2, 2, 2, 2, 2] "
+            "rows; the transfer probe needs at least 2 rows in each and 3 in one\n")
+    else:
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "reports" / "transfer.csv").exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -658,13 +658,6 @@ def test_ranged_fields_found():
             "value"} <= names
 
 
-# a run's training seed is an argument of training.train, checked there
-@pytest.mark.parametrize("cls", [ProbeConfig])
-def test_negative_seed_rejected(cls):
-    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
-        cls(**_minimal(cls), seed=-1)
-
-
 CHOSEN = [(cls, f.name, f.metadata["choices"])
           for cls in (TrainConfig, DatasetConfig, ExperimentConfig, LossSpec,
                       PenaltySpec)

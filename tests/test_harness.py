@@ -18,11 +18,9 @@ from losslab import harness
 from losslab.config import ANALYSES, DatasetConfig, ExperimentConfig
 from losslab.dumps import read_activation_dump
 from losslab.harness import (
-    LoadedRun,
     RunFailure,
     load_model,
     load_runs,
-    report_separation,
     run_all,
     run_dir,
     save_model,
@@ -30,10 +28,9 @@ from losslab.harness import (
     write_predictions_csv,
     write_reports,
 )
-from losslab.data import Batch
 from losslab.losses import DegenerateInputError, LossSpec
 from losslab.mlp import init_mlp
-from losslab.probe import ProbeConfig
+from losslab.probe import VAL_FRACTION, ProbeConfig, stratified_split
 from losslab.training import TrainConfig
 
 RUN_FILES = (
@@ -280,20 +277,24 @@ class TestCsvFormat:
                         floats += 1
         assert floats > 0
 
-    def test_failed_reporter_writes_no_file(self, tmp_path):
-        config = replace(tiny_config(tmp_path),
-                         losses=(("plain", LossSpec("softmax")),), seeds=(0,))
-        rng = np.random.default_rng(0)
-        labels = np.repeat(np.arange(4), 10)
-        features = rng.standard_normal((40, 16))
-        features[3] = 0.0
-        run = LoadedRun("plain", LossSpec("softmax"), 0, None,
-                        Batch(features, labels), features)
+    def test_failed_reporter_writes_no_file(self, experiment, tmp_path, monkeypatch):
+        # after a successful analyze, one whose separation reporter raises on
+        # an all-zero feature row rewrites accuracy.csv, leaves the earlier
+        # separation.csv as it was, and deletes metadata.json: that file
+        # exists only when the last call wrote every table it was asked for
+        config, _ = experiment
+        shutil.copytree(Path(config.output_dir) / "runs", tmp_path / "runs")
+        copy = replace(config, output_dir=str(tmp_path))
         reports = tmp_path / "reports"
-        reports.mkdir()
-        with pytest.raises(DegenerateInputError):
-            report_separation(config, [run])
-        assert not (reports / "separation.csv").exists()
+        write_reports(copy)
+        before = tree_digest(reports)
+        runs = load_runs(copy)
+        runs[0].features[3] = 0.0
+        monkeypatch.setattr(harness, "load_runs", lambda config: runs)
+        with pytest.raises(DegenerateInputError, match="plain:seed0: zero-norm row"):
+            write_reports(copy)
+        del before["metadata.json"]
+        assert tree_digest(reports) == before
 
 
 class TestPureReporters:
@@ -458,15 +459,17 @@ class TestFailurePropagation:
             run_all(bad, jobs=2)
 
 
-def transfer_probe_rows(monkeypatch, labels, merge):
+def transfer_probe_rows(monkeypatch, labels, merge, classes=None):
     """(train rows, train labels, test rows, test labels) that
-    transfer_probe hands to the probe sweep; row i's one feature is i."""
+    transfer_probe hands to the probe sweep; row i's one feature is i.
+    classes, if given, is the class count it must hand over too."""
     seen = []
     monkeypatch.setattr(harness, "sweep_and_retrain",
-                        lambda *args: seen.append(args[:4]))
+                        lambda *args: seen.append(args))
     rows = np.arange(len(labels), dtype=np.float64)[:, None]
     harness.transfer_probe(rows, labels, merge, ProbeConfig())
-    (X_tr, y_tr, X_te, y_te), = seen
+    (X_tr, y_tr, X_te, y_te, _, K), = seen
+    assert classes is None or K == classes
     return X_tr[:, 0].astype(np.int64), y_tr, X_te[:, 0].astype(np.int64), y_te
 
 
@@ -520,8 +523,41 @@ class TestTransferSplit:
 
     def test_one_row_per_coarse_class_rejected(self):
         # every coarse class holds one row: no half split exists
-        with pytest.raises(ValueError, match="a class with at least 2 rows"):
+        with pytest.raises(ValueError, match=re.escape(
+                "transfer_merge = 4 gives coarse classes of [1, 1, 1, 1] rows")):
             harness.transfer_probe(np.eye(4), [0, 1, 2, 3], 4, ProbeConfig())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coarse_classes_are_those_present(self, monkeypatch, seed):
+        # coarse labels {0, 2, 3} (no fine label is 1 mod 5) are numbered
+        # 0, 1, 2: the rows and split of labels {0, 1, 2}
+        labels = coarse_task((4, 0, 5, 6), 5, seed)
+        got = transfer_probe_rows(monkeypatch, labels, 5, classes=3)
+        packed = np.array([0, 0, 1, 2])[labels % 5]
+        want = transfer_probe_rows(monkeypatch, packed, 5, classes=3)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sizes", [
+        (a, b) for a in range(1, 5) for b in range(a, 6)], ids=lambda s: "%d-%d" % s)
+    def test_small_split_names_transfer_merge(self, monkeypatch, sizes):
+        # the size rule of transfer_probe against the two splits it guards:
+        # the half split must leave each coarse class a probe-training row,
+        # and the sweep's split of those rows a validation row
+        y = np.repeat(np.arange(2), sizes)
+        try:
+            _, tr = stratified_split(y, 0.5)
+            stratified_split(y[tr], VAL_FRACTION)
+            splits = np.bincount(y[tr], minlength=2).min() > 0
+        except ValueError:
+            splits = False
+        assert splits == (min(sizes) >= 2 and max(sizes) >= 3)
+        if splits:
+            transfer_probe_rows(monkeypatch, y, 2, classes=2)
+        else:
+            text = f"transfer_merge = 2 gives coarse classes of {list(sizes)} rows"
+            with pytest.raises(ValueError, match=re.escape(text)):
+                transfer_probe_rows(monkeypatch, y, 2)
 
 
 class TestSmallHelpers:
@@ -592,7 +628,12 @@ def test_import_sets_one_blas_thread_unless_set(preset, expected):
 def test_no_pool_without_jobs(experiment, tmp_path):
     # only train_runs with jobs > 1 imports the pool modules; analyze, in a
     # fresh interpreter as the CLI starts, loads neither, nor numpy.ma
-    # (np.unique imports it; the transfer probe lists classes without it)
+    # (np.unique imports it; the transfer probe lists classes without it).
+    # Every top-level module with a file that importing losslab and analyze
+    # add is numpy, losslab or the standard library's: losslab is
+    # numpy-only. (numpy's Cython extensions add cython_runtime and
+    # _cython_<version>, which have none.) It is a difference, since site
+    # may preload others, such as certifi
     from test_cli import INI
 
     config, _ = experiment
@@ -600,11 +641,15 @@ def test_no_pool_without_jobs(experiment, tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text(INI.format(out=tmp_path))
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
-    code = ("import sys; from losslab import cli; "
+    code = ("import sys; top = lambda: {m.partition('.')[0] for m in sys.modules}; "
+            "before = top(); from losslab import cli; "
             f"code = cli.main(['analyze', '--config', {str(ini)!r}]); "
             "print(code, *(m in sys.modules for m in "
-            "('multiprocessing', 'concurrent.futures', 'numpy.ma')))")
+            "('multiprocessing', 'concurrent.futures', 'numpy.ma'))); "
+            "new = top() - before - set(sys.stdlib_module_names); "
+            "print(sorted(m for m in new if hasattr(sys.modules[m], '__file__')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False False False"
+    assert out.splitlines()[-2] == "0 False False False"
+    assert out.splitlines()[-1] == "['losslab', 'numpy']"
     assert (tmp_path / "reports" / "transfer.csv").exists()

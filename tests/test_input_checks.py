@@ -11,6 +11,7 @@ from losslab.agreement import AGREEMENT_VARIANTS, agreement_matrix, linkage_dend
 from losslab.calibration import ece, fit_temperature, probs_from_logits
 from losslab.checks import RANGES, check_labels, check_matrix, check_range
 from losslab.data import Batch, draw_blob_split, make_blobs
+from losslab.experiments import TEMPERATURE_RECIPES, temperature_experiment
 from losslab.harness import train_runs, transfer_probe
 from losslab.losses import (
     LOSS_KINDS,
@@ -113,8 +114,9 @@ ENTRY_POINTS = {
     "probs_from_logits": (lambda X, y: probs_from_logits(X, "softmax"), MATRIX),
     "ece": (ece, ALL),
     "fit_temperature": (fit_temperature, ALL),
-    "class_separation_r2": (
-        lambda X, y: class_separation_r2(X, y, num_classes=K), ALL),
+    # the classes are the labels present, so K itself is a valid label
+    "class_separation_r2": (class_separation_r2,
+                            tuple(defect for defect in ALL if defect != "label_K")),
     "angular_visual_hardness": (
         lambda X, y: angular_visual_hardness(LAYER, X, y), ALL),
     "linear_cka": (lambda X, y: linear_cka(X, valid_input()[0]), MATRIX),
@@ -129,7 +131,7 @@ ENTRY_POINTS = {
         lambda X, y: sweep_and_retrain(X, y, X, y, PROBE, num_classes=K), ALL),
     "sweep_and_retrain_test_split": (_sweep_test_split, ALL),
     # labels alone, with no class count
-    "stratified_split": (lambda X, y: stratified_split(y, 0.5, 0),
+    "stratified_split": (lambda X, y: stratified_split(y, 0.5),
                          ("label_minus_1", "label_fractional", "label_1e20",
                           "label_2**63+5")),
     # coarse labels y mod 2; no class count, so K itself is a valid label
@@ -191,10 +193,6 @@ KNOB_CASES = [
                  "hidden width must be >= 1", id="init_mlp-width"),
     pytest.param(lambda: init_mlp(3, (4,), 1, np.random.default_rng(0)),
                  "num_classes must be >= 2", id="init_mlp-num_classes"),
-    pytest.param(lambda: ece(np.eye(2), [0, 1], n_bins=0),
-                 "n_bins must be >= 1", id="ece-n_bins"),
-    pytest.param(lambda: ece(np.eye(2), [0, 1], n_bins=2.5),
-                 "n_bins must be an integer, got 2.5", id="ece-n_bins-fractional"),
     pytest.param(lambda: fit_logreg(*valid_input(), 0.1, K, max_iterations=2.5),
                  "max_iterations must be an integer, got 2.5",
                  id="fit_logreg-max_iterations-fractional"),
@@ -210,10 +208,10 @@ KNOB_CASES = [
                  "value must be finite and >= 0, got nan", id="PenaltySpec-nan"),
     pytest.param(lambda: PenaltySpec("extra_final_l2", -1e-9),
                  "value must be finite and >= 0, got -1e-09", id="PenaltySpec-negative"),
-    pytest.param(lambda: stratified_split(np.arange(8) % 2, -0.5, 0),
+    pytest.param(lambda: stratified_split(np.arange(8) % 2, -0.5),
                  r"val_fraction must be in \(0, 1\), got -0.5",
                  id="stratified_split-val_fraction-negative"),
-    pytest.param(lambda: stratified_split(np.arange(8) % 2, 1.5, 0),
+    pytest.param(lambda: stratified_split(np.arange(8) % 2, 1.5),
                  r"val_fraction must be in \(0, 1\), got 1.5",
                  id="stratified_split-val_fraction-above_1"),
     pytest.param(lambda: transfer_probe(*valid_input(), 1, PROBE),
@@ -241,6 +239,10 @@ KNOB_CASES = [
     pytest.param(lambda: class_separation_r2(*valid_input(), "centroid"),
                  re.escape(f"index must be one of {SEPARATION_INDEXES}, got 'centroid'"),
                  id="class_separation_r2-index"),
+    # before any run trains: no recipe stands in for a tau outside the table
+    pytest.param(lambda: temperature_experiment(taus=(0.01, 0.02)),
+                 re.escape(f"tau must be one of {tuple(TEMPERATURE_RECIPES)}, got 0.02"),
+                 id="temperature_experiment-tau"),
 ]
 
 
@@ -271,7 +273,7 @@ VALUE_CASES = [
                  "classes must be >= 2, got 1", id="fit_temperature-one_column"),
     pytest.param(lambda: ece(ONE_COLUMN, np.zeros(4)),
                  "classes must be >= 2, got 1", id="ece-one_column"),
-    pytest.param(lambda: stratified_split([0, 0, 1, 1, 1.7, 1.2], 0.5, 0),
+    pytest.param(lambda: stratified_split([0, 0, 1, 1, 1.7, 1.2], 0.5),
                  "labels must be whole numbers, got 1.7",
                  id="stratified_split-labels_fractional"),
     pytest.param(lambda: linkage_dendrogram([[0, -1, 2], [-1, 0, 3], [2, 3, 0]]),

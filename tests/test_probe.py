@@ -10,6 +10,7 @@ from scipy.special import logsumexp, softmax
 from losslab import probe
 from losslab.calibration import top1_predictions
 from losslab.probe import (
+    VAL_FRACTION,
     ProbeConfig,
     _newton_direction,
     _newton_workspace,
@@ -442,11 +443,13 @@ class TestNewtonDirection:
         # a workspace with spare rows, pre-filled with nan, gives the fit
         # of fresh buffers bit for bit; the sweep's fits share one Hessian
         X, y, Xt, yt = acceptance_blobs()
-        work = _newton_workspace(X.shape[0] + 7, 3, X.shape[1] + 1)
+        Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+        work = _newton_workspace(X.shape[0] + 7, 3, Xa.shape[1])
         for buf in work:
             buf.fill(np.nan)
         for lam in (1e-2, 1e2):
-            shared = fit_logreg(X, y, lam, 3, tolerance=1e-8, work=work)
+            shared = probe._fit(Xa, y, lam, (np.zeros((3, Xa.shape[1])),), 1e-8, 2000,
+                                work)
             fresh = fit_logreg(X, y, lam, 3, tolerance=1e-8)
             assert shared.n_iter == fresh.n_iter and shared.n_iter > 0
             assert np.array_equal(shared.weights, fresh.weights)
@@ -498,7 +501,7 @@ class TestNewtonDirection:
 class TestSplit:
     def test_stratified_counts(self):
         y = np.array([0] * 30 + [1] * 10)
-        tr, va = stratified_split(y, 0.2, seed=0)
+        tr, va = stratified_split(y, 0.2)
         assert np.sum(y[va] == 0) == 6
         assert np.sum(y[va] == 1) == 2
         assert len(set(tr) | set(va)) == 40
@@ -506,25 +509,24 @@ class TestSplit:
 
     def test_val_clamped_below_class_size(self):
         y = np.array([0, 0, 1, 1])
-        tr, va = stratified_split(y, 0.9, seed=0)
+        tr, va = stratified_split(y, 0.9)
         # each class keeps at least one training example
         assert np.sum(y[tr] == 0) >= 1
         assert np.sum(y[tr] == 1) >= 1
 
     def test_deterministic_in_seed(self):
+        # the split's generator is seeded with 0: a repeat call gives it again
         y = np.tile(np.arange(4), 25)
-        a = stratified_split(y, 0.25, seed=7)
-        b = stratified_split(y, 0.25, seed=7)
+        a = stratified_split(y, 0.25)
+        b = stratified_split(y, 0.25)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
-        c = stratified_split(y, 0.25, seed=8)
-        assert not np.array_equal(a[1], c[1])
 
     def test_one_row_per_class_rejected(self):
         # no class can give a validation row and keep a training row
         match = "a split needs a class with at least 2 rows"
         with pytest.raises(ValueError, match=match):
-            stratified_split([0, 1, 2], 0.5, seed=0)
+            stratified_split([0, 1, 2], 0.5)
         with pytest.raises(ValueError, match=match):
             sweep_and_retrain(np.eye(3), [0, 1, 2], np.eye(3), [0, 1, 2],
                               ProbeConfig())
@@ -532,7 +534,7 @@ class TestSplit:
     def test_empty_val_rejected(self):
         y = np.array([0, 1])
         with pytest.raises(ValueError):
-            stratified_split(y, 0.0, seed=0)
+            stratified_split(y, 0.0)
 
 
 class TestSweep:
@@ -541,7 +543,7 @@ class TestSweep:
         Xtr, ytr = two_blob_features(rng, n_per=60)
         Xte, yte = two_blob_features(rng, n_per=30)
         cfg = ProbeConfig(lambda_grid=(1e-4, 1e-2, 1.0, 100.0),
-                          max_iterations=1500, tolerance=1e-3, seed=0)
+                          max_iterations=1500, tolerance=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = sweep_and_retrain(Xtr, ytr, Xte, yte, cfg)
@@ -556,7 +558,7 @@ class TestSweep:
         Xte = rng.standard_normal((300, 6))
         yte = rng.integers(0, 3, 300)
         cfg = ProbeConfig(lambda_grid=(1e-2, 1.0, 100.0),
-                          max_iterations=800, tolerance=1e-3, seed=0)
+                          max_iterations=800, tolerance=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = sweep_and_retrain(Xtr, ytr, Xte, yte, cfg, num_classes=3)
@@ -569,7 +571,7 @@ class TestSweep:
         Xte, yte = two_blob_features(rng, n_per=20)
         grid = tuple(np.logspace(-4, 3, 8))
         cfg = ProbeConfig(lambda_grid=grid, max_iterations=1500,
-                          tolerance=1e-4, seed=0)
+                          tolerance=1e-4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = sweep_and_retrain(Xtr, ytr, Xte, yte, cfg)
@@ -581,7 +583,7 @@ class TestSweep:
         y = np.tile(np.arange(3), 30)
         X = np.eye(3)[y] * 6.0
         cfg = ProbeConfig(lambda_grid=(1e-6, 1e-4, 1e-2),
-                          max_iterations=2000, tolerance=1e-3, seed=0)
+                          max_iterations=2000, tolerance=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = sweep_and_retrain(X, y, X, y, cfg)
@@ -595,7 +597,7 @@ class TestSweep:
         Xte, yte = two_blob_features(rng, n_per=25)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         cfg = ProbeConfig(lambda_grid=(1e-6,), max_iterations=3000,
-                          tolerance=1e-3, seed=0)
+                          tolerance=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             plain = sweep_and_retrain(Xtr, ytr, Xte, yte, cfg)
@@ -604,7 +606,7 @@ class TestSweep:
 
     def test_every_fit_converges_on_acceptance_data(self):
         X, y, Xt, yt = acceptance_blobs()
-        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0)
+        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sweep_and_retrain(X, y, Xt, yt, cfg)
@@ -617,11 +619,11 @@ class TestSweep:
         # the path against a chain of fits each started from the last
         # solution: the same accuracies and choice, in fewer Newton steps
         X, y, Xt, yt = acceptance_blobs()
-        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0)
+        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sweep_and_retrain(X, y, Xt, yt, cfg)
-            tr, va = stratified_split(y, cfg.val_fraction, cfg.seed)
+            tr, va = stratified_split(y, VAL_FRACTION)
             W = b = None
             val_acc, n_iter = [], []
             for lam in cfg.lambda_grid:
@@ -643,9 +645,9 @@ class TestSweep:
         # starts from zeros, the second from the first (fewer than two
         # earlier fits, so no secant), and the refit from the best
         X, y, Xt, yt = acceptance_blobs()
-        cfg = ProbeConfig(lambda_grid=(1e-2, 1.0), tolerance=1e-6, seed=0)
+        cfg = ProbeConfig(lambda_grid=(1e-2, 1.0), tolerance=1e-6)
         res = sweep_and_retrain(X, y, Xt, yt, cfg)
-        tr, _ = stratified_split(y, cfg.val_fraction, cfg.seed)
+        tr, _ = stratified_split(y, VAL_FRACTION)
         first = fit_logreg(X[tr], y[tr], 1.0, 3, tolerance=cfg.tolerance)
         second = fit_logreg(X[tr], y[tr], 1e-2, 3, first.weights, first.bias,
                             tolerance=cfg.tolerance)
@@ -672,7 +674,7 @@ class TestSweep:
         cfg = ProbeConfig(lambda_grid=(1e-2, 1e-1, 0.9, 1.0, 10.0, 1e2, 1e3, 1e4),
                           tolerance=1e-6)
         res = sweep_and_retrain(X, y, Xt, yt, cfg)
-        tr, va = stratified_split(y, cfg.val_fraction, cfg.seed)
+        tr, va = stratified_split(y, VAL_FRACTION)
         fits, val_acc, secant = {}, {}, []
         order = list(reversed(range(len(cfg.lambda_grid))))
         for step, i in enumerate(order):
@@ -708,7 +710,7 @@ class TestSweep:
         # fewer factorizations than Newton steps, and every fit converges
         calls = record_directions(monkeypatch)
         X, y, Xt, yt = acceptance_blobs()
-        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6, seed=0)
+        cfg = ProbeConfig(max_iterations=6000, tolerance=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sweep_and_retrain(X, y, Xt, yt, cfg)
@@ -739,7 +741,7 @@ class TestSweep:
         ytr = np.array([0, 1] * 10)
         Xte = Xtr.copy()
         yte = np.array([0, 1, 2, 0] * 5)
-        cfg = ProbeConfig(lambda_grid=(1.0,), seed=0)
+        cfg = ProbeConfig(lambda_grid=(1.0,))
         with pytest.raises(ValueError, match="class"):
             sweep_and_retrain(Xtr, ytr, Xte, yte, cfg, num_classes=3)
 

@@ -210,10 +210,12 @@ class TestClassSeparation:
                 class_separation_r2(X, y, index), abs=1e-12
             )
 
-    def test_empty_class_rejected(self):
-        X = np.ones((4, 2))
-        with pytest.raises(ValueError, match="empty"):
-            class_separation_r2(X, [0, 0, 2, 2], "euclidean", num_classes=3)
+    def test_classes_are_the_labels_present(self):
+        # a label no row holds is no class: {0, 2} is {0, 1}, bit for bit
+        X = np.random.default_rng(5).standard_normal((12, 3))
+        y = np.arange(12) % 2
+        assert (class_separation_r2(X, 2 * y, SEPARATION_INDEXES)
+                == class_separation_r2(X, y, SEPARATION_INDEXES))
 
     def test_zero_row_rejected_for_cosine(self):
         X = np.ones((4, 2))
